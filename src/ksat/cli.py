@@ -394,10 +394,17 @@ def _cmd_pipeline(args) -> None:
         spec = json.loads(_read(args.spec))
     except ValueError as exc:
         raise UsageError(f"bad pipeline spec: {exc}") from exc
+    if not isinstance(spec, dict):
+        raise UsageError("bad pipeline spec: not a JSON object")
     instances = spec.get("instances")
     seeds = spec.get("seeds", [0])
     if not isinstance(instances, list) or not isinstance(seeds, list):
         raise UsageError("pipeline spec needs 'instances' and 'seeds' lists")
+    for stage in ("mark", "sample", "path", "loose"):
+        if stage in spec and not isinstance(spec[stage], dict):
+            raise UsageError(
+                f"bad pipeline spec: '{stage}' must be an object, got {json.dumps(spec[stage])}"
+            )
     cells = [
         (inst, seed)
         for inst in instances

@@ -1,11 +1,15 @@
 """Exact conditional marginals and exact conditional sampling.
 
 Everything here reduces to one primitive: simplify the formula under a
-pinning, split the residual into connected components, and enumerate each
-component's satisfying assignments. Component solution sets are memoized on
-a canonical form of the component subformula, and residual decompositions
-("plans") are memoized per (formula, pinning), which is what makes the
-10^5-run Monte Carlo suites affordable.
+pinning, split the residual into connected components (``decompose``, on
+clause bitmasks), and enumerate each component's satisfying assignments.
+Component solution sets are cached on a canonical form of the component
+subformula, so every caller that meets the same component shares one array.
+Residual decompositions ("plans") are cached per (formula, pinning) for the
+callers that ask for one (paths, geometry, coupling). Both caches are
+bounded: the solution cache by bytes, the plan cache by entries, each
+evicting its oldest entries first, so memory stays flat however many
+pinnings a run meets.
 
 Determinism contract for sampling: components are consumed in ascending
 order of their minimum variable (one uniform index draw each), then target
@@ -30,15 +34,29 @@ DEFAULT_CAP = 1 << 22  # assignment evaluations allowed per component
 
 _ENUM_CHUNK = 1 << 20
 
-# canonical component subformula -> uint64 array of satisfying local masks
+# Cache bounds. The solution budget counts each array's data plus an
+# estimate of the Python objects around it (_SOL_ENTRY_BYTES an entry,
+# _SOL_CLAUSE_BYTES a clause of its key).
+_SOL_CACHE_BYTES = 64 << 20
+_SOL_ENTRY_BYTES = 256
+_SOL_CLAUSE_BYTES = 128
+_PLAN_CACHE_ENTRIES = 1 << 14
+
+# canonical component subformula -> uint64 array of satisfying local masks,
+# oldest first; _sol_cache_bytes is its charge against _SOL_CACHE_BYTES
 _SOL_CACHE: dict = {}
-# formula -> {(dom_mask, val_mask) -> _Plan}
+_sol_cache_bytes = 0
+# formula -> {(dom_mask, val_mask) -> _Plan}, oldest formula and pinning
+# first; _plan_entries counts the plans across all formulas
 _PLAN_CACHES: dict = {}
+_plan_entries = 0
 
 
 def clear_caches() -> None:
+    global _sol_cache_bytes, _plan_entries
     _SOL_CACHE.clear()
     _PLAN_CACHES.clear()
+    _sol_cache_bytes = _plan_entries = 0
 
 
 def pin_masks(x: Mapping) -> tuple:
@@ -62,34 +80,17 @@ def _iter_bits(mask: int):
 class _Component:
     """One connected component of a simplified formula."""
 
-    __slots__ = ("vars", "key", "bit_of", "min_var", "_sols", "_ones")
+    __slots__ = ("vars", "key", "bit_of", "min_var", "_ones")
 
-    def __init__(self, vars_sorted, clauses_local):
-        self.vars = vars_sorted
-        self.key = (len(vars_sorted), tuple(sorted(set(clauses_local))))
-        self.bit_of = {v: i for i, v in enumerate(vars_sorted)}
-        self.min_var = vars_sorted[0]
-        self._sols = None
+    def __init__(self, vars_mask: int, clauses):
+        self.vars = tuple(b + 1 for b in _iter_bits(vars_mask))
+        self.key = component_key(vars_mask, clauses)
+        self.bit_of = {v: i for i, v in enumerate(self.vars)}
+        self.min_var = self.vars[0]
         self._ones = {}
 
-    @property
-    def evaluations(self) -> int:
-        return 1 << len(self.vars)
-
     def solutions(self, cap: int) -> np.ndarray:
-        if self.evaluations > cap:
-            raise CapExceededError(
-                f"component on {len(self.vars)} variables needs "
-                f"{self.evaluations} evaluations, cap is {cap}",
-                size=len(self.vars),
-            )
-        if self._sols is None:
-            cached = _SOL_CACHE.get(self.key)
-            if cached is None:
-                cached = _enumerate_local(len(self.vars), self.key[1])
-                _SOL_CACHE[self.key] = cached
-            self._sols = cached
-        return self._sols
+        return component_solutions(self.key, cap)
 
     def one_count(self, v: int, cap: int) -> int:
         """Number of component solutions assigning v = 1."""
@@ -100,6 +101,95 @@ class _Component:
             ones = int(((sols >> bit) & np.uint64(1)).sum())
             self._ones[v] = ones
         return ones
+
+
+def decompose(f: Formula, dom: int, val: int) -> tuple:
+    """Residual of f under the pinning (dom, val), split into components.
+
+    Returns (falsified, groups). When some clause has every literal pinned
+    false, falsified is the id of the first such clause and groups is
+    empty. Otherwise falsified is None and groups holds one (vars_mask,
+    clauses) pair per connected component of the unsatisfied clauses: the
+    component's free variables as a bitmask and, per clause, its
+    (free_pos, free_neg) masks. Groups and their clauses come in no fixed
+    order. val must lie inside dom.
+    """
+    groups = []
+    false_lits = dom & ~val
+    free = ~dom
+    for cid, (pos, neg) in enumerate(f._clause_masks):
+        if pos & val or neg & false_lits:
+            continue
+        fpos = pos & free
+        fneg = neg & free
+        mask = fpos | fneg
+        if not mask:
+            return cid, []
+        clauses = [(fpos, fneg)]
+        # groups are disjoint, so each one that meets this clause joins it
+        for i in range(len(groups) - 1, -1, -1):
+            gmask, gclauses = groups[i]
+            if gmask & mask:
+                mask |= gmask
+                clauses += gclauses
+                del groups[i]
+        groups.append((mask, clauses))
+    return None, groups
+
+
+def component_key(vars_mask: int, clauses) -> tuple:
+    """Canonical form of a component: its variable count and its distinct
+    clauses in local bits, sorted. Local bit i is the i-th lowest variable
+    of vars_mask, found by counting the mask's bits below each literal."""
+    local = set()
+    for fpos, fneg in clauses:
+        lpos = lneg = 0
+        while fpos:
+            low = fpos & -fpos
+            lpos |= 1 << (vars_mask & (low - 1)).bit_count()
+            fpos ^= low
+        while fneg:
+            low = fneg & -fneg
+            lneg |= 1 << (vars_mask & (low - 1)).bit_count()
+            fneg ^= low
+        local.add((lpos, lneg))
+    return vars_mask.bit_count(), tuple(sorted(local))
+
+
+def component_solutions(key: tuple, cap: int) -> np.ndarray:
+    """Satisfying local masks, ascending, of the component with canonical
+    form `key`. The cap is checked before any cache lookup or enumeration."""
+    nvars = key[0]
+    if 1 << nvars > cap:
+        raise CapExceededError(
+            f"component on {nvars} variables needs "
+            f"{1 << nvars} evaluations, cap is {cap}",
+            size=nvars,
+        )
+    sols = _SOL_CACHE.get(key)
+    if sols is None:
+        sols = _enumerate_local(nvars, key[1])
+        _cache_solutions(key, sols)
+    return sols
+
+
+def _sol_entry_bytes(key, sols) -> int:
+    return sols.nbytes + _SOL_ENTRY_BYTES + _SOL_CLAUSE_BYTES * len(key[1])
+
+
+def _cache_solutions(key, sols) -> None:
+    """Store sols under key, evicting the oldest entries while the cache is
+    over its byte budget. An array larger than the whole budget is not
+    stored."""
+    global _sol_cache_bytes
+    cost = _sol_entry_bytes(key, sols)
+    if cost > _SOL_CACHE_BYTES:
+        return
+    _sol_cache_bytes += cost
+    _SOL_CACHE[key] = sols
+    while _sol_cache_bytes > _SOL_CACHE_BYTES:
+        old_key = next(iter(_SOL_CACHE))
+        _sol_cache_bytes -= _sol_entry_bytes(old_key, _SOL_CACHE.pop(old_key))
 
 
 def _enumerate_local(nvars: int, clauses) -> np.ndarray:
@@ -130,8 +220,6 @@ class _Plan:
         "falsified_clause",
         "comps",
         "comp_of_var",
-        "clause_vars_mask",
-        "dom_mask",
         "max_comp_vars",
     )
 
@@ -145,87 +233,40 @@ class _Plan:
 
 def plan_for(f: Formula, dom_mask: int, val_mask: int) -> _Plan:
     """Cached residual decomposition of f under the pinning (dom, val)."""
-    cache = _PLAN_CACHES.get(f)
-    if cache is None:
-        cache = {}
-        _PLAN_CACHES[f] = cache
+    global _plan_entries
     key = (dom_mask, val_mask & dom_mask)
-    plan = cache.get(key)
+    cache = _PLAN_CACHES.get(f)
+    plan = cache.get(key) if cache is not None else None
     if plan is None:
-        plan = _build_plan(f, dom_mask, val_mask & dom_mask)
-        cache[key] = plan
+        plan = _build_plan(f, *key)
+        while _plan_entries >= _PLAN_CACHE_ENTRIES:
+            oldest_f, oldest = next(iter(_PLAN_CACHES.items()))
+            del oldest[next(iter(oldest))]
+            _plan_entries -= 1
+            if not oldest:
+                del _PLAN_CACHES[oldest_f]
+        _PLAN_CACHES.setdefault(f, {})[key] = plan
+        _plan_entries += 1
     return plan
 
 
 def _build_plan(f: Formula, dom: int, val: int) -> _Plan:
     plan = _Plan()
-    plan.dom_mask = dom
-    residual = []  # (free_pos, free_neg, free_vars_mask)
-    for cid, (pos, neg) in enumerate(f._clause_masks):
-        if (pos & val) or (neg & dom & ~val):
-            continue
-        fpos = pos & ~dom
-        fneg = neg & ~dom
-        fmask = fpos | fneg
-        if not fmask:
-            plan.status = "falsified"
-            plan.falsified_clause = cid
-            plan.comps = ()
-            plan.comp_of_var = {}
-            plan.clause_vars_mask = 0
-            plan.max_comp_vars = 0
-            return plan
-        residual.append((fpos, fneg, fmask))
-
-    parent = {}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    clause_vars_mask = 0
-    for fpos, fneg, fmask in residual:
-        clause_vars_mask |= fmask
-        bits = list(_iter_bits(fmask))
-        for b in bits:
-            if b not in parent:
-                parent[b] = b
-        root = find(bits[0])
-        for b in bits[1:]:
-            rb = find(b)
-            if rb != root:
-                parent[rb] = root
-
-    clause_groups: dict = {}
-    for fpos, fneg, fmask in residual:
-        root = find(next(_iter_bits(fmask)))
-        clause_groups.setdefault(root, []).append((fpos, fneg))
-    var_groups: dict = {}
-    for b in parent:
-        var_groups.setdefault(find(b), []).append(b)
-
-    comps = []
-    for root, bits in var_groups.items():
-        vars_sorted = tuple(sorted(b + 1 for b in bits))
-        bitpos = {b: i for i, b in enumerate(sorted(bits))}
-        local_clauses = []
-        for fpos, fneg in clause_groups[root]:
-            lpos = lneg = 0
-            for b in _iter_bits(fpos):
-                lpos |= 1 << bitpos[b]
-            for b in _iter_bits(fneg):
-                lneg |= 1 << bitpos[b]
-            local_clauses.append((lpos, lneg))
-        comps.append(_Component(vars_sorted, tuple(local_clauses)))
-    comps.sort(key=lambda c: c.min_var)
-
+    falsified, groups = decompose(f, dom, val)
+    if falsified is not None:
+        plan.status = "falsified"
+        plan.falsified_clause = falsified
+        plan.comps = ()
+        plan.comp_of_var = {}
+        plan.max_comp_vars = 0
+        return plan
+    comps = sorted(
+        (_Component(mask, clauses) for mask, clauses in groups), key=lambda c: c.min_var
+    )
     plan.status = "ok"
     plan.falsified_clause = None
     plan.comps = tuple(comps)
     plan.comp_of_var = {v: c for c in comps for v in c.vars}
-    plan.clause_vars_mask = clause_vars_mask
     plan.max_comp_vars = max((len(c.vars) for c in comps), default=0)
     return plan
 

@@ -14,13 +14,15 @@ from __future__ import annotations
 
 import random
 
+from .errors import UsageError
+
 Rng = random.Random
 
 
 def make_rng(seed: int) -> Rng:
     """New generator from a 64-bit unsigned seed."""
     if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+        raise UsageError(f"seed must be a 64-bit unsigned integer, got {seed}")
     return random.Random(seed)
 
 

@@ -6,10 +6,14 @@ pick a uniform block S of ceil(theta*|M|) marked variables and redraw X(S)
 from the exact conditional law given X(M \\ S), and finally extend to the
 unmarked variables with one exact conditional sample.
 
-All draws go through the same plan/solution caches as
-``marginals.sample_conditional`` and consume randomness in the same
-documented order, so a chain is reproducible from (formula, marking, config)
-alone.
+Each step's draw schedule is built from ``marginals.decompose`` under the
+step's pinning, and only the components that meet the step's targets are
+enumerated, through the solution cache ``marginals.sample_conditional``
+uses too. Draws consume randomness in the same documented order as
+``sample_conditional``, so a chain is reproducible from (formula, marking,
+config) alone. A chain keeps its schedules in a dict bounded by entry count
+(``_EXEC_CACHE_ENTRIES``, oldest first), so pinnings that recur, as on
+small formulas, are built once, and memory stays flat when they do not.
 """
 
 from __future__ import annotations
@@ -21,11 +25,12 @@ from typing import Mapping
 
 from .errors import DomainError, UsageError
 from .formula import Formula, enumerate_solutions, is_satisfying, mask_to_assignment
-from .marginals import DEFAULT_CAP, _PLAN_CACHES, _build_plan
+from .marginals import DEFAULT_CAP, component_key, component_solutions, decompose
 from .marking import Marking
 from .rng import as_rng, make_rng, rand_below, rand_bit, spawn_seed, subsample
 
 _MAX_REJECTS = 100
+_EXEC_CACHE_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -109,16 +114,7 @@ class _Chain:
         self.unmarked_mask = 0
         for v in self.unmarked:
             self.unmarked_mask |= 1 << (v - 1)
-        self.plans = _PLAN_CACHES.setdefault(f, {})
         self.execs: dict = {}
-
-    def plan(self, dom: int, val: int):
-        key = (dom, val)
-        p = self.plans.get(key)
-        if p is None:
-            p = _build_plan(self.f, dom, val)
-            self.plans[key] = p
-        return p
 
     def exec_for(self, dom: int, val: int) -> _ExecPlan:
         """Execution plan for redrawing the step targets under the pinning
@@ -132,35 +128,9 @@ class _Chain:
         targets_mask = self.marked_mask & ~dom
         if not targets_mask:
             targets_mask = self.unmarked_mask
-        plan = self.plan(dom, val)
-        if not plan.ok:
-            e = _ExecPlan(False, (), (), 0)
-            self.execs[key] = e
-            return e
-        cap = self.cfg.cap
-        draws = []
-        ok = True
-        for comp in plan.comps:  # already ascending by min variable
-            pairs = tuple(
-                (comp.bit_of[v], 1 << (v - 1))
-                for v in comp.vars
-                if (targets_mask >> (v - 1)) & 1
-            )
-            if not pairs:
-                continue
-            sols = comp.solutions(cap)
-            count = len(sols)
-            if count == 0:
-                ok = False
-                break
-            draws.append((sols, count, (count - 1).bit_length(), pairs))
-        free_bits = []
-        if ok:
-            comp_of = plan.comp_of_var
-            for b in range(self.f.n):
-                if (targets_mask >> b) & 1 and comp_of.get(b + 1) is None:
-                    free_bits.append(1 << b)
-        e = _ExecPlan(ok, tuple(draws), tuple(free_bits), plan.max_comp_vars)
+        e = _build_exec(self.f, dom, val, targets_mask, self.cfg.cap)
+        if len(self.execs) >= _EXEC_CACHE_ENTRIES:
+            del self.execs[next(iter(self.execs))]
         self.execs[key] = e
         return e
 
@@ -188,10 +158,53 @@ class _Chain:
         return bits
 
     def feasible_full_pinning(self, xbits: int) -> bool:
-        plan = self.plan(self.marked_mask, xbits)
-        if not plan.ok:
-            return False
-        return all(len(c.solutions(self.cfg.cap)) > 0 for c in plan.comps)
+        # every residual component meets the targets (all unmarked
+        # variables), so the plan is ok exactly when each has a solution
+        return self.exec_for(self.marked_mask, xbits).ok
+
+
+_INFEASIBLE = _ExecPlan(False, (), (), 0)
+
+
+def _build_exec(f: Formula, dom: int, val: int, targets_mask: int, cap: int) -> _ExecPlan:
+    """Draw schedule for the targets under the pinning (dom, val).
+
+    Only the components meeting the targets are enumerated, in ascending
+    order of their lowest variable, stopping at the first one without
+    solutions. max_comp_vars is the largest component of the whole residual.
+    """
+    falsified, groups = decompose(f, dom, val)
+    if falsified is not None:
+        return _INFEASIBLE
+    clause_vars_mask = 0
+    max_comp_vars = 0
+    hit = []
+    for mask, clauses in groups:
+        clause_vars_mask |= mask
+        max_comp_vars = max(max_comp_vars, mask.bit_count())
+        if mask & targets_mask:
+            hit.append((mask & -mask, mask, clauses))
+    hit.sort()
+    draws = []
+    for _, mask, clauses in hit:
+        sols = component_solutions(component_key(mask, clauses), cap)
+        count = len(sols)
+        if count == 0:
+            return _INFEASIBLE
+        pairs = []
+        rest = mask & targets_mask
+        while rest:
+            gb = rest & -rest
+            pairs.append(((mask & (gb - 1)).bit_count(), gb))
+            rest ^= gb
+        draws.append((sols, count, (count - 1).bit_length(), tuple(pairs)))
+    free_bits = []
+    rest = targets_mask & ~clause_vars_mask
+    while rest:
+        gb = rest & -rest
+        free_bits.append(gb)
+        rest ^= gb
+    return _ExecPlan(True, tuple(draws), tuple(free_bits), max_comp_vars)
 
 
 def _init_marked(chain: _Chain, rng, trace: ChainTrace) -> int:

@@ -229,3 +229,33 @@ def test_pipeline_parallel_jobs(capsys, tmp_path):
     )
     assert code == 0
     assert json.loads(out_serial) == json.loads(out_parallel)
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_sample_seed_out_of_range(capsys, dimacs_file, seed):
+    f = dimacs_file("f.cnf", "p cnf 4 2\n1 2 -3 0\n-1 3 4 0\n")
+    code, out, err = run(capsys, "sample", "--dimacs", f, "--seed", seed)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "usage"
+
+
+@pytest.mark.parametrize("stage", ["mark", "sample", "path", "loose"])
+def test_pipeline_stage_not_an_object(capsys, tmp_path, stage):
+    spec = {"instances": [{"n": 10, "m": 5, "k": 3, "seed": 1}], "seeds": [4], stage: 5}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "pipeline", "--spec", str(spec_path))
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "usage"
+    assert f"'{stage}'" in error["message"]
+
+
+def test_pipeline_spec_not_an_object(capsys, tmp_path):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text("[1, 2]")
+    code, _, err = run(capsys, "pipeline", "--spec", str(spec_path))
+    assert code == 2
+    assert json.loads(err)["error"] == "usage"
