@@ -20,6 +20,7 @@ variable order.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -43,12 +44,14 @@ _SOL_CLAUSE_BYTES = 128
 _PLAN_CACHE_ENTRIES = 1 << 14
 
 # canonical component subformula -> uint64 array of satisfying local masks,
-# oldest first; _sol_cache_bytes is its charge against _SOL_CACHE_BYTES
-_SOL_CACHE: dict = {}
+# oldest first; _sol_cache_bytes is its charge against _SOL_CACHE_BYTES.
+# OrderedDicts, because dropping a plain dict's first entry again and again
+# costs time proportional to the entries dropped before it.
+_SOL_CACHE: OrderedDict = OrderedDict()
 _sol_cache_bytes = 0
 # formula -> {(dom_mask, val_mask) -> _Plan}, oldest formula and pinning
 # first; _plan_entries counts the plans across all formulas
-_PLAN_CACHES: dict = {}
+_PLAN_CACHES: OrderedDict = OrderedDict()
 _plan_entries = 0
 
 
@@ -188,8 +191,7 @@ def _cache_solutions(key, sols) -> None:
     _sol_cache_bytes += cost
     _SOL_CACHE[key] = sols
     while _sol_cache_bytes > _SOL_CACHE_BYTES:
-        old_key = next(iter(_SOL_CACHE))
-        _sol_cache_bytes -= _sol_entry_bytes(old_key, _SOL_CACHE.pop(old_key))
+        _sol_cache_bytes -= _sol_entry_bytes(*_SOL_CACHE.popitem(last=False))
 
 
 def _enumerate_local(nvars: int, clauses) -> np.ndarray:
@@ -241,11 +243,13 @@ def plan_for(f: Formula, dom_mask: int, val_mask: int) -> _Plan:
         plan = _build_plan(f, *key)
         while _plan_entries >= _PLAN_CACHE_ENTRIES:
             oldest_f, oldest = next(iter(_PLAN_CACHES.items()))
-            del oldest[next(iter(oldest))]
+            oldest.popitem(last=False)
             _plan_entries -= 1
             if not oldest:
                 del _PLAN_CACHES[oldest_f]
-        _PLAN_CACHES.setdefault(f, {})[key] = plan
+        if not cache:  # none yet, or emptied and dropped just above
+            cache = _PLAN_CACHES[f] = OrderedDict()
+        cache[key] = plan
         _plan_entries += 1
     return plan
 

@@ -12,14 +12,16 @@ enumerated, through the solution cache ``marginals.sample_conditional``
 uses too. Draws consume randomness in the same documented order as
 ``sample_conditional``, so a chain is reproducible from (formula, marking,
 config) alone. A chain keeps its schedules in a dict bounded by entry count
-(``_EXEC_CACHE_ENTRIES``, oldest first), so pinnings that recur, as on
-small formulas, are built once, and memory stays flat when they do not.
+(``_EXEC_CACHE_ENTRIES``, the older half dropped when full), so pinnings that
+recur, as on small formulas, are built once, and memory stays flat when
+they do not.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from itertools import islice
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -130,7 +132,10 @@ class _Chain:
             targets_mask = self.unmarked_mask
         e = _build_exec(self.f, dom, val, targets_mask, self.cfg.cap)
         if len(self.execs) >= _EXEC_CACHE_ENTRIES:
-            del self.execs[next(iter(self.execs))]
+            # drop the older half at once: a plain dict keeps lookups on
+            # the step loop fast, but dropping its first entry one at a
+            # time costs time proportional to the entries dropped before
+            self.execs = dict(islice(self.execs.items(), _EXEC_CACHE_ENTRIES // 2, None))
         self.execs[key] = e
         return e
 

@@ -1,6 +1,8 @@
 """The block step's draw schedule against plan_for and the enumeration oracle,
 and the bounds on the solution, plan and schedule caches."""
 
+from collections import OrderedDict
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -92,7 +94,7 @@ def test_exec_plan_matches_plan_for_and_oracle(case, seed):
 def test_solution_cache_evicts_oldest_within_budget(monkeypatch):
     """A budget too small for one component's solutions leaves it uncached;
     one that holds two entries keeps the newest two."""
-    monkeypatch.setattr(marginals, "_SOL_CACHE", {})
+    monkeypatch.setattr(marginals, "_SOL_CACHE", OrderedDict())
     monkeypatch.setattr(marginals, "_sol_cache_bytes", 0)
     keys = [(3, ((1 << i, 0),)) for i in range(3)]  # x_i: 4 solutions each
     cost = marginals._sol_entry_bytes(keys[0], marginals.component_solutions(keys[0], 8))
@@ -109,7 +111,7 @@ def test_solution_cache_evicts_oldest_within_budget(monkeypatch):
 
 
 def test_plan_cache_evicts_oldest_within_bound(monkeypatch):
-    monkeypatch.setattr(marginals, "_PLAN_CACHES", {})
+    monkeypatch.setattr(marginals, "_PLAN_CACHES", OrderedDict())
     monkeypatch.setattr(marginals, "_plan_entries", 0)
     monkeypatch.setattr(marginals, "_PLAN_CACHE_ENTRIES", 3)
     f = Formula.from_ints(3, [[1, 2, 3]])
@@ -122,14 +124,23 @@ def test_plan_cache_evicts_oldest_within_bound(monkeypatch):
     assert list(marginals._PLAN_CACHES[g]) == [(1, 0), (1, 1), (3, 1)]
     assert marginals._plan_entries == 3
 
+    monkeypatch.setattr(marginals, "_PLAN_CACHE_ENTRIES", 1)
+    plan_for(g, 3, 3)  # evicts g's plans down to none, then keeps this one
+    assert list(marginals._PLAN_CACHES) == [g]
+    assert list(marginals._PLAN_CACHES[g]) == [(3, 3)]
+    assert marginals._plan_entries == 1
 
-def test_exec_cache_evicts_oldest_within_bound(monkeypatch):
-    monkeypatch.setattr(sampler, "_EXEC_CACHE_ENTRIES", 2)
+
+def test_exec_cache_evicts_older_half_within_bound(monkeypatch):
+    monkeypatch.setattr(sampler, "_EXEC_CACHE_ENTRIES", 4)
     f = Formula.from_ints(3, [[1, 2, 3]])
     chain = _Chain(f, Marking(frozenset({1, 2}), 0, 0, True), SamplerConfig(1.0, 1, 0))
-    for val in (0, 1, 2):
+    for val in range(4):
         chain.exec_for(3, val)
-    assert list(chain.execs) == [(3, 1), (3, 2)]
+    assert list(chain.execs) == [(3, 0), (3, 1), (3, 2), (3, 3)]
+    chain.exec_for(3, 0)  # a hit evicts nothing
+    chain.exec_for(1, 1)
+    assert list(chain.execs) == [(3, 2), (3, 3), (1, 1)]
 
 
 def _n40_instance():
@@ -170,9 +181,9 @@ def test_caches_stay_bounded_over_many_chains(monkeypatch):
     that both caches evict: they stay inside their bounds, and the outputs
     are those of chains run with the default bounds."""
     f, m = _n40_instance()
-    monkeypatch.setattr(marginals, "_SOL_CACHE", {})
+    monkeypatch.setattr(marginals, "_SOL_CACHE", OrderedDict())
     monkeypatch.setattr(marginals, "_sol_cache_bytes", 0)
-    monkeypatch.setattr(marginals, "_PLAN_CACHES", {})
+    monkeypatch.setattr(marginals, "_PLAN_CACHES", OrderedDict())
     monkeypatch.setattr(marginals, "_plan_entries", 0)
     monkeypatch.setattr(marginals, "_SOL_CACHE_BYTES", 1 << 16)
     monkeypatch.setattr(marginals, "_PLAN_CACHE_ENTRIES", 200)
