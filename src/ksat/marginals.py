@@ -20,6 +20,7 @@ variable order.
 from __future__ import annotations
 
 import math
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,14 +45,14 @@ _SOL_CLAUSE_BYTES = 128
 _PLAN_CACHE_ENTRIES = 1 << 14
 
 # canonical component subformula -> uint64 array of satisfying local masks,
-# oldest first; _sol_cache_bytes is its charge against _SOL_CACHE_BYTES.
-# OrderedDicts, because dropping a plain dict's first entry again and again
+# oldest first; _sol_cache_bytes is its charge against _SOL_CACHE_BYTES. An
+# OrderedDict, because dropping a plain dict's first entry again and again
 # costs time proportional to the entries dropped before it.
 _SOL_CACHE: OrderedDict = OrderedDict()
 _sol_cache_bytes = 0
-# formula -> {(dom_mask, val_mask) -> _Plan}, oldest formula and pinning
-# first; _plan_entries counts the plans across all formulas
-_PLAN_CACHES: OrderedDict = OrderedDict()
+# formula -> {(dom_mask, val_mask) -> _Plan}, oldest formula first;
+# _plan_entries counts the plans across all formulas
+_PLAN_CACHES: dict = {}
 _plan_entries = 0
 
 
@@ -80,20 +81,31 @@ def _iter_bits(mask: int):
         mask ^= low
 
 
+def _no_solutions():
+    return None
+
+
 class _Component:
     """One connected component of a simplified formula."""
 
-    __slots__ = ("vars", "key", "bit_of", "min_var", "_ones")
+    __slots__ = ("vars", "key", "bit_of", "min_var", "_sols", "_ones")
 
     def __init__(self, vars_mask: int, clauses):
         self.vars = tuple(b + 1 for b in _iter_bits(vars_mask))
         self.key = component_key(vars_mask, clauses)
         self.bit_of = {v: i for i, v in enumerate(self.vars)}
         self.min_var = self.vars[0]
+        self._sols = _no_solutions
         self._ones = {}
 
     def solutions(self, cap: int) -> np.ndarray:
-        return component_solutions(self.key, cap)
+        # a weak memo: it saves the cache lookup while the array is alive,
+        # without keeping arrays the solution cache has evicted
+        sols = self._sols()
+        if sols is None or 1 << len(self.vars) > cap:
+            sols = component_solutions(self.key, cap)
+            self._sols = weakref.ref(sols)
+        return sols
 
     def one_count(self, v: int, cap: int) -> int:
         """Number of component solutions assigning v = 1."""
@@ -234,7 +246,11 @@ class _Plan:
 
 
 def plan_for(f: Formula, dom_mask: int, val_mask: int) -> _Plan:
-    """Cached residual decomposition of f under the pinning (dom, val)."""
+    """Cached residual decomposition of f under the pinning (dom, val).
+
+    When the cache is full, the plans of the formula cached first are
+    dropped together, so eviction costs no more than the inserts did.
+    """
     global _plan_entries
     key = (dom_mask, val_mask & dom_mask)
     cache = _PLAN_CACHES.get(f)
@@ -242,13 +258,8 @@ def plan_for(f: Formula, dom_mask: int, val_mask: int) -> _Plan:
     if plan is None:
         plan = _build_plan(f, *key)
         while _plan_entries >= _PLAN_CACHE_ENTRIES:
-            oldest_f, oldest = next(iter(_PLAN_CACHES.items()))
-            oldest.popitem(last=False)
-            _plan_entries -= 1
-            if not oldest:
-                del _PLAN_CACHES[oldest_f]
-        if not cache:  # none yet, or emptied and dropped just above
-            cache = _PLAN_CACHES[f] = OrderedDict()
+            _plan_entries -= len(_PLAN_CACHES.pop(next(iter(_PLAN_CACHES))))
+        cache = _PLAN_CACHES.setdefault(f, {})
         cache[key] = plan
         _plan_entries += 1
     return plan

@@ -110,8 +110,8 @@ def test_solution_cache_evicts_oldest_within_budget(monkeypatch):
     assert (3, ((7, 0),)) not in marginals._SOL_CACHE
 
 
-def test_plan_cache_evicts_oldest_within_bound(monkeypatch):
-    monkeypatch.setattr(marginals, "_PLAN_CACHES", OrderedDict())
+def test_plan_cache_evicts_oldest_formula_within_bound(monkeypatch):
+    monkeypatch.setattr(marginals, "_PLAN_CACHES", {})
     monkeypatch.setattr(marginals, "_plan_entries", 0)
     monkeypatch.setattr(marginals, "_PLAN_CACHE_ENTRIES", 3)
     f = Formula.from_ints(3, [[1, 2, 3]])
@@ -119,15 +119,12 @@ def test_plan_cache_evicts_oldest_within_bound(monkeypatch):
     plan_for(f, 1, 0)
     plan_for(g, 1, 0)
     plan_for(g, 1, 1)
-    plan_for(g, 3, 1)  # evicts f's only plan, and f with it
+    plan_for(g, 3, 1)  # drops f's plans
     assert list(marginals._PLAN_CACHES) == [g]
     assert list(marginals._PLAN_CACHES[g]) == [(1, 0), (1, 1), (3, 1)]
     assert marginals._plan_entries == 3
-
-    monkeypatch.setattr(marginals, "_PLAN_CACHE_ENTRIES", 1)
-    plan_for(g, 3, 3)  # evicts g's plans down to none, then keeps this one
-    assert list(marginals._PLAN_CACHES) == [g]
-    assert list(marginals._PLAN_CACHES[g]) == [(3, 3)]
+    plan_for(f, 1, 1)  # drops g's plans
+    assert {h: list(c) for h, c in marginals._PLAN_CACHES.items()} == {f: [(1, 1)]}
     assert marginals._plan_entries == 1
 
 
@@ -183,13 +180,13 @@ def test_caches_stay_bounded_over_many_chains(monkeypatch):
     f, m = _n40_instance()
     monkeypatch.setattr(marginals, "_SOL_CACHE", OrderedDict())
     monkeypatch.setattr(marginals, "_sol_cache_bytes", 0)
-    monkeypatch.setattr(marginals, "_PLAN_CACHES", OrderedDict())
+    monkeypatch.setattr(marginals, "_PLAN_CACHES", {})
     monkeypatch.setattr(marginals, "_plan_entries", 0)
     monkeypatch.setattr(marginals, "_SOL_CACHE_BYTES", 1 << 16)
     monkeypatch.setattr(marginals, "_PLAN_CACHE_ENTRIES", 200)
     outputs, most_bytes, most_plans = _chains(f, m, range(60))
     assert (1 << 16) - 4096 < most_bytes <= 1 << 16  # filled up to the budget
-    assert most_plans == 200
+    assert 100 < most_plans <= 200
 
     monkeypatch.undo()
     assert _chains(f, m, range(3))[0] == outputs[:3]
