@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import RegimeError, UsageError
-from .formula import Formula
+from .formula import Formula, union_find
 
 
 def default_delta(k: int, alpha: float) -> int:
@@ -133,36 +133,13 @@ def good_induced_formula(f: Formula, cl: Classification, force: bool = False) ->
     return good
 
 
-def good_clause_ids(cl: Classification) -> tuple:
-    """Original clause id of each clause of good_induced_formula, in order.
-
-    Only valid when no good clause lost all its literals (the non-forced
-    path guarantees this).
-    """
-    return tuple(sorted(cl.c_good))
-
-
 def bad_components(cl: Classification, f: Formula) -> tuple:
     """Partition of v_bad by appears-in-the-same-bad-clause adjacency;
     bad variables in no bad clause are singletons. Sorted by min variable."""
-    parent = {v: v for v in cl.v_bad}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
+    bad = sorted(cl.v_bad)
+    index = {v: i for i, v in enumerate(bad)}
+    pairs = []
     for cid in cl.c_bad:
-        vs = sorted(f.clause_vars(cid))
-        for v in vs[1:]:
-            ra, rb = find(vs[0]), find(v)
-            if ra != rb:
-                parent[rb] = ra
-
-    groups = {}
-    for v in sorted(cl.v_bad):
-        groups.setdefault(find(v), set()).add(v)
-    return tuple(
-        frozenset(g) for g in sorted(groups.values(), key=lambda s: min(s))
-    )
+        first, *rest = sorted(f.clause_vars(cid))
+        pairs.extend((index[first], index[v]) for v in rest)
+    return tuple(frozenset(bad[i] for i in group) for group in union_find(len(bad), pairs))

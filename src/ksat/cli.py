@@ -511,3 +511,7 @@ def _pipeline_cell(spec_json: str, instance, seed: int) -> dict:
             record["loose"] = {"error": str(exc)}
 
     return record
+
+
+if __name__ == "__main__":
+    main()

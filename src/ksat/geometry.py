@@ -5,21 +5,24 @@ selectors with their independent verifiers."""
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from .errors import CapExceededError, DomainError, UsageError
 from .formula import (
     Formula,
+    _clause_adjacency,
     assignment_to_mask,
+    bfs_distances,
     clause_graph_components,
     enumerate_solutions,
     hamming,
     is_satisfying,
+    union_find,
 )
-from .marginals import DEFAULT_CAP, pin_masks, plan_for
+from .marginals import DEFAULT_CAP, closest_solution
 from .marking import Marking
 
 DEFAULT_SEARCH_CAP = 26
@@ -52,39 +55,12 @@ def certify_loose(
     if not 1 <= v <= f.n:
         raise UsageError(f"variable {v} out of range [1, {f.n}]")
     pin = {u: sigma[u - 1] for u in sorted(m.marked) if u != v}
-    dom, val = pin_masks(pin)
-    plan = plan_for(f, dom, val)
-    if not plan.ok:
-        raise AssertionError("pinning from a satisfying assignment falsified a clause")
-    want = 1 - sigma[v - 1]
-    comp = plan.component_of(v)
-    if comp is None:
-        witness = list(sigma)
-        witness[v - 1] = want
-        if not is_satisfying(f, witness):
-            raise AssertionError("free-variable flip broke satisfaction")
-        return FlipWitness(tuple(witness), 1)
-    sols = comp.solutions(cap)
-    vbit = comp.bit_of[v]
-    ref_mask = 0
-    for i, u in enumerate(comp.vars):
-        if sigma[u - 1]:
-            ref_mask |= 1 << i
-    best = None
-    best_key = None
-    for s in sols:
-        s = int(s)
-        if (s >> vbit) & 1 != want:
-            continue
-        key = (bin(s ^ ref_mask).count("1"), s)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = s
-    if best is None:
+    update = closest_solution(f, pin, v, 1 - sigma[v - 1], sigma, cap)
+    if update is None:
         return None
     witness = list(sigma)
-    for i, u in enumerate(comp.vars):
-        witness[u - 1] = (best >> i) & 1
+    for u, b in update.items():
+        witness[u - 1] = b
     witness = tuple(witness)
     if not is_satisfying(f, witness):
         raise AssertionError("component flip broke satisfaction")
@@ -168,35 +144,20 @@ def solution_graph(f: Formula, d: int, cap: int = DEFAULT_SEARCH_CAP) -> Solutio
     if n_sols == 0:
         return SolutionGraphSummary(d, (), 0)
     masks = [assignment_to_mask(s) for s in sols]
-
-    parent = list(range(n_sols))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    if d > 0:
-        ball = sum(math.comb(f.n, i) for i in range(1, min(d, f.n) + 1))
-        if n_sols * ball <= n_sols * n_sols:
-            _link_by_ball_search(f.n, masks, d, union)
-        else:
-            _link_all_pairs(masks, d, union)
-
-    groups = {}
-    for i in range(n_sols):
-        groups.setdefault(find(i), []).append(i)
-    sizes = tuple(sorted((len(g) for g in groups.values()), reverse=True))
+    ball = sum(math.comb(f.n, i) for i in range(1, min(d, f.n) + 1))
+    if d == 0:
+        groups = [[i] for i in range(n_sols)]
+    elif n_sols * ball <= n_sols * n_sols:
+        groups = _link_by_ball_search(f.n, masks, d)
+    else:
+        groups = _link_all_pairs(masks, d)
+    sizes = tuple(sorted((len(g) for g in groups), reverse=True))
     return SolutionGraphSummary(d, sizes, n_sols)
 
 
-def _link_by_ball_search(n, masks, d, union):
+def _link_by_ball_search(n, masks, d):
+    """union_find groups of the solutions, linking each to every solution
+    within distance d found by flipping up to d of its n bits."""
     index = {mask: i for i, mask in enumerate(masks)}
 
     def flips(mask, start, depth):
@@ -207,14 +168,19 @@ def _link_by_ball_search(n, masks, d, union):
             yield flipped
             yield from flips(flipped, b + 1, depth - 1)
 
-    for i, mask in enumerate(masks):
-        for other in flips(mask, 0, d):
-            j = index.get(other)
-            if j is not None and j > i:
-                union(i, j)
+    def pairs():
+        for i, mask in enumerate(masks):
+            for other in flips(mask, 0, d):
+                j = index.get(other)
+                if j is not None and j > i:
+                    yield i, j
+
+    return union_find(len(masks), pairs())
 
 
-def _link_all_pairs(masks, d, union):
+def _link_all_pairs(masks, d):
+    """union_find groups of the solutions, linking every pair within
+    distance d by vectorized popcounts."""
     arr = np.array(masks, dtype=np.uint64)
     if hasattr(np, "bitwise_count"):
         popcount = np.bitwise_count
@@ -227,10 +193,12 @@ def _link_all_pairs(masks, d, union):
             x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
             return (x * np.uint64(0x0101010101010101)) >> np.uint64(56)
 
-    for i in range(len(masks) - 1):
-        dist = popcount(arr[i + 1 :] ^ arr[i])
-        for off in np.nonzero(dist <= d)[0]:
-            union(i, i + 1 + int(off))
+    def pairs():
+        for i in range(len(masks) - 1):
+            near = np.nonzero(popcount(arr[i + 1 :] ^ arr[i]) <= d)[0] + (i + 1)
+            yield from zip(repeat(i), near.tolist())
+
+    return union_find(len(masks), pairs())
 
 
 @dataclass(frozen=True)
@@ -315,39 +283,13 @@ def _nae_search(f: Formula):
     return None
 
 
-def line_graph_adjacency(f: Formula):
-    """Clause adjacency by shared variables (the line graph of the
-    dependency hypergraph)."""
-    neighbors = {cid: set() for cid in range(f.m)}
-    for entries in f._var_clauses[1:]:
-        for i, a in enumerate(entries):
-            for b in entries[i + 1 :]:
-                neighbors[a].add(b)
-                neighbors[b].add(a)
-    return neighbors
-
-
-def _bfs_distances(neighbors, source, limit=None):
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        if limit is not None and dist[u] >= limit:
-            continue
-        for w in neighbors[u]:
-            if w not in dist:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return dist
-
-
 def extract_two_tree(f: Formula, b, root: int, target: int):
     """Greedy 2-tree inside clause set b: repeatedly add the lowest-id
     clause of b at line-graph distance exactly 2 from the current set."""
     b = set(b)
     if root not in b:
         raise UsageError(f"root clause {root} not in the candidate set")
-    neighbors = line_graph_adjacency(f)
+    neighbors = _clause_adjacency(f, range(f.m), None)
     parts = clause_graph_components(f, "shared-any-var", 1, vertices=b)
     if len(parts) != 1:
         raise UsageError("candidate clause set is not connected in the line graph")
@@ -363,7 +305,7 @@ def extract_two_tree(f: Formula, b, root: int, target: int):
     while len(tree) < target:
         dist = {}
         for t in tree:
-            for node, d in _bfs_distances(neighbors, t, limit=2).items():
+            for node, d in bfs_distances(neighbors, t, limit=2).items():
                 if node not in dist or d < dist[node]:
                     dist[node] = d
         candidates = sorted(
@@ -389,8 +331,8 @@ def verify_two_tree(f: Formula, tree) -> bool:
     tree = sorted(tree)
     if not tree:
         return False
-    neighbors = line_graph_adjacency(f)
-    dists = {t: _bfs_distances(neighbors, t) for t in tree}
+    neighbors = _clause_adjacency(f, range(f.m), None)
+    dists = {t: bfs_distances(neighbors, t) for t in tree}
     for i, a in enumerate(tree):
         for c in tree[i + 1 :]:
             if dists[a].get(c, 3) < 2:
@@ -399,15 +341,7 @@ def verify_two_tree(f: Formula, tree) -> bool:
     adj = {
         t: {u for u in tree if u != t and dists[t].get(u) == 2} for t in tree
     }
-    seen = {tree[0]}
-    queue = deque([tree[0]])
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) == len(tree)
+    return len(bfs_distances(adj, tree[0])) == len(tree)
 
 
 def greenblue_select(vertices, edges, vertex_color, edge_color, max_green_degree):
@@ -454,21 +388,15 @@ def greenblue_select(vertices, edges, vertex_color, edge_color, max_green_degree
 
 
 def _components(vertices, adj):
+    """Components of the graph adj on vertices (adj already restricted to
+    them), in order of their smallest vertex."""
     seen = set()
     out = []
     for start in sorted(vertices):
-        if start in seen:
-            continue
-        comp = {start}
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if w in vertices and w not in comp:
-                    comp.add(w)
-                    queue.append(w)
-        seen.update(comp)
-        out.append(comp)
+        if start not in seen:
+            comp = set(bfs_distances(adj, start))
+            seen |= comp
+            out.append(comp)
     return out
 
 
@@ -511,21 +439,12 @@ def _sweep_green_component(comp, adj, green_adj):
 def _greedy_two_tree(anchor, piece, green_adj):
     """Maximal independent 2-tree of a green-edge component, grown from the
     anchor by repeatedly adding the lowest vertex at green-distance 2."""
+    piece_adj = {v: green_adj[v] & piece for v in piece}
     tree = {anchor}
     while True:
         dist = {}
         for t in tree:
-            frontier = {t: 0}
-            queue = deque([t])
-            while queue:
-                u = queue.popleft()
-                if frontier[u] >= 2:
-                    continue
-                for w in green_adj[u]:
-                    if w in piece and w not in frontier:
-                        frontier[w] = frontier[u] + 1
-                        queue.append(w)
-            for node, d in frontier.items():
+            for node, d in bfs_distances(piece_adj, t, limit=2).items():
                 if node not in dist or d < dist[node]:
                     dist[node] = d
         candidates = sorted(

@@ -1,4 +1,5 @@
-"""Exact conditional marginals and exact conditional sampling.
+"""Exact conditional marginals, exact conditional sampling and closest
+solutions.
 
 Everything here reduces to one primitive: simplify the formula under a
 pinning, split the residual into connected components (``decompose``, on
@@ -6,15 +7,17 @@ clause bitmasks), and enumerate each component's satisfying assignments.
 Component solution sets are cached on a canonical form of the component
 subformula, so every caller that meets the same component shares one array.
 Residual decompositions ("plans") are cached per (formula, pinning) for the
-callers that ask for one (paths, geometry, coupling). Both caches are
-bounded: the solution cache by bytes, the plan cache by entries, each
-evicting its oldest entries first, so memory stays flat however many
-pinnings a run meets.
+callers that ask for one (exact marginals, closest solutions, paths).
+Both caches are bounded: the solution cache by bytes, the plan cache by
+entries, each evicting its oldest entries first, so memory stays flat
+however many pinnings a run meets.
 
-Determinism contract for sampling: components are consumed in ascending
-order of their minimum variable (one uniform index draw each), then target
-variables outside every residual clause get one fair bit each, in ascending
-variable order.
+Sampling goes through one draw schedule (``build_exec``, ``draw_exec``):
+``sample_conditional`` and every block step of the sampler build one and
+draw from it. Determinism contract: components meeting the targets are
+consumed in ascending order of their minimum variable (one uniform index
+draw each), then target variables outside every residual clause get one
+fair bit each, in ascending variable order.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import CapExceededError, InfeasiblePinningError, UsageError
-from .formula import Formula, _check_partial
+from .formula import Formula, _check_partial, union_find
 from .rng import as_rng, rand_below, rand_bit
 
 DEFAULT_CAP = 1 << 22  # assignment evaluations allowed per component
@@ -54,13 +57,6 @@ _sol_cache_bytes = 0
 # _plan_entries counts the plans across all formulas
 _PLAN_CACHES: dict = {}
 _plan_entries = 0
-
-
-def clear_caches() -> None:
-    global _sol_cache_bytes, _plan_entries
-    _SOL_CACHE.clear()
-    _PLAN_CACHES.clear()
-    _sol_cache_bytes = _plan_entries = 0
 
 
 def pin_masks(x: Mapping) -> tuple:
@@ -317,51 +313,124 @@ def exact_marginal(f: Formula, x: Mapping, v: int, cap: int = DEFAULT_CAP) -> Fr
     return Fraction(comp.one_count(v, cap), len(comp.solutions(cap)))
 
 
-@dataclass(frozen=True)
-class ComponentSample:
-    """One uniform draw from a component of a simplified formula: the
-    component's variables, a satisfying assignment on them, and the
-    component's solution count."""
-
-    vars: tuple
-    assignment: dict
-    weight: int
-
-
-def _draw_component(comp, rng, cap: int) -> ComponentSample:
-    sols = comp.solutions(cap)
-    if len(sols) == 0:
-        raise InfeasiblePinningError(
-            f"component containing variable {comp.min_var} is unsatisfiable "
-            "under the pinning"
-        )
-    mask = int(sols[rand_below(rng, len(sols))])
-    return ComponentSample(
-        vars=comp.vars,
-        assignment={v: (mask >> comp.bit_of[v]) & 1 for v in comp.vars},
-        weight=len(sols),
-    )
-
-
-def iter_component_samples(f: Formula, x: Mapping, targets, rng, cap: int = DEFAULT_CAP):
-    """One ComponentSample per component of the simplified formula meeting
-    the targets, in ascending order of the component's minimum variable."""
-    dom, val = pin_masks(x)
-    plan = plan_for(f, dom, val)
+def closest_solution(f: Formula, x: Mapping, v: int, want: int, reference, cap: int = DEFAULT_CAP):
+    """Values on the component of v in f under the pinning x, as var -> bit:
+    the component solution with v = want nearest to the full assignment
+    `reference` in Hamming distance, ties to the smallest local mask.
+    {v: want} when v is in no residual clause; None when no component
+    solution has v = want."""
+    plan = plan_for(f, *pin_masks(x))
     if not plan.ok:
-        raise InfeasiblePinningError(
-            f"pinning falsifies clause {plan.falsified_clause}"
-        )
-    seen = set()
-    comps = []
-    for v in targets:
-        comp = plan.component_of(v)
-        if comp is not None and id(comp) not in seen:
-            seen.add(id(comp))
-            comps.append(comp)
-    comps.sort(key=lambda c: c.min_var)
-    for comp in comps:
-        yield _draw_component(comp, rng, cap)
+        raise InfeasiblePinningError(f"pinning falsifies clause {plan.falsified_clause}")
+    comp = plan.component_of(v)
+    if comp is None:
+        return {v: want}
+    vbit = comp.bit_of[v]
+    ref_mask = 0
+    for i, u in enumerate(comp.vars):
+        if reference[u - 1]:
+            ref_mask |= 1 << i
+    best = min(
+        (
+            ((s ^ ref_mask).bit_count(), s)
+            for s in map(int, comp.solutions(cap))
+            if (s >> vbit) & 1 == want
+        ),
+        default=None,
+    )
+    if best is None:
+        return None
+    return {u: (best[1] >> i) & 1 for i, u in enumerate(comp.vars)}
+
+
+class ExecPlan:
+    """Pre-decoded draw schedule for one (pinning, targets) pair.
+
+    draws: per component intersecting the targets (ascending min variable),
+    (solutions array, count, rejection bit width, (local bit, global bit)
+    decode pairs). free_bits: global bit per target in no residual clause,
+    ascending. max_comp_vars: the largest component of the whole residual.
+    """
+
+    __slots__ = ("ok", "draws", "free_bits", "max_comp_vars")
+
+    def __init__(self, ok, draws, free_bits, max_comp_vars):
+        self.ok = ok
+        self.draws = draws
+        self.free_bits = free_bits
+        self.max_comp_vars = max_comp_vars
+
+
+def build_exec(f: Formula, dom: int, val: int, targets_mask: int, cap: int) -> ExecPlan:
+    """Draw schedule for the targets under the pinning (dom, val).
+
+    Only the components meeting the targets are enumerated, in ascending
+    order of their lowest variable. InfeasiblePinningError when the pinning
+    falsifies a clause or, at the first one in that order, a component has
+    no solutions.
+    """
+    falsified, groups = decompose(f, dom, val)
+    if falsified is not None:
+        raise InfeasiblePinningError(f"pinning falsifies clause {falsified}")
+    clause_vars_mask = 0
+    max_comp_vars = 0
+    hit = []
+    for mask, clauses in groups:
+        clause_vars_mask |= mask
+        max_comp_vars = max(max_comp_vars, mask.bit_count())
+        if mask & targets_mask:
+            hit.append((mask & -mask, mask, clauses))
+    hit.sort()
+    draws = []
+    for low, mask, clauses in hit:
+        sols = component_solutions(component_key(mask, clauses), cap)
+        count = len(sols)
+        if count == 0:
+            raise InfeasiblePinningError(
+                f"component containing variable {low.bit_length()} is unsatisfiable "
+                "under the pinning"
+            )
+        pairs = []
+        rest = mask & targets_mask
+        while rest:
+            gb = rest & -rest
+            pairs.append(((mask & (gb - 1)).bit_count(), gb))
+            rest ^= gb
+        draws.append((sols, count, (count - 1).bit_length(), tuple(pairs)))
+    free_bits = []
+    rest = targets_mask & ~clause_vars_mask
+    while rest:
+        gb = rest & -rest
+        free_bits.append(gb)
+        rest ^= gb
+    return ExecPlan(True, tuple(draws), tuple(free_bits), max_comp_vars)
+
+
+def draw_exec(e: ExecPlan, rng, bits: int) -> int:
+    """bits with every target of the schedule e redrawn: one uniform
+    solution index per component (rejection sampling on the minimal bit
+    width, as rng.rand_below), then one fair bit per free target."""
+    grb = rng.getrandbits
+    for sols, count, width, pairs in e.draws:
+        if count == 1:
+            idx = 0
+        else:
+            while True:
+                idx = grb(width)
+                if idx < count:
+                    break
+        mask = int(sols[idx])
+        for lb, gb in pairs:
+            if (mask >> lb) & 1:
+                bits |= gb
+            else:
+                bits &= ~gb
+    for gb in e.free_bits:
+        if grb(1):
+            bits |= gb
+        else:
+            bits &= ~gb
+    return bits
 
 
 def sample_conditional(f: Formula, x: Mapping, targets, seed, cap: int = DEFAULT_CAP):
@@ -374,23 +443,15 @@ def sample_conditional(f: Formula, x: Mapping, targets, seed, cap: int = DEFAULT
     _check_partial(f, x)
     rng = as_rng(seed)
     targets = sorted(set(targets))
+    targets_mask = 0
     for v in targets:
         if not 1 <= v <= f.n:
             raise UsageError(f"target variable {v} out of range [1, {f.n}]")
         if v in x:
             raise UsageError(f"target variable {v} is pinned by the conditioning")
-    target_set = set(targets)
-    out = {}
-    for cs in iter_component_samples(f, x, targets, rng, cap):
-        for v, b in cs.assignment.items():
-            if v in target_set:
-                out[v] = b
-    dom, val = pin_masks(x)
-    plan = plan_for(f, dom, val)
-    for v in targets:
-        if plan.component_of(v) is None:
-            out[v] = rand_bit(rng)
-    return out
+        targets_mask |= 1 << (v - 1)
+    bits = draw_exec(build_exec(f, *pin_masks(x), targets_mask, cap), rng, 0)
+    return {v: (bits >> (v - 1)) & 1 for v in targets}
 
 
 @dataclass(frozen=True)
@@ -451,35 +512,10 @@ def tree_excess(f: Formula, clause_ids) -> int:
     """Edges - vertices + components of the incidence graph of the given
     clauses and their variables. Zero means the component is a hypertree."""
     clause_ids = sorted(set(clause_ids))
-    if not clause_ids:
-        return 0
-    nodes = {}  # incidence-graph node -> index
-
-    def node_id(key):
-        if key not in nodes:
-            nodes[key] = len(nodes)
-        return nodes[key]
-
-    parent = []
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    edges = 0
-    for cid in clause_ids:
-        c_node = node_id(("c", cid))
-        while len(parent) < len(nodes):
-            parent.append(len(parent))
+    var_nodes = {}  # variable -> incidence-graph node, after the clause nodes
+    edges = []
+    for i, cid in enumerate(clause_ids):
         for lit in f.clauses[cid]:
-            v_node = node_id(("v", lit.var))
-            while len(parent) < len(nodes):
-                parent.append(len(parent))
-            edges += 1
-            ra, rb = find(c_node), find(v_node)
-            if ra != rb:
-                parent[rb] = ra
-    components = len({find(i) for i in range(len(parent))})
-    return edges - len(nodes) + components
+            edges.append((i, var_nodes.setdefault(lit.var, len(clause_ids) + len(var_nodes))))
+    nodes = len(clause_ids) + len(var_nodes)
+    return len(edges) - nodes + len(union_find(nodes, edges))

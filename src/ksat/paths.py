@@ -4,15 +4,15 @@ The bounded-degree walk runs in two stages. Stage 1 processes marked
 variables in ascending order, retargeting each to its destination value by
 re-solving only the connected component of that variable in the formula
 simplified under the other marked values, and picking the component solution
-closest in Hamming distance (ties broken by the smallest local solution
-encoding). Stage 2 pins all marked variables at their destination values and
-switches each residual component wholesale to the destination assignment;
-variables outside the marked set and every residual component flip in the
-first stage-2 step.
+closest in Hamming distance (``marginals.closest_solution``; ties broken by
+the smallest local solution encoding). Stage 2 pins all marked variables at
+their destination values and switches each residual component wholesale to
+the destination assignment (``_switch_components``); variables outside the
+marked set and every residual component flip in the first stage-2 step.
 
 The random-formula walk routes both endpoints through a common uniform
-solution of the good CNF, then walks the bad components between the two
-bad-variable assignments.
+solution of the good CNF, then switches the bad components between the two
+bad-variable assignments the same way, under the good solution's pinning.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .classify import Classification, good_induced_formula
-from .errors import InfeasiblePinningError, RegimeError, UsageError
+from .errors import RegimeError, UsageError
 from .formula import Formula, hamming, is_satisfying, simplify
-from .marginals import DEFAULT_CAP, pin_masks, plan_for, sample_conditional
+from .marginals import DEFAULT_CAP, closest_solution, pin_masks, plan_for, sample_conditional
 from .marking import Marking, verify_marking
 from .rng import as_rng
 
@@ -86,44 +86,23 @@ class _PathBuilder:
         )
 
 
-def _component_resolve(f, pin, v, want, reference, cap):
-    """Values on the component of v in f^pin: the component solution with
-    v=want minimizing Hamming distance to `reference`, ties to the smallest
-    local encoding. Returns dict of var -> bit for the component vars, or
-    None when no component solution has v=want."""
-    dom, val = pin_masks(pin)
-    plan = plan_for(f, dom, val)
+def _switch_components(f, builder, pin, dest, stage):
+    """Walk from builder.current to dest on the variables pin leaves free:
+    one step per residual component of f under pin, in ascending order of
+    lowest variable. The free variables in no component move with the
+    first step, or alone when there is no component."""
+    plan = plan_for(f, *pin_masks(pin))
     if not plan.ok:
-        raise InfeasiblePinningError(
-            f"pinning falsifies clause {plan.falsified_clause}"
-        )
-    comp = plan.component_of(v)
-    if comp is None:
-        return {v: want}
-    sols = comp.solutions(cap)
-    if len(sols) == 0:
-        raise InfeasiblePinningError(
-            f"component of variable {v} is unsatisfiable under the pinning"
-        )
-    vbit = comp.bit_of[v]
-    ref_mask = 0
-    for i, u in enumerate(comp.vars):
-        if reference[u - 1]:
-            ref_mask |= 1 << i
-    best = None
-    best_key = None
-    for s in sols:
-        s = int(s)
-        if (s >> vbit) & 1 != want:
-            continue
-        d = bin(s ^ ref_mask).count("1")
-        key = (d, s)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = s
-    if best is None:
-        return None
-    return {u: (best >> i) & 1 for i, u in enumerate(comp.vars)}
+        raise AssertionError("pinning taken from a solution falsifies a clause")
+    rest = [v for v in range(1, f.n + 1) if v not in pin and plan.component_of(v) is None]
+    for comp_vars in [comp.vars for comp in plan.comps] or [()]:
+        nxt = list(builder.current)
+        for u in (*comp_vars, *rest):
+            nxt[u - 1] = dest[u - 1]
+        rest = ()
+        if not is_satisfying(f, nxt):
+            raise AssertionError(f"{stage} step broke satisfaction")
+        builder.push(nxt, stage)
 
 
 def _check_inputs(f, m, sigma, sigma_prime):
@@ -159,9 +138,7 @@ def find_path_bounded(
         if cur[v - 1] == sigma_prime[v - 1]:
             continue
         pin = {u: cur[u - 1] for u in marked if u != v}
-        update = _component_resolve(
-            f, pin, v, sigma_prime[v - 1], cur, cap
-        )
+        update = closest_solution(f, pin, v, sigma_prime[v - 1], cur, cap)
         if update is None:
             raise RegimeError(
                 f"marked variable {v} cannot take value {sigma_prime[v - 1]} "
@@ -179,36 +156,7 @@ def find_path_bounded(
 
     # Stage 2: pin the marked destination, switch residual components
     pin = {v: sigma_prime[v - 1] for v in marked}
-    dom, val = pin_masks(pin)
-    plan = plan_for(f, dom, val)
-    if not plan.ok:
-        raise AssertionError("destination marked assignment falsifies a clause")
-    component_vars = set()
-    for comp in plan.comps:
-        component_vars.update(comp.vars)
-    outside = [
-        v
-        for v in range(1, f.n + 1)
-        if v not in component_vars and v not in pin
-    ]
-
-    comps = sorted(plan.comps, key=lambda c: c.min_var)
-    if comps:
-        for i, comp in enumerate(comps):
-            nxt = list(builder.current)
-            for u in comp.vars:
-                nxt[u - 1] = sigma_prime[u - 1]
-            if i == 0:
-                for u in outside:
-                    nxt[u - 1] = sigma_prime[u - 1]
-            if not is_satisfying(f, nxt):
-                raise AssertionError("stage-2 update broke satisfaction")
-            builder.push(nxt, STAGE_UNMARKED)
-    else:
-        nxt = list(builder.current)
-        for u in outside:
-            nxt[u - 1] = sigma_prime[u - 1]
-        builder.push(nxt, STAGE_UNMARKED)
+    _switch_components(f, builder, pin, sigma_prime, STAGE_UNMARKED)
 
     path = builder.build()
     if path.entries[-1] != sigma_prime:
@@ -267,37 +215,7 @@ def find_path_random(
     builder.extend(leg_a, stage=STAGE_LIFT)
 
     # middle: switch bad components from sigma's to sigma_prime's values
-    tau = builder.current
-    psi_pin = dict(psi)
-    dom, val = pin_masks(psi_pin)
-    plan = plan_for(f, dom, val)
-    if not plan.ok:
-        raise AssertionError("good-solution pinning falsifies a clause")
-    comp_vars = set()
-    for comp in plan.comps:
-        comp_vars.update(comp.vars)
-    stray = [
-        v for v in sorted(cl.v_bad) if v not in comp_vars
-    ]
-    comps = sorted(plan.comps, key=lambda c: c.min_var)
-    if comps:
-        for i, comp in enumerate(comps):
-            nxt = list(builder.current)
-            for u in comp.vars:
-                nxt[u - 1] = sigma_prime[u - 1]
-            if i == 0:
-                for u in stray:
-                    nxt[u - 1] = sigma_prime[u - 1]
-            if not is_satisfying(f, nxt):
-                raise AssertionError("bad-component switch broke satisfaction")
-            builder.push(nxt, STAGE_BAD)
-    elif stray:
-        nxt = list(builder.current)
-        for u in stray:
-            nxt[u - 1] = sigma_prime[u - 1]
-        if not is_satisfying(f, nxt):
-            raise AssertionError("bad-component switch broke satisfaction")
-        builder.push(nxt, STAGE_BAD)
+    _switch_components(f, builder, psi, sigma_prime, STAGE_BAD)
 
     # reversed second leg: from psi + sigma_prime(bad) back to sigma_prime
     for entry in reversed(leg_b.entries[:-1]):

@@ -6,11 +6,10 @@ pick a uniform block S of ceil(theta*|M|) marked variables and redraw X(S)
 from the exact conditional law given X(M \\ S), and finally extend to the
 unmarked variables with one exact conditional sample.
 
-Each step's draw schedule is built from ``marginals.decompose`` under the
-step's pinning, and only the components that meet the step's targets are
-enumerated, through the solution cache ``marginals.sample_conditional``
-uses too. Draws consume randomness in the same documented order as
-``sample_conditional``, so a chain is reproducible from (formula, marking,
+Each step draws from the schedule ``marginals.build_exec`` builds under the
+step's pinning, with ``marginals.draw_exec``: the one draw path
+``sample_conditional`` takes too, so a step consumes randomness exactly as
+that call would, and a chain is reproducible from (formula, marking,
 config) alone. A chain keeps its schedules in a dict bounded by entry count
 (``_EXEC_CACHE_ENTRIES``, the older half dropped when full), so pinnings that
 recur, as on small formulas, are built once, and memory stays flat when
@@ -25,9 +24,9 @@ from itertools import islice
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .errors import DomainError, UsageError
+from .errors import DomainError, InfeasiblePinningError, UsageError
 from .formula import Formula, enumerate_solutions, is_satisfying, mask_to_assignment
-from .marginals import DEFAULT_CAP, component_key, component_solutions, decompose
+from .marginals import DEFAULT_CAP, ExecPlan, build_exec, draw_exec
 from .marking import Marking
 from .rng import as_rng, make_rng, rand_below, rand_bit, spawn_seed, subsample
 
@@ -67,24 +66,6 @@ def default_t_max(theta: float, n: int) -> int:
     return math.ceil((1.0 / theta) ** 2 * math.log(max(n, 2)) * 50)
 
 
-class _ExecPlan:
-    """Pre-decoded draw schedule for one (pinning, targets) pair.
-
-    draws: per component intersecting the targets (ascending min variable),
-    (solutions array, count, rejection bit width, (local bit, global bit)
-    decode pairs). free_bits: global bit per target in no residual clause,
-    ascending.
-    """
-
-    __slots__ = ("ok", "draws", "free_bits", "max_comp_vars")
-
-    def __init__(self, ok, draws, free_bits, max_comp_vars):
-        self.ok = ok
-        self.draws = draws
-        self.free_bits = free_bits
-        self.max_comp_vars = max_comp_vars
-
-
 class _Chain:
     """Precomputed state shared by every run on one (formula, marking)."""
 
@@ -118,7 +99,7 @@ class _Chain:
             self.unmarked_mask |= 1 << (v - 1)
         self.execs: dict = {}
 
-    def exec_for(self, dom: int, val: int) -> _ExecPlan:
+    def exec_for(self, dom: int, val: int) -> ExecPlan:
         """Execution plan for redrawing the step targets under the pinning
         (dom, val). Targets are the marked variables outside dom, except for
         the full marked pinning, whose targets are the unmarked variables
@@ -130,7 +111,10 @@ class _Chain:
         targets_mask = self.marked_mask & ~dom
         if not targets_mask:
             targets_mask = self.unmarked_mask
-        e = _build_exec(self.f, dom, val, targets_mask, self.cfg.cap)
+        try:
+            e = build_exec(self.f, dom, val, targets_mask, self.cfg.cap)
+        except InfeasiblePinningError:
+            e = _INFEASIBLE
         if len(self.execs) >= _EXEC_CACHE_ENTRIES:
             # drop the older half at once: a plain dict keeps lookups on
             # the step loop fast, but dropping its first entry one at a
@@ -139,77 +123,13 @@ class _Chain:
         self.execs[key] = e
         return e
 
-    def draw(self, e: _ExecPlan, rng, bits: int) -> int:
-        grb = rng.getrandbits
-        for sols, count, width, pairs in e.draws:
-            if count == 1:
-                idx = 0
-            else:
-                while True:
-                    idx = grb(width)
-                    if idx < count:
-                        break
-            mask = int(sols[idx])
-            for lb, gb in pairs:
-                if (mask >> lb) & 1:
-                    bits |= gb
-                else:
-                    bits &= ~gb
-        for gb in e.free_bits:
-            if grb(1):
-                bits |= gb
-            else:
-                bits &= ~gb
-        return bits
-
     def feasible_full_pinning(self, xbits: int) -> bool:
         # every residual component meets the targets (all unmarked
         # variables), so the plan is ok exactly when each has a solution
         return self.exec_for(self.marked_mask, xbits).ok
 
 
-_INFEASIBLE = _ExecPlan(False, (), (), 0)
-
-
-def _build_exec(f: Formula, dom: int, val: int, targets_mask: int, cap: int) -> _ExecPlan:
-    """Draw schedule for the targets under the pinning (dom, val).
-
-    Only the components meeting the targets are enumerated, in ascending
-    order of their lowest variable, stopping at the first one without
-    solutions. max_comp_vars is the largest component of the whole residual.
-    """
-    falsified, groups = decompose(f, dom, val)
-    if falsified is not None:
-        return _INFEASIBLE
-    clause_vars_mask = 0
-    max_comp_vars = 0
-    hit = []
-    for mask, clauses in groups:
-        clause_vars_mask |= mask
-        max_comp_vars = max(max_comp_vars, mask.bit_count())
-        if mask & targets_mask:
-            hit.append((mask & -mask, mask, clauses))
-    hit.sort()
-    draws = []
-    for _, mask, clauses in hit:
-        sols = component_solutions(component_key(mask, clauses), cap)
-        count = len(sols)
-        if count == 0:
-            return _INFEASIBLE
-        pairs = []
-        rest = mask & targets_mask
-        while rest:
-            gb = rest & -rest
-            pairs.append(((mask & (gb - 1)).bit_count(), gb))
-            rest ^= gb
-        draws.append((sols, count, (count - 1).bit_length(), tuple(pairs)))
-    free_bits = []
-    rest = targets_mask & ~clause_vars_mask
-    while rest:
-        gb = rest & -rest
-        free_bits.append(gb)
-        rest ^= gb
-    return _ExecPlan(True, tuple(draws), tuple(free_bits), max_comp_vars)
+_INFEASIBLE = ExecPlan(False, (), (), 0)
 
 
 def _init_marked(chain: _Chain, rng, trace: ChainTrace) -> int:
@@ -245,7 +165,6 @@ def _run_marked_chain(chain: _Chain, rng, trace: ChainTrace) -> int:
     marked_mask = chain.marked_mask
     block_size = chain.block
     exec_for = chain.exec_for
-    draw = chain.draw
     max_sizes = trace.max_component_per_step
     grb = rng.getrandbits
     npool = len(marked)
@@ -273,7 +192,7 @@ def _run_marked_chain(chain: _Chain, rng, trace: ChainTrace) -> int:
             if not e.ok:
                 trace.step_retries += 1
                 continue
-            xbits = draw(e, rng, xbits)
+            xbits = draw_exec(e, rng, xbits)
             max_sizes.append(e.max_comp_vars)
             break
         else:
@@ -291,7 +210,7 @@ def _run_full(chain: _Chain, rng):
     if not ext.ok:
         raise DomainError("final marked assignment is infeasible")
     trace.extension_max_component = ext.max_comp_vars
-    bits = chain.draw(ext, rng, xbits)
+    bits = draw_exec(ext, rng, xbits)
     assignment = mask_to_assignment(bits, chain.f.n)
     if not is_satisfying(chain.f, assignment):
         raise AssertionError("block dynamics produced a non-satisfying assignment")

@@ -8,7 +8,6 @@ from ksat.classify import (
     bad_components,
     classify,
     default_delta,
-    good_clause_ids,
     good_induced_formula,
     high_degree_vars,
 )
@@ -121,7 +120,6 @@ def test_good_induced_formula_drops_fully_bad_clause():
     assert cl.c_bad == frozenset({0, 1, 2})
     good = good_induced_formula(f, cl)
     assert good.m == 1
-    assert good_clause_ids(cl) == (3,)
 
 
 def test_good_induced_formula_regime_diagnostics():

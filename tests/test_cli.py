@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -238,6 +241,20 @@ def test_sample_seed_out_of_range(capsys, dimacs_file, seed):
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"] == "usage"
+
+
+@pytest.mark.parametrize("module", ["ksat", "ksat.cli"])
+def test_python_dash_m_runs_the_cli(dimacs_file, module):
+    f = dimacs_file("f.cnf", "p cnf 4 2\n1 2 -3 0\n-1 3 4 0\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "sample", "--dimacs", f, "--seed", "-1"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert json.loads(proc.stderr)["error"] == "usage"
 
 
 @pytest.mark.parametrize("stage", ["mark", "sample", "path", "loose"])

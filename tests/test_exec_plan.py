@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from ksat import Formula, enumerate_solutions, generate_random_kcnf
 from ksat import marginals, sampler
 from ksat.classify import classify, default_delta, good_induced_formula
-from ksat.marginals import DEFAULT_CAP, plan_for
+from ksat.marginals import DEFAULT_CAP, draw_exec, plan_for
 from ksat.marking import Marking, default_quotas, find_marking
 from ksat.rng import make_rng
 from ksat.sampler import SamplerConfig, _Chain, run_block_dynamics
@@ -84,7 +84,7 @@ def test_exec_plan_matches_plan_for_and_oracle(case, seed):
     if e.ok:
         rng = make_rng(seed)
         for _ in range(4):
-            bits = chain.draw(e, rng, val)
+            bits = draw_exec(e, rng, val)
             assert bits & ~fixed == 0
             assert bits & dom == val
             if conditional:

@@ -130,24 +130,8 @@ def test_solution_graph_strategies_agree():
     via_ball = solution_graph(f, 1).component_sizes
 
     masks = [assignment_to_mask(x) for x in enumerate_solutions(f)]
-    parent = list(range(len(masks)))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    _link_all_pairs(masks, 1, union)
-    sizes = {}
-    for i in range(len(masks)):
-        sizes[find(i)] = sizes.get(find(i), 0) + 1
-    via_pairs = tuple(sorted(sizes.values(), reverse=True))
+    groups = _link_all_pairs(masks, 1)
+    via_pairs = tuple(sorted((len(g) for g in groups), reverse=True))
     assert via_ball == via_pairs
 
 
