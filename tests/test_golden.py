@@ -112,9 +112,9 @@ def test_sample_conditional_golden(instances):
     assert out == {2: 1, 3: 1, 5: 1, 6: 1, 7: 1, 8: 1, 9: 0}
 
 
-# Golden seeds for paths, the coupling, looseness and the clause-graph
-# helpers: exact outputs on small instances, so merging the copies of the
-# conditional primitive and the graph helpers cannot move a single bit.
+# Paths, the coupling, looseness and the clause-graph helpers: exact
+# outputs on small instances, so a change to the conditional primitive or
+# the union-find and BFS helpers that moves a single bit fails here.
 
 
 def _bad_instance():
