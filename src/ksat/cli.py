@@ -193,9 +193,14 @@ def _load_pin(path) -> dict:
         return {}
     try:
         raw = json.loads(_read(path))
-        return {int(v): int(b) for v, b in raw.items()}
+        pin = {int(v): b for v, b in raw.items()}
     except (ValueError, AttributeError) as exc:
         raise UsageError(f"bad pin file {path}: {exc}") from exc
+    for v, b in pin.items():
+        # JSON true/false load as bools, which are ints to Python
+        if type(b) is not int or b not in (0, 1):
+            raise UsageError(f"bad pin file {path}: value for {v} must be 0 or 1, got {b!r}")
+    return pin
 
 
 def _nominal_k(f: Formula, override) -> int:

@@ -23,13 +23,23 @@ from .classify import Classification
 from .errors import InfeasiblePinningError, UsageError
 from .formula import (
     Formula,
-    clause_graph_components,
+    _check_partial,
+    assignment_to_mask,
+    bit_positions,
     enumerate_solutions,
     is_satisfying,
+    mask_to_assignment,
 )
-from .marginals import DEFAULT_CAP, exact_marginal, sample_conditional
+from .marginals import (
+    DEFAULT_CAP,
+    build_exec,
+    draw_exec,
+    exact_marginal,
+    marginal_counts,
+    pin_masks,
+)
 from .marking import Marking
-from .rng import as_rng, make_rng, rand_float, spawn_seed
+from .rng import as_rng, make_rng, spawn_seed
 
 
 def default_k_c(k_u: int, zeta: float) -> int:
@@ -60,12 +70,30 @@ class CouplingTrace:
         )
 
 
-def _satisfied_by(f: Formula, values: dict, cid: int) -> bool:
-    for lit in f.clauses[cid]:
-        val = values.get(lit.var)
-        if val is not None and (val == 1) == lit.sign:
-            return True
-    return False
+def _var_mask(variables) -> int:
+    return sum(1 << (v - 1) for v in variables)
+
+
+def _var_set(mask: int) -> frozenset:
+    return frozenset(b + 1 for b in bit_positions(mask))
+
+
+def _bad_clause_components(f: Formula, cl: Classification) -> list:
+    """(variable mask, clause-id mask) of each component of the bad clauses
+    joined through shared variables. Bad clauses hold only bad variables, so
+    each such component spans one of cl.bad_components; bad components with
+    no bad clause are left out."""
+    if not cl.c_bad:
+        return []
+    index = {v: i for i, comp in enumerate(cl.bad_components) for v in comp}
+    clause_masks = [0] * len(cl.bad_components)
+    for cid in cl.c_bad:
+        clause_masks[index[f.clauses[cid][0].var]] |= 1 << cid
+    return [
+        (_var_mask(comp), cids)
+        for comp, cids in zip(cl.bad_components, clause_masks)
+        if cids
+    ]
 
 
 def run_coupling(
@@ -78,7 +106,13 @@ def run_coupling(
     seed=0,
     cap: int = DEFAULT_CAP,
 ) -> CouplingTrace:
-    """One run of the coupling under the pinning, with X(v0)=0, Y(v0)=1."""
+    """One run of the coupling under the pinning, with X(v0)=0, Y(v0)=1.
+
+    Variable sets are int masks with variable v at bit v-1 and clause sets
+    masks with clause cid at bit cid; scanning a clause mask from its lowest
+    bit visits the clauses in ascending id order. X and Y are value masks
+    over their shared domain `dom`, the revealed set V.
+    """
     if v0 not in m.marked:
         raise UsageError(f"v0={v0} is not a marked variable")
     if v0 in lambda_pin:
@@ -93,188 +127,209 @@ def run_coupling(
             f"pinning forces variable {v0}; both branches must be feasible"
         )
     rng = as_rng(seed)
-    lam_dom = set(lambda_pin)
+    clause_masks = f._clause_masks
+    clause_vars = f._clause_var_masks
+    good = _var_mask(cl.v_good)
+    bad = _var_mask(cl.v_bad)
 
-    x = dict(lambda_pin)
-    y = dict(lambda_pin)
-    x[v0] = 0
-    y[v0] = 1
-    v_set = set(lam_dom) | {v0}
-    v_failed = {v0}
-    e_failed: set = set()
-    e_dagger: set = set()
-    e_ddagger: set = set()
+    lam, lam_val = pin_masks(lambda_pin)
+    bit0 = 1 << (v0 - 1)
+    dom = lam | bit0
+    xval = lam_val
+    yval = lam_val | bit0
+    v_failed = bit0
+    e_failed = e_dagger = e_ddagger = 0
     records = []
+    bad_comps = _bad_clause_components(f, cl)
 
-    bad_comps = clause_graph_components(f, "shared-bad-var", 1, cl)
-    bad_comp_vars = [
-        frozenset(v for c in comp for v in f.clause_vars(c)) for comp in bad_comps
-    ]
-    absorbed = [False] * len(bad_comps)
-
-    e_unsat = {
-        cid
-        for cid in range(f.m)
-        if not (_satisfied_by(f, x, cid) and _satisfied_by(f, y, cid))
-    }
+    e_unsat = 0
+    for cid, (pos, neg) in enumerate(clause_masks):
+        if not (pos & xval or neg & dom & ~xval) or not (pos & yval or neg & dom & ~yval):
+            e_unsat |= 1 << cid
 
     def apply_failure_rules():
         # iterated to fixpoint: each rule can enable the next
+        nonlocal v_failed, e_failed, e_dagger, e_ddagger, bad_comps
+        unsat = bit_positions(e_unsat)
+        # unsatisfied clause with k_c revealed unpinned variables: the rest
+        # fail (">=" rather than "==" so k_c = 1 cannot be skipped); this
+        # rule reads only V and the unsatisfied set, so one pass serves the
+        # whole fixpoint
+        revealed = dom & ~lam
+        for cid in unsat:
+            vs = clause_vars[cid]
+            if (vs & revealed).bit_count() >= k_c:
+                v_failed |= vs & ~dom
+                e_failed |= 1 << cid
         while True:
-            grown = len(v_failed)
-            # unsatisfied clause with k_c revealed unpinned variables: the
-            # rest fail (">=" rather than "==" so k_c = 1 cannot be skipped)
-            for cid in sorted(e_unsat):
-                vs = f.clause_vars(cid)
-                if len(vs & (v_set - lam_dom)) >= k_c:
-                    v_failed.update(vs - v_set)
-                    e_failed.add(cid)
+            grown = v_failed
             # unsatisfied clause touching the failure set with no good
             # variable left to couple but undetermined bad variables
-            for cid in sorted(e_unsat):
-                vs = f.clause_vars(cid)
-                if not vs & v_failed:
-                    continue
-                good_open = (vs & cl.v_good) - v_set - v_failed
-                bad_open = (vs & cl.v_bad) - v_failed
-                if not good_open and bad_open:
-                    v_failed.update(vs & cl.v_bad)
-                    e_dagger.add(cid)
+            for cid in unsat:
+                vs = clause_vars[cid]
+                if (
+                    vs & v_failed
+                    and vs & bad & ~v_failed
+                    and not vs & good & ~dom & ~v_failed
+                ):
+                    v_failed |= vs & bad
+                    e_dagger |= 1 << cid
             # bad components touching a failed variable fail wholesale
-            for i, comp_vars in enumerate(bad_comp_vars):
-                if not absorbed[i] and comp_vars & v_failed:
-                    absorbed[i] = True
-                    v_failed.update(comp_vars)
-                    e_ddagger.update(bad_comps[i])
-            if len(v_failed) == grown:
+            if bad_comps:
+                for comp_vars, comp_clauses in bad_comps:
+                    if comp_vars & v_failed:
+                        v_failed |= comp_vars
+                        e_ddagger |= comp_clauses
+                bad_comps = [c for c in bad_comps if not c[0] & v_failed]
+            if v_failed == grown:
                 return
 
     while True:
-        pick = None
-        for cid in sorted(e_unsat):
-            vs = f.clause_vars(cid)
-            if not vs & v_failed:
-                continue
-            open_good = sorted((vs & cl.v_good) - v_set - v_failed)
-            if open_good:
-                pick = (cid, open_good[0])
-                break
-        if pick is None:
+        pick = 0
+        for cid in bit_positions(e_unsat):
+            vs = clause_vars[cid]
+            if vs & v_failed:
+                pick = vs & good & ~dom & ~v_failed
+                if pick:
+                    break
+        if not pick:
             break
-        cid, u = pick
-        r = rand_float(rng)
-        px = exact_marginal(f, x, u, cap=cap)
-        py = exact_marginal(f, y, u, cap=cap)
-        x[u] = 1 if r <= px else 0
-        y[u] = 1 if r <= py else 0
-        v_set.add(u)
-        records.append((u, r, x[u], y[u]))
-        if x[u] != y[u]:
-            v_failed.add(u)
-            e_failed.add(cid)
-        for c2 in [c for c, _ in f.occ[u]]:
-            if c2 in e_unsat and _satisfied_by(f, x, c2) and _satisfied_by(f, y, c2):
-                e_unsat.discard(c2)
+        bit = pick & -pick
+        u = bit.bit_length()
+        # rand_float's draw, compared as an integer: r <= ones/total exactly
+        rbits = rng.getrandbits(53)
+        ones, total = marginal_counts(f, dom, xval, u, cap)
+        xu = 1 if rbits * total <= ones << 53 else 0
+        ones, total = marginal_counts(f, dom, yval, u, cap)
+        yu = 1 if rbits * total <= ones << 53 else 0
+        dom |= bit
+        if xu:
+            xval |= bit
+        if yu:
+            yval |= bit
+        records.append((u, rbits / 9007199254740992.0, xu, yu))
+        if xu != yu:
+            v_failed |= bit
+            e_failed |= 1 << cid
+        for c2 in bit_positions(f._var_clause_masks[u] & e_unsat):
+            pos, neg = clause_masks[c2]
+            if (pos & xval or neg & dom & ~xval) and (pos & yval or neg & dom & ~yval):
+                e_unsat ^= 1 << c2
         apply_failure_rules()
 
-    all_vars = set(range(1, f.n + 1))
-    v_coupled = all_vars - v_failed
+    v_coupled = ((1 << f.n) - 1) & ~v_failed
 
     # extension: one shared draw on the coupled region
-    coupled_open = sorted(v_coupled - v_set)
-    shared = sample_conditional(f, x, coupled_open, rng, cap=cap) if coupled_open else {}
-    _assert_same_coupled_residual(f, x, y, v_failed)
-    x.update(shared)
-    y.update(shared)
+    coupled_open = v_coupled & ~dom
+    shared = 0
+    if coupled_open:
+        shared = draw_exec(build_exec(f, dom, xval, coupled_open, cap), rng, 0)
+    _assert_same_coupled_residual(f, dom, xval, yval, v_failed)
+    x = xval | shared
+    y = yval | shared
     # independent draws on the failed regions
-    failed_open = sorted(v_failed - v_set)
+    failed_open = v_failed & ~dom
     if failed_open:
-        x_pin = {v: b for v, b in x.items() if v in v_set}
-        y_pin = {v: b for v, b in y.items() if v in v_set}
-        x.update(sample_conditional(f, x_pin, failed_open, rng, cap=cap))
-        y.update(sample_conditional(f, y_pin, failed_open, rng, cap=cap))
+        x |= draw_exec(build_exec(f, dom, xval, failed_open, cap), rng, 0)
+        y |= draw_exec(build_exec(f, dom, yval, failed_open, cap), rng, 0)
 
-    x_full = tuple(x[v] for v in range(1, f.n + 1))
-    y_full = tuple(y[v] for v in range(1, f.n + 1))
     trace = CouplingTrace(
-        v_set=frozenset(v_set),
-        v_failed=frozenset(v_failed),
-        v_coupled=frozenset(v_coupled),
-        e_failed=frozenset(e_failed),
-        e_failed_dagger=frozenset(e_dagger),
-        e_failed_ddagger=frozenset(e_ddagger),
-        x=x_full,
-        y=y_full,
+        v_set=_var_set(dom),
+        v_failed=_var_set(v_failed),
+        v_coupled=_var_set(v_coupled),
+        e_failed=frozenset(bit_positions(e_failed)),
+        e_failed_dagger=frozenset(bit_positions(e_dagger)),
+        e_failed_ddagger=frozenset(bit_positions(e_ddagger)),
+        x=mask_to_assignment(x, f.n),
+        y=mask_to_assignment(y, f.n),
         r_records=tuple(records),
         v0=v0,
     )
-    verify_coupling_trace(f, cl, trace, k_c, frozenset(lam_dom))
+    verify_coupling_trace(f, cl, trace, k_c, frozenset(lambda_pin))
     return trace
 
 
-def _assert_same_coupled_residual(f, x, y, v_failed):
+def _assert_same_coupled_residual(f, dom, xval, yval, v_failed):
     """The residual clauses living entirely on coupled variables must agree
-    under the X and Y pinnings, so one shared draw serves both."""
-    for cid in range(f.m):
-        vs = f.clause_vars(cid)
-        if vs & v_failed:
+    under the X and Y pinnings (dom, xval) and (dom, yval), so one shared
+    draw serves both."""
+    for cid, (pos, neg) in enumerate(f._clause_masks):
+        if (pos | neg) & v_failed:
             continue
-        if _satisfied_by(f, x, cid) != _satisfied_by(f, y, cid):
+        if bool(pos & xval or neg & dom & ~xval) != bool(pos & yval or neg & dom & ~yval):
             raise AssertionError(
                 f"coupled-region clause {cid} differs between the two copies"
             )
+
+
+def _two_step_connected(f: Formula, clauses: int) -> bool:
+    """Whether the clause ids in the mask form one group when clauses at
+    distance <= 2 in the full clause graph are joined."""
+    ball = f._clause_ball2
+    reached = frontier = clauses & -clauses
+    while frontier:
+        grow = 0
+        for cid in bit_positions(frontier):
+            grow |= ball[cid]
+        frontier = grow & clauses & ~reached
+        reached |= frontier
+    return reached == clauses
 
 
 def verify_coupling_trace(
     f: Formula, cl: Classification, trace: CouplingTrace, k_c: int, lam_dom
 ) -> None:
     """Runtime validation of the coupling's structural guarantees."""
-    x_set = {v: trace.x[v - 1] for v in trace.v_set}
-    y_set = {v: trace.y[v - 1] for v in trace.v_set}
+    v_set = _var_mask(trace.v_set)
+    v_failed = _var_mask(trace.v_failed)
+    v_coupled = _var_mask(trace.v_coupled)
+    good = _var_mask(cl.v_good)
+    x = assignment_to_mask(trace.x)
+    y = assignment_to_mask(trace.y)
+    xs, ys = x & v_set, y & v_set
+    unsat = [
+        (cid, pos | neg)
+        for cid, (pos, neg) in enumerate(f._clause_masks)
+        if not (pos & xs or neg & v_set & ~xs) or not (pos & ys or neg & v_set & ~ys)
+    ]
 
     # loop exit condition: no unsatisfied clause has both a failed variable
     # and an uncoupled good variable left
-    for cid in range(f.m):
-        if _satisfied_by(f, x_set, cid) and _satisfied_by(f, y_set, cid):
-            continue
-        vs = f.clause_vars(cid)
-        if vs & trace.v_failed:
-            open_good = (vs & cl.v_good) - trace.v_set - trace.v_failed
-            if open_good:
-                raise AssertionError(f"exit condition violated at clause {cid}")
+    for cid, vs in unsat:
+        if vs & v_failed and vs & good & ~v_set & ~v_failed:
+            raise AssertionError(f"exit condition violated at clause {cid}")
 
     # clause trichotomy
-    for cid in range(f.m):
-        if _satisfied_by(f, x_set, cid) and _satisfied_by(f, y_set, cid):
-            continue
-        vs = f.clause_vars(cid)
-        in_coupled = vs <= trace.v_set | trace.v_coupled
-        in_failed = vs <= trace.v_set | trace.v_failed
-        if not (in_coupled or in_failed):
+    for cid, vs in unsat:
+        if vs & ~(v_set | v_coupled) and vs & ~(v_set | v_failed):
             raise AssertionError(f"clause {cid} split between coupled and failed")
 
     # every failed variable (except the seeded v0) sits in a failed clause;
     # failed good variables sit in a primary failed clause
-    e_all = trace.e_failed | trace.e_failed_dagger | trace.e_failed_ddagger
-    covered = {v for c in e_all for v in f.clause_vars(c)}
-    covered_primary = {v for c in trace.e_failed for v in f.clause_vars(c)}
-    for v in trace.v_failed - {trace.v0}:
-        if v not in covered:
-            raise AssertionError(f"failed variable {v} in no failed clause")
-        if v in cl.v_good and v not in covered_primary:
-            raise AssertionError(f"failed good variable {v} not explained")
+    clause_vars = f._clause_var_masks
+    covered = primary = 0
+    for cid in trace.e_failed:
+        primary |= clause_vars[cid]
+    for cid in trace.e_failed_dagger | trace.e_failed_ddagger:
+        covered |= clause_vars[cid]
+    covered |= primary
+    rest = v_failed & ~(1 << (trace.v0 - 1))
+    stray = rest & ~covered | rest & good & ~primary
+    if stray:
+        low = stray & -stray
+        if low & ~covered:
+            raise AssertionError(f"failed variable {low.bit_length()} in no failed clause")
+        raise AssertionError(f"failed good variable {low.bit_length()} not explained")
 
     # failed clause connectivity at distance <= 2 in the full clause graph
-    near = trace.e_failed | trace.e_failed_ddagger
-    if len(near) > 1:
-        parts = clause_graph_components(f, "shared-any-var", 2, vertices=near)
-        if len(parts) != 1:
-            raise AssertionError("primary failed clauses not 2-step connected")
+    near = sum(1 << cid for cid in trace.e_failed | trace.e_failed_ddagger)
+    if near & (near - 1) and not _two_step_connected(f, near):
+        raise AssertionError("primary failed clauses not 2-step connected")
 
     # agreement on the coupled region
-    for v in trace.v_coupled:
-        if trace.x[v - 1] != trace.y[v - 1]:
-            raise AssertionError(f"coupled variable {v} disagrees")
+    differ = (x ^ y) & v_coupled
+    if differ:
+        raise AssertionError(f"coupled variable {(differ & -differ).bit_length()} disagrees")
 
     for out in (trace.x, trace.y):
         if not is_satisfying(f, out):
@@ -326,6 +381,7 @@ def exact_influence_matrix(
     """
     if not set(lambda_pin) <= m.marked:
         raise UsageError("pinning domain must be a subset of the marked set")
+    _check_partial(f, lambda_pin)
     sols = enumerate_solutions(f, cap=cap)
     sols = [
         s for s in sols if all(s[v - 1] == b for v, b in lambda_pin.items())

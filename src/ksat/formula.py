@@ -135,6 +135,36 @@ class Formula:
             tuple(sorted({cid for cid, _ in entries})) for entries in self.occ
         )
 
+    @cached_property
+    def _clause_var_masks(self) -> tuple:
+        """Variable mask of each clause, bit v-1 for var v."""
+        return tuple(pos | neg for pos, neg in self._clause_masks)
+
+    @cached_property
+    def _var_clause_masks(self) -> tuple:
+        """Per-variable mask of the clause ids containing it, bit cid for
+        clause cid (index 0 unused)."""
+        return tuple(sum(1 << cid for cid in cids) for cids in self._var_clauses)
+
+    @cached_property
+    def _clause_ball2(self) -> tuple:
+        """Per clause, the mask of clause ids at distance <= 2 from it in the
+        clause graph joining clauses that share a variable, itself included."""
+        by_var = self._var_clause_masks
+        ball1 = []
+        for clause in self.clauses:
+            near = 0
+            for lit in clause:
+                near |= by_var[lit.var]
+            ball1.append(near)
+        ball2 = []
+        for near in ball1:
+            reach = 0
+            for cid in bit_positions(near):
+                reach |= ball1[cid]
+            ball2.append(reach)
+        return tuple(ball2)
+
 
 def parse_dimacs(text) -> Formula:
     """Parse a DIMACS CNF document (str or bytes).
@@ -480,6 +510,16 @@ def assignment_to_mask(a: Assignment) -> int:
 
 def mask_to_assignment(mask: int, n: int) -> Assignment:
     return tuple((mask >> i) & 1 for i in range(n))
+
+
+def bit_positions(mask: int) -> list:
+    """Positions of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def _check_partial(f: Formula, x: PartialAssignment) -> None:

@@ -32,7 +32,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import CapExceededError, InfeasiblePinningError, UsageError
-from .formula import Formula, _check_partial, union_find
+from .formula import Formula, _check_partial, bit_positions, union_find
 from .rng import as_rng, rand_below, rand_bit
 
 DEFAULT_CAP = 1 << 22  # assignment evaluations allowed per component
@@ -70,13 +70,6 @@ def pin_masks(x: Mapping) -> tuple:
     return dom, val
 
 
-def _iter_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _no_solutions():
     return None
 
@@ -87,7 +80,7 @@ class _Component:
     __slots__ = ("vars", "key", "bit_of", "min_var", "_sols", "_ones")
 
     def __init__(self, vars_mask: int, clauses):
-        self.vars = tuple(b + 1 for b in _iter_bits(vars_mask))
+        self.vars = tuple(b + 1 for b in bit_positions(vars_mask))
         self.key = component_key(vars_mask, clauses)
         self.bit_of = {v: i for i, v in enumerate(self.vars)}
         self.min_var = self.vars[0]
@@ -295,7 +288,13 @@ def exact_marginal(f: Formula, x: Mapping, v: int, cap: int = DEFAULT_CAP) -> Fr
         raise UsageError(f"variable {v} out of range [1, {f.n}]")
     if v in x:
         raise UsageError(f"variable {v} is pinned by the conditioning")
-    dom, val = pin_masks(x)
+    return Fraction(*marginal_counts(f, *pin_masks(x), v, cap))
+
+
+def marginal_counts(f: Formula, dom: int, val: int, v: int, cap: int = DEFAULT_CAP) -> tuple:
+    """exact_marginal on the pinning (dom, val), unreduced and unchecked: the
+    numbers of solutions of v's component with v = 1 and in all, or (1, 2)
+    when v is in no residual clause. v must be free."""
     plan = plan_for(f, dom, val)
     if not plan.ok:
         raise InfeasiblePinningError(
@@ -309,8 +308,8 @@ def exact_marginal(f: Formula, x: Mapping, v: int, cap: int = DEFAULT_CAP) -> Fr
             )
     comp = plan.component_of(v)
     if comp is None:
-        return Fraction(1, 2)
-    return Fraction(comp.one_count(v, cap), len(comp.solutions(cap)))
+        return 1, 2
+    return comp.one_count(v, cap), len(comp.solutions(cap))
 
 
 def closest_solution(f: Formula, x: Mapping, v: int, want: int, reference, cap: int = DEFAULT_CAP):

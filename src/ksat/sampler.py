@@ -49,16 +49,22 @@ class SamplerConfig:
 @dataclass
 class ChainTrace:
     steps: int = 0
-    max_component_per_step: list = field(default_factory=list)
+    # step_component_hist[size]: steps whose largest residual component had
+    # `size` variables
+    step_component_hist: list = field(default_factory=list)
     extension_max_component: int = 0
     init_retries: int = 0
     step_retries: int = 0
     final: tuple | None = None  # the returned satisfying assignment
 
     @property
+    def max_step_component(self) -> int:
+        hist = self.step_component_hist
+        return max((size for size, count in enumerate(hist) if count), default=0)
+
+    @property
     def max_component(self) -> int:
-        per_step = max(self.max_component_per_step, default=0)
-        return max(per_step, self.extension_max_component)
+        return max(self.max_step_component, self.extension_max_component)
 
 
 def default_t_max(theta: float, n: int) -> int:
@@ -165,7 +171,7 @@ def _run_marked_chain(chain: _Chain, rng, trace: ChainTrace) -> int:
     marked_mask = chain.marked_mask
     block_size = chain.block
     exec_for = chain.exec_for
-    max_sizes = trace.max_component_per_step
+    hist = trace.step_component_hist = [0] * (chain.f.n + 1)
     grb = rng.getrandbits
     npool = len(marked)
     # inlined partial Fisher-Yates, consuming exactly like rng.subsample
@@ -193,7 +199,7 @@ def _run_marked_chain(chain: _Chain, rng, trace: ChainTrace) -> int:
                 trace.step_retries += 1
                 continue
             xbits = draw_exec(e, rng, xbits)
-            max_sizes.append(e.max_comp_vars)
+            hist[e.max_comp_vars] += 1
             break
         else:
             raise DomainError(

@@ -41,6 +41,8 @@ RUNS = 10**5
 CAP = 1 << 22
 CAP_VARS = 22  # log2 of the evaluation cap: component variable budget
 
+pytestmark = pytest.mark.acceptance
+
 
 def _verdict(criterion, message):
     print(f"\nACCEPTANCE {criterion}: PASS - {message}")

@@ -276,3 +276,18 @@ def test_pipeline_spec_not_an_object(capsys, tmp_path):
     code, _, err = run(capsys, "pipeline", "--spec", str(spec_path))
     assert code == 2
     assert json.loads(err)["error"] == "usage"
+
+
+@pytest.mark.parametrize("value", ["1.7", "2", "true", "\"1\""])
+def test_influence_pin_values_must_be_0_or_1(capsys, dimacs_file, value):
+    f = dimacs_file("f.cnf", "p cnf 3 1\n1 2 3 0\n")
+    pin = dimacs_file("pin.json", '{"3": %s}' % value)
+    code, out, err = run(
+        capsys,
+        "influence", "--dimacs", f, "--k", "3", "--v0", "1", "--pin", pin, "--trials", "20",
+    )
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "usage"
+    assert "must be 0 or 1" in error["message"]

@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from ksat.coupling import (
     exact_influence_matrix,
     r_window_violations,
     run_coupling,
+    verify_coupling_trace,
 )
 from ksat.marking import Marking, find_marking
 from ksat.rng import make_rng, spawn_seed
@@ -210,3 +212,78 @@ def test_default_k_c():
 
     with _pytest.raises(_U):
         default_k_c(2, 0.3)
+
+
+def test_exact_influence_rejects_values_other_than_0_1():
+    from ksat import UsageError
+
+    f = Formula.from_ints(3, [[1, 2, 3]])
+    m = Marking(frozenset({1, 2, 3}), 1, 1, certified=True)
+    with pytest.raises(UsageError, match="must be 0/1"):
+        exact_influence_matrix(f, m, {3: 2})
+
+
+def _verify_rejects(f, cl, trace, match):
+    with pytest.raises(AssertionError, match=match):
+        verify_coupling_trace(f, cl, trace, 1, frozenset())
+
+
+def _isolated_v0_trace(f, cl):
+    """A valid trace with v0 = 1 in no clause, so V = V_failed = {1} and no
+    clause fails."""
+    m = Marking(frozenset({1, 2}), 1, 1, certified=True)
+    trace = run_coupling(f, cl, m, {}, v0=1, k_c=1, seed=5)
+    assert trace.v_set == trace.v_failed == frozenset({1})
+    assert not trace.e_failed
+    verify_coupling_trace(f, cl, trace, 1, frozenset())
+    return trace
+
+
+def test_verify_rejects_disagreeing_coupled_variable():
+    f = Formula.from_ints(3, [[2, 3]])
+    cl = all_good_classification(f)
+    trace = _isolated_v0_trace(f, cl)
+    y = list(trace.y)
+    y[1] ^= 1
+    _verify_rejects(f, cl, replace(trace, y=tuple(y)), "coupled variable 2 disagrees")
+
+
+def test_verify_rejects_failed_variable_outside_failed_clauses():
+    f = Formula.from_ints(4, [[2, 3]])
+    cl = all_good_classification(f)
+    trace = _isolated_v0_trace(f, cl)
+    bad = replace(trace, v_failed=trace.v_failed | {4}, v_coupled=trace.v_coupled - {4})
+    _verify_rejects(f, cl, bad, "failed variable 4 in no failed clause")
+
+
+def test_verify_rejects_clause_split_between_regions():
+    # with variable 2 bad, clause (2 or 3) has no open good variable once 3
+    # fails, so the exit condition holds and only the split is wrong
+    f = Formula.from_ints(3, [[2, 3]])
+    cl = replace(
+        all_good_classification(f),
+        v_bad=frozenset({2}),
+        v_good=frozenset({1, 3}),
+        bad_components=(frozenset({2}),),
+    )
+    trace = _isolated_v0_trace(f, cl)
+    bad = replace(trace, v_failed=frozenset({1, 3}), v_coupled=frozenset({2}))
+    _verify_rejects(f, cl, bad, "clause 0 split between coupled and failed")
+
+
+def test_verify_rejects_primary_failed_clauses_three_apart():
+    # a path of clauses: 0 and 2 are at distance 2, 0 and 3 at distance 3
+    f = Formula.from_ints(6, [[2, 3], [3, 4], [4, 5], [5, 6]])
+    cl = all_good_classification(f)
+    trace = _isolated_v0_trace(f, cl)
+    verify_coupling_trace(f, cl, replace(trace, e_failed=frozenset({0, 2})), 1, frozenset())
+    bad = replace(trace, e_failed=frozenset({0, 3}))
+    _verify_rejects(f, cl, bad, "not 2-step connected")
+
+
+def test_verify_rejects_unsatisfying_output():
+    f = Formula.from_ints(3, [[2, 3]])
+    cl = all_good_classification(f)
+    trace = _isolated_v0_trace(f, cl)
+    bad = replace(trace, x=(0, 0, 0), y=(1, 0, 0))
+    _verify_rejects(f, cl, bad, "does not satisfy the formula")

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ksat import Formula, clause_graph_components
+from ksat.coupling import _two_step_connected
 from ksat.formula import bfs_distances, union_find
 
 
@@ -80,3 +81,24 @@ def test_clause_graph_components_match_line_graph_power(f, power, data):
     got = clause_graph_components(f, "shared-any-var", power, vertices=vertices)
     assert sorted(map(sorted, got)) == want
     assert [min(part) for part in got] == sorted(min(part) for part in got)
+
+
+@settings(max_examples=300, deadline=None)
+@given(formulas())
+def test_clause_ball2_masks_match_line_graph_distances(f):
+    g = line_graph(f)
+    for c in range(f.m):
+        near = nx.single_source_shortest_path_length(g, c, cutoff=2)
+        assert f._clause_ball2[c] == sum(1 << d for d in near)
+
+
+@settings(max_examples=300, deadline=None)
+@given(formulas(), st.data())
+def test_two_step_flood_matches_clause_graph_components(f, data):
+    """The coupling check's flood over the distance-2 masks joins a clause
+    set exactly when clause_graph_components(power=2) finds one part."""
+    if not f.m:
+        return
+    vertices = data.draw(st.sets(st.integers(0, f.m - 1), min_size=1))
+    parts = clause_graph_components(f, "shared-any-var", 2, vertices=vertices)
+    assert _two_step_connected(f, sum(1 << c for c in vertices)) == (len(parts) == 1)

@@ -71,7 +71,7 @@ def test_reproducible():
     a1, t1 = run_block_dynamics(f, m, cfg)
     a2, t2 = run_block_dynamics(f, m, cfg)
     assert a1 == a2
-    assert t1.max_component_per_step == t2.max_component_per_step
+    assert t1.step_component_hist == t2.step_component_hist
 
 
 def test_full_block_single_step_is_exact():
@@ -212,6 +212,6 @@ def test_per_step_component_sizes_logged_and_bounded():
     assert m.certified
     cfg = SamplerConfig(theta=0.3, t_max=40, seed=12)
     _, trace = run_block_dynamics(f, m, cfg)
-    assert len(trace.max_component_per_step) == 40
+    assert sum(trace.step_component_hist) == 40
     bound = 8 * math.log(f.n)
-    assert all(size <= bound for size in trace.max_component_per_step)
+    assert trace.max_step_component <= bound
