@@ -292,9 +292,10 @@ def exact_marginal(f: Formula, x: Mapping, v: int, cap: int = DEFAULT_CAP) -> Fr
 
 
 def marginal_counts(f: Formula, dom: int, val: int, v: int, cap: int = DEFAULT_CAP) -> tuple:
-    """exact_marginal on the pinning (dom, val), unreduced and unchecked: the
+    """exact_marginal on the pinning (dom, val) as an unreduced ratio: the
     numbers of solutions of v's component with v = 1 and in all, or (1, 2)
-    when v is in no residual clause. v must be free."""
+    when v is in no residual clause. The arguments are not checked; v must
+    be a free variable."""
     plan = plan_for(f, dom, val)
     if not plan.ok:
         raise InfeasiblePinningError(
