@@ -248,6 +248,30 @@ def test_verify_rejects_disagreeing_coupled_variable():
     _verify_rejects(f, cl, replace(trace, y=tuple(y)), "coupled variable 2 disagrees")
 
 
+def test_verify_rejects_loop_exit_with_open_good_variable():
+    # clause (2 or 3) is unsatisfied, holds failed variable 2 and still has
+    # good variable 3 to couple, so the reveal loop should not have ended
+    f = Formula.from_ints(3, [[2, 3]])
+    cl = all_good_classification(f)
+    trace = _isolated_v0_trace(f, cl)
+    bad = replace(trace, v_failed=frozenset({1, 2}), v_coupled=frozenset({3}))
+    _verify_rejects(f, cl, bad, "exit condition violated at clause 0")
+
+
+def test_verify_rejects_failed_good_variable_without_primary_clause():
+    # variable 4 is failed and good, but only a secondary failed clause holds it
+    f = Formula.from_ints(4, [[2, 3], [4]])
+    cl = all_good_classification(f)
+    trace = _isolated_v0_trace(f, cl)
+    bad = replace(
+        trace,
+        v_failed=frozenset({1, 4}),
+        v_coupled=frozenset({2, 3}),
+        e_failed_dagger=frozenset({1}),
+    )
+    _verify_rejects(f, cl, bad, "failed good variable 4 not explained")
+
+
 def test_verify_rejects_failed_variable_outside_failed_clauses():
     f = Formula.from_ints(4, [[2, 3]])
     cl = all_good_classification(f)
@@ -287,3 +311,14 @@ def test_verify_rejects_unsatisfying_output():
     trace = _isolated_v0_trace(f, cl)
     bad = replace(trace, x=(0, 0, 0), y=(1, 0, 0))
     _verify_rejects(f, cl, bad, "does not satisfy the formula")
+
+
+def test_coupled_residual_check_rejects_differing_clause():
+    from ksat.coupling import _assert_same_coupled_residual
+
+    # X(1) = 0 leaves clause (1 or 2) open, Y(1) = 1 satisfies it, and no
+    # variable of it failed, so one shared draw could not serve both
+    f = Formula.from_ints(2, [[1, 2]])
+    _assert_same_coupled_residual(f, 0b01, 0b00, 0b01, 0b01)
+    with pytest.raises(AssertionError, match="coupled-region clause 0 differs"):
+        _assert_same_coupled_residual(f, 0b01, 0b00, 0b01, 0b00)
