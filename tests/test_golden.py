@@ -7,6 +7,10 @@ component solution an index picks, fails here even when the output law is
 still right.
 """
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 from ksat import (
@@ -17,6 +21,7 @@ from ksat import (
     enumerate_solutions,
     generate_random_kcnf,
 )
+from ksat import cli
 from ksat.classify import classify, default_delta, good_induced_formula
 from ksat.coupling import run_coupling
 from ksat.geometry import (
@@ -468,3 +473,36 @@ CONSTRUCTIONS = (
 
 def test_two_trees_greenblue_and_tree_excess_golden():
     assert _constructions_outcome() == CONSTRUCTIONS
+
+
+# `ksat pipeline` records: the committed benchmark sweep's cells, each
+# record's sorted-key JSON against a sha256 digest. Regenerate the digests
+# with `PYTHONPATH=src python tests/test_golden.py`, only when a change is
+# meant to move the records.
+
+SWEEP = Path(__file__).resolve().parent.parent / "bench" / "pipeline_sweep.json"
+RECORD_DIGESTS = Path(__file__).resolve().parent / "data" / "pipeline_record_digests.json"
+
+
+def _pipeline_record_digests():
+    sweep = json.loads(SWEEP.read_text())
+    spec = json.dumps({key: sweep[key] for key in ("zeta", "sample", "path", "loose")})
+    digests = []
+    for entry in sweep["instances"]:
+        inst = {key: entry[key] for key in ("n", "m", "k", "seed")}
+        record = cli._pipeline_cell(spec, inst, entry["cell_seed"])
+        digests.append(hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest())
+    return digests
+
+
+def test_pipeline_records_golden():
+    want = json.loads(RECORD_DIGESTS.read_text())
+    assert len(want) == 101
+    got = _pipeline_record_digests()
+    assert [i for i, (g, w) in enumerate(zip(got, want)) if g != w] == []
+    assert len(got) == len(want)
+
+
+if __name__ == "__main__":
+    RECORD_DIGESTS.parent.mkdir(exist_ok=True)
+    RECORD_DIGESTS.write_text(json.dumps(_pipeline_record_digests(), indent=1) + "\n")

@@ -2,6 +2,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ksat import (
     Formula,
@@ -13,6 +15,7 @@ from ksat import (
 )
 from ksat.marginals import (
     check_local_uniformity,
+    closest_solution,
     exact_marginal,
     sample_conditional,
     tree_excess,
@@ -94,6 +97,124 @@ def test_exact_marginal_matches_oracle_under_pinnings():
                     with pytest.raises(InfeasiblePinningError):
                         exact_marginal(f, x, v)
                     break
+
+
+@st.composite
+def pinned_cases(draw):
+    """(formula on at most 10 variables, pinning, a free variable v). Unit
+    and short clauses make falsified clauses and empty components common."""
+    n = draw(st.integers(1, 10))
+    clause = st.lists(st.integers(1, n), min_size=1, max_size=min(n, 4), unique=True).flatmap(
+        lambda vs: st.tuples(*(st.sampled_from((v, -v)) for v in vs))
+    )
+    f = Formula.from_ints(n, draw(st.lists(clause, max_size=12)))
+    pinned = draw(st.lists(st.integers(1, n), max_size=n - 1, unique=True))
+    x = {u: draw(st.integers(0, 1)) for u in pinned}
+    v = draw(st.sampled_from([u for u in range(1, n + 1) if u not in x]))
+    return f, x, v
+
+
+def residual_oracle(f, x):
+    """(first falsified clause id or None, components) of f under x, by
+    sets: the clauses x leaves unsatisfied, cut to their free literals as
+    (var, bit) pairs, grouped into connected components, each as (sorted
+    variables, clauses), in ascending order of lowest variable."""
+    comps = []
+    for cid, clause in enumerate(f.clauses):
+        if any(x.get(lit.var) == lit.sign for lit in clause):
+            continue
+        lits = [(lit.var, int(lit.sign)) for lit in clause if lit.var not in x]
+        if not lits:
+            return cid, []
+        vs, clauses = {u for u, _ in lits}, [lits]
+        for c in [c for c in comps if c[0] & vs]:
+            comps.remove(c)
+            vs |= c[0]
+            clauses += c[1]
+        comps.append((vs, clauses))
+    return None, sorted(((sorted(vs), clauses) for vs, clauses in comps), key=lambda c: c[0])
+
+
+def component_solutions_oracle(comp_vars, clauses):
+    """Satisfying local masks of a component, ascending; bit i is the value
+    of comp_vars[i]."""
+    out = []
+    for mask in range(1 << len(comp_vars)):
+        val = {u: (mask >> i) & 1 for i, u in enumerate(comp_vars)}
+        if all(any(val[u] == b for u, b in c) for c in clauses):
+            out.append(mask)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(pinned_cases())
+def test_exact_marginal_matches_enumeration_oracle(case):
+    f, x, v = case
+    want = oracle_marginal(f, x, v)
+    if want is None:
+        with pytest.raises(InfeasiblePinningError):
+            exact_marginal(f, x, v)
+    else:
+        assert exact_marginal(f, x, v) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(pinned_cases(), st.integers(0, 10))
+def test_exact_marginal_error_kinds(case, cap_vars):
+    """A falsified clause comes first; then the components in ascending
+    order of lowest variable, the first too large for the cap or without
+    solutions deciding the error."""
+    f, x, v = case
+    falsified, comps = residual_oracle(f, x)
+    error = None
+    if falsified is not None:
+        error = InfeasiblePinningError, f"pinning falsifies clause {falsified}"
+    for comp_vars, clauses in comps:
+        if error is not None:
+            break
+        if len(comp_vars) > cap_vars:
+            error = CapExceededError, len(comp_vars)
+        elif not component_solutions_oracle(comp_vars, clauses):
+            error = InfeasiblePinningError, f"component containing variable {comp_vars[0]} "
+    if error is None:
+        assert exact_marginal(f, x, v, cap=1 << cap_vars) == oracle_marginal(f, x, v)
+        return
+    kind, detail = error
+    with pytest.raises(kind) as info:
+        exact_marginal(f, x, v, cap=1 << cap_vars)
+    if kind is CapExceededError:
+        assert info.value.size == detail
+    else:
+        assert str(info.value).startswith(detail)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pinned_cases(), st.integers(0, 1), st.data())
+def test_closest_solution_matches_brute_force(case, want, data):
+    f, x, v = case
+    reference = data.draw(st.tuples(*[st.integers(0, 1)] * f.n))
+    falsified, comps = residual_oracle(f, x)
+    if falsified is not None:
+        with pytest.raises(InfeasiblePinningError):
+            closest_solution(f, x, v, want, reference)
+        return
+    comp = next((c for c in comps if v in c[0]), None)
+    if comp is None:
+        expected = {v: want}
+    else:
+        comp_vars, clauses = comp
+        i = comp_vars.index(v)
+        ref = sum(reference[u - 1] << j for j, u in enumerate(comp_vars))
+        best = min(
+            (
+                ((s ^ ref).bit_count(), s)
+                for s in component_solutions_oracle(comp_vars, clauses)
+                if (s >> i) & 1 == want
+            ),
+            default=None,
+        )
+        expected = None if best is None else {u: (best[1] >> j) & 1 for j, u in enumerate(comp_vars)}
+    assert closest_solution(f, x, v, want, reference) == expected
 
 
 def test_factorization_across_components():
