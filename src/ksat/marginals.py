@@ -6,11 +6,11 @@ pinning, split the residual into connected components (``decompose``, on
 clause bitmasks), and enumerate each component's satisfying assignments.
 Component solution sets are cached on a canonical form of the component
 subformula, so every caller that meets the same component shares one array.
-Residual decompositions ("plans") are cached per (formula, pinning) for the
-callers that ask for one (exact marginals, closest solutions, paths).
-Both caches are bounded: the solution cache by bytes, the plan cache by
-entries, each evicting its oldest entries first, so memory stays flat
-however many pinnings a run meets.
+That cache is bounded by bytes and evicts its oldest entries first.
+Residual decompositions ("plans") are not cached: ``plan_for`` is a view
+over ``decompose``. Only ``marginal_counts``, the coupling's reveal, keeps
+a memo of its results, a bounded ``functools.lru_cache``. So memory stays
+flat however many pinnings a run meets.
 
 Sampling goes through one draw schedule (``build_exec``, ``draw_exec``):
 ``sample_conditional`` and every block step of the sampler build one and
@@ -23,21 +23,19 @@ fair bit each, in ascending variable order.
 from __future__ import annotations
 
 import math
-import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from functools import lru_cache
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
 from .errors import CapExceededError, InfeasiblePinningError, UsageError
-from .formula import Formula, _check_partial, bit_positions, union_find
+from .formula import _ENUM_CHUNK, Formula, _check_partial, bit_positions, union_find
 from .rng import as_rng, rand_below, rand_bit
 
 DEFAULT_CAP = 1 << 22  # assignment evaluations allowed per component
-
-_ENUM_CHUNK = 1 << 20
 
 # Cache bounds. The solution budget counts each array's data plus an
 # estimate of the Python objects around it (_SOL_ENTRY_BYTES an entry,
@@ -45,7 +43,7 @@ _ENUM_CHUNK = 1 << 20
 _SOL_CACHE_BYTES = 64 << 20
 _SOL_ENTRY_BYTES = 256
 _SOL_CLAUSE_BYTES = 128
-_PLAN_CACHE_ENTRIES = 1 << 14
+_COUNT_CACHE_ENTRIES = 1 << 14
 
 # canonical component subformula -> uint64 array of satisfying local masks,
 # oldest first; _sol_cache_bytes is its charge against _SOL_CACHE_BYTES. An
@@ -53,10 +51,6 @@ _PLAN_CACHE_ENTRIES = 1 << 14
 # costs time proportional to the entries dropped before it.
 _SOL_CACHE: OrderedDict = OrderedDict()
 _sol_cache_bytes = 0
-# formula -> {(dom_mask, val_mask) -> _Plan}, oldest formula first;
-# _plan_entries counts the plans across all formulas
-_PLAN_CACHES: dict = {}
-_plan_entries = 0
 
 
 def pin_masks(x: Mapping) -> tuple:
@@ -70,41 +64,19 @@ def pin_masks(x: Mapping) -> tuple:
     return dom, val
 
 
-def _no_solutions():
-    return None
+class _Component(NamedTuple):
+    """One connected component of a simplified formula: its free variables
+    as a bitmask and its residual clauses as (free_pos, free_neg) masks."""
 
+    mask: int
+    clauses: list
 
-class _Component:
-    """One connected component of a simplified formula."""
-
-    __slots__ = ("vars", "key", "bit_of", "min_var", "_sols", "_ones")
-
-    def __init__(self, vars_mask: int, clauses):
-        self.vars = tuple(b + 1 for b in bit_positions(vars_mask))
-        self.key = component_key(vars_mask, clauses)
-        self.bit_of = {v: i for i, v in enumerate(self.vars)}
-        self.min_var = self.vars[0]
-        self._sols = _no_solutions
-        self._ones = {}
+    @property
+    def vars(self) -> tuple:
+        return tuple(b + 1 for b in bit_positions(self.mask))
 
     def solutions(self, cap: int) -> np.ndarray:
-        # a weak memo: it saves the cache lookup while the array is alive,
-        # without keeping arrays the solution cache has evicted
-        sols = self._sols()
-        if sols is None or 1 << len(self.vars) > cap:
-            sols = component_solutions(self.key, cap)
-            self._sols = weakref.ref(sols)
-        return sols
-
-    def one_count(self, v: int, cap: int) -> int:
-        """Number of component solutions assigning v = 1."""
-        ones = self._ones.get(v)
-        if ones is None:
-            sols = self.solutions(cap)
-            bit = np.uint64(self.bit_of[v])
-            ones = int(((sols >> bit) & np.uint64(1)).sum())
-            self._ones[v] = ones
-        return ones
+        return component_solutions(component_key(self.mask, self.clauses), cap)
 
 
 def decompose(f: Formula, dom: int, val: int) -> tuple:
@@ -215,64 +187,32 @@ def _enumerate_local(nvars: int, clauses) -> np.ndarray:
     return np.concatenate(pieces) if len(pieces) > 1 else pieces[0]
 
 
-class _Plan:
-    """Residual decomposition of a formula under a pinning."""
+class _Plan(NamedTuple):
+    """Residual decomposition of a formula under a pinning. falsified_clause
+    is the first clause the pinning falsifies (then comps is empty), or
+    None; comps come in ascending order of their lowest variable."""
 
-    __slots__ = (
-        "status",
-        "falsified_clause",
-        "comps",
-        "comp_of_var",
-        "max_comp_vars",
-    )
+    falsified_clause: int | None
+    comps: tuple
 
     @property
     def ok(self) -> bool:
-        return self.status == "ok"
+        return self.falsified_clause is None
+
+    @property
+    def max_comp_vars(self) -> int:
+        return max((c.mask.bit_count() for c in self.comps), default=0)
 
     def component_of(self, v: int):
-        return self.comp_of_var.get(v)
+        bit = 1 << (v - 1)
+        return next((c for c in self.comps if c.mask & bit), None)
 
 
 def plan_for(f: Formula, dom_mask: int, val_mask: int) -> _Plan:
-    """Cached residual decomposition of f under the pinning (dom, val).
-
-    When the cache is full, the plans of the formula cached first are
-    dropped together, so eviction costs no more than the inserts did.
-    """
-    global _plan_entries
-    key = (dom_mask, val_mask & dom_mask)
-    cache = _PLAN_CACHES.get(f)
-    plan = cache.get(key) if cache is not None else None
-    if plan is None:
-        plan = _build_plan(f, *key)
-        while _plan_entries >= _PLAN_CACHE_ENTRIES:
-            _plan_entries -= len(_PLAN_CACHES.pop(next(iter(_PLAN_CACHES))))
-        cache = _PLAN_CACHES.setdefault(f, {})
-        cache[key] = plan
-        _plan_entries += 1
-    return plan
-
-
-def _build_plan(f: Formula, dom: int, val: int) -> _Plan:
-    plan = _Plan()
-    falsified, groups = decompose(f, dom, val)
-    if falsified is not None:
-        plan.status = "falsified"
-        plan.falsified_clause = falsified
-        plan.comps = ()
-        plan.comp_of_var = {}
-        plan.max_comp_vars = 0
-        return plan
-    comps = sorted(
-        (_Component(mask, clauses) for mask, clauses in groups), key=lambda c: c.min_var
-    )
-    plan.status = "ok"
-    plan.falsified_clause = None
-    plan.comps = tuple(comps)
-    plan.comp_of_var = {v: c for c in comps for v in c.vars}
-    plan.max_comp_vars = max((len(c.vars) for c in comps), default=0)
-    return plan
+    """Residual decomposition of f under the pinning (dom, val), uncached."""
+    falsified, groups = decompose(f, dom_mask, val_mask & dom_mask)
+    comps = sorted((_Component(*g) for g in groups), key=lambda c: c.mask & -c.mask)
+    return _Plan(falsified, tuple(comps))
 
 
 def exact_marginal(f: Formula, x: Mapping, v: int, cap: int = DEFAULT_CAP) -> Fraction:
@@ -291,26 +231,30 @@ def exact_marginal(f: Formula, x: Mapping, v: int, cap: int = DEFAULT_CAP) -> Fr
     return Fraction(*marginal_counts(f, *pin_masks(x), v, cap))
 
 
+@lru_cache(maxsize=_COUNT_CACHE_ENTRIES)
 def marginal_counts(f: Formula, dom: int, val: int, v: int, cap: int = DEFAULT_CAP) -> tuple:
     """exact_marginal on the pinning (dom, val) as an unreduced ratio: the
     numbers of solutions of v's component with v = 1 and in all, or (1, 2)
     when v is in no residual clause. The arguments are not checked; v must
-    be a free variable."""
+    be a free variable. Memoized with cap in the key; errors are not."""
     plan = plan_for(f, dom, val)
     if not plan.ok:
         raise InfeasiblePinningError(
             f"pinning falsifies clause {plan.falsified_clause}"
         )
+    counts = 1, 2
+    vbit = 1 << (v - 1)
     for comp in plan.comps:
-        if len(comp.solutions(cap)) == 0:
+        sols = comp.solutions(cap)
+        if len(sols) == 0:
             raise InfeasiblePinningError(
-                f"component containing variable {comp.min_var} has no "
+                f"component containing variable {comp.vars[0]} has no "
                 "satisfying assignment under the pinning"
             )
-    comp = plan.component_of(v)
-    if comp is None:
-        return 1, 2
-    return comp.one_count(v, cap), len(comp.solutions(cap))
+        if comp.mask & vbit:
+            local = np.uint64((comp.mask & (vbit - 1)).bit_count())
+            counts = int(((sols >> local) & np.uint64(1)).sum()), len(sols)
+    return counts
 
 
 def closest_solution(f: Formula, x: Mapping, v: int, want: int, reference, cap: int = DEFAULT_CAP):
@@ -325,9 +269,10 @@ def closest_solution(f: Formula, x: Mapping, v: int, want: int, reference, cap: 
     comp = plan.component_of(v)
     if comp is None:
         return {v: want}
-    vbit = comp.bit_of[v]
+    comp_vars = comp.vars
+    vbit = comp_vars.index(v)
     ref_mask = 0
-    for i, u in enumerate(comp.vars):
+    for i, u in enumerate(comp_vars):
         if reference[u - 1]:
             ref_mask |= 1 << i
     best = min(
@@ -340,7 +285,7 @@ def closest_solution(f: Formula, x: Mapping, v: int, want: int, reference, cap: 
     )
     if best is None:
         return None
-    return {u: (best[1] >> i) & 1 for i, u in enumerate(comp.vars)}
+    return {u: (best[1] >> i) & 1 for i, u in enumerate(comp_vars)}
 
 
 class ExecPlan:

@@ -10,18 +10,17 @@ Each step draws from the schedule ``marginals.build_exec`` builds under the
 step's pinning, with ``marginals.draw_exec``: the one draw path
 ``sample_conditional`` takes too, so a step consumes randomness exactly as
 that call would, and a chain is reproducible from (formula, marking,
-config) alone. A chain keeps its schedules in a dict bounded by entry count
-(``_EXEC_CACHE_ENTRIES``, the older half dropped when full), so pinnings that
-recur, as on small formulas, are built once, and memory stays flat when
-they do not.
+config) alone. A chain memoizes its schedules in a ``functools.lru_cache``
+of ``_EXEC_CACHE_ENTRIES`` entries, so pinnings that recur, as on small
+formulas, are built once, and memory stays flat when they do not.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from itertools import islice
 from dataclasses import dataclass, field
+from functools import lru_cache, partial
 from typing import Mapping
 
 from .errors import DomainError, InfeasiblePinningError, UsageError
@@ -103,36 +102,29 @@ class _Chain:
         self.unmarked_mask = 0
         for v in self.unmarked:
             self.unmarked_mask |= 1 << (v - 1)
-        self.execs: dict = {}
-
-    def exec_for(self, dom: int, val: int) -> ExecPlan:
-        """Execution plan for redrawing the step targets under the pinning
-        (dom, val). Targets are the marked variables outside dom, except for
-        the full marked pinning, whose targets are the unmarked variables
-        (the final extension)."""
-        key = (dom, val)
-        e = self.execs.get(key)
-        if e is not None:
-            return e
-        targets_mask = self.marked_mask & ~dom
-        if not targets_mask:
-            targets_mask = self.unmarked_mask
-        try:
-            e = build_exec(self.f, dom, val, targets_mask, self.cfg.cap)
-        except InfeasiblePinningError:
-            e = _INFEASIBLE
-        if len(self.execs) >= _EXEC_CACHE_ENTRIES:
-            # drop the older half at once: a plain dict keeps lookups on
-            # the step loop fast, but dropping its first entry one at a
-            # time costs time proportional to the entries dropped before
-            self.execs = dict(islice(self.execs.items(), _EXEC_CACHE_ENTRIES // 2, None))
-        self.execs[key] = e
-        return e
+        # built over the fields, not over self, so no reference cycle keeps
+        # a dead chain's memo alive
+        self.exec_for = lru_cache(maxsize=_EXEC_CACHE_ENTRIES)(
+            partial(_step_exec, f, self.marked_mask, self.unmarked_mask, cfg.cap)
+        )
 
     def feasible_full_pinning(self, xbits: int) -> bool:
         # every residual component meets the targets (all unmarked
         # variables), so the plan is ok exactly when each has a solution
         return self.exec_for(self.marked_mask, xbits).ok
+
+
+def _step_exec(
+    f: Formula, marked_mask: int, unmarked_mask: int, cap: int, dom: int, val: int
+) -> ExecPlan:
+    """Execution plan for redrawing the step targets under the pinning
+    (dom, val). Targets are the marked variables outside dom, except for
+    the full marked pinning, whose targets are the unmarked variables
+    (the final extension)."""
+    try:
+        return build_exec(f, dom, val, marked_mask & ~dom or unmarked_mask, cap)
+    except InfeasiblePinningError:
+        return _INFEASIBLE
 
 
 _INFEASIBLE = ExecPlan(False, (), (), 0)

@@ -1,18 +1,22 @@
 """The block step's draw schedule against plan_for and the enumeration oracle,
-and the bounds on the solution, plan and schedule caches."""
+the bound on the solution cache, and the contracts of the count and
+schedule memos."""
 
 from collections import OrderedDict
+from functools import lru_cache
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ksat import Formula, enumerate_solutions, generate_random_kcnf
+from ksat import CapExceededError, Formula, InfeasiblePinningError
+from ksat import enumerate_solutions, generate_random_kcnf
 from ksat import marginals, sampler
 from ksat.classify import classify, default_delta, good_induced_formula
-from ksat.marginals import DEFAULT_CAP, draw_exec, plan_for
+from ksat.marginals import DEFAULT_CAP, draw_exec, exact_marginal, marginal_counts, plan_for
 from ksat.marking import Marking, default_quotas, find_marking
-from ksat.rng import make_rng
-from ksat.sampler import SamplerConfig, _Chain, run_block_dynamics
+from ksat.rng import as_rng, make_rng
+from ksat.sampler import SamplerConfig, _Chain, _run_full, run_block_dynamics
 
 
 @st.composite
@@ -38,7 +42,7 @@ def reference_exec(f, dom, val, targets, cap):
     draws = []
     for comp in plan.comps:
         pairs = tuple(
-            (comp.bit_of[v], 1 << (v - 1)) for v in comp.vars if (targets >> (v - 1)) & 1
+            (comp.vars.index(v), 1 << (v - 1)) for v in comp.vars if (targets >> (v - 1)) & 1
         )
         if not pairs:
             continue
@@ -110,34 +114,27 @@ def test_solution_cache_evicts_oldest_within_budget(monkeypatch):
     assert (3, ((7, 0),)) not in marginals._SOL_CACHE
 
 
-def test_plan_cache_evicts_oldest_formula_within_bound(monkeypatch):
-    monkeypatch.setattr(marginals, "_PLAN_CACHES", {})
-    monkeypatch.setattr(marginals, "_plan_entries", 0)
-    monkeypatch.setattr(marginals, "_PLAN_CACHE_ENTRIES", 3)
-    f = Formula.from_ints(3, [[1, 2, 3]])
-    g = Formula.from_ints(3, [[-1, 2]])
-    plan_for(f, 1, 0)
-    plan_for(g, 1, 0)
-    plan_for(g, 1, 1)
-    plan_for(g, 3, 1)  # drops f's plans
-    assert list(marginals._PLAN_CACHES) == [g]
-    assert list(marginals._PLAN_CACHES[g]) == [(1, 0), (1, 1), (3, 1)]
-    assert marginals._plan_entries == 3
-    plan_for(f, 1, 1)  # drops g's plans
-    assert {h: list(c) for h, c in marginals._PLAN_CACHES.items()} == {f: [(1, 1)]}
-    assert marginals._plan_entries == 1
+def test_count_memo_keys_on_cap():
+    """A memoized count under the default cap does not answer a call with a
+    cap too small for the component."""
+    wide = generate_random_kcnf(12, 14, 3, seed=3)
+    p = exact_marginal(wide, {}, 1)
+    hits = marginal_counts.cache_info().hits
+    assert exact_marginal(wide, {}, 1) == p
+    assert marginal_counts.cache_info().hits == hits + 1
+    with pytest.raises(CapExceededError):
+        exact_marginal(wide, {}, 1, cap=4)
 
 
-def test_exec_cache_evicts_older_half_within_bound(monkeypatch):
-    monkeypatch.setattr(sampler, "_EXEC_CACHE_ENTRIES", 4)
-    f = Formula.from_ints(3, [[1, 2, 3]])
-    chain = _Chain(f, Marking(frozenset({1, 2}), 0, 0, True), SamplerConfig(1.0, 1, 0))
-    for val in range(4):
-        chain.exec_for(3, val)
-    assert list(chain.execs) == [(3, 0), (3, 1), (3, 2), (3, 3)]
-    chain.exec_for(3, 0)  # a hit evicts nothing
-    chain.exec_for(1, 1)
-    assert list(chain.execs) == [(3, 2), (3, 3), (1, 1)]
+def test_count_memo_does_not_keep_errors():
+    falsified = Formula.from_ints(2, [[1], [1, 2]])
+    empty = Formula.from_ints(2, [[1], [-1]])  # component {1} has no solution
+    for f, x in ((falsified, {1: 0}), (empty, {})):
+        for _ in range(2):
+            misses = marginal_counts.cache_info().misses
+            with pytest.raises(InfeasiblePinningError):
+                exact_marginal(f, x, 2)
+            assert marginal_counts.cache_info().misses == misses + 1
 
 
 def _n40_instance():
@@ -150,43 +147,48 @@ def _n40_instance():
 
 
 def _chains(f, m, seeds):
-    """Run one chain per seed, and per chain look up the plans of its final
-    marked pinning with each marked variable freed in turn, as looseness
-    checks do. Returns the outputs and the largest cache sizes seen."""
+    """Run one chain per seed, and per chain take the exact marginal of each
+    marked variable under its final marked pinning with that variable
+    freed, as looseness checks do. Returns the outputs, the marginals, and
+    the largest solution-cache charge and memo sizes seen."""
     marked = sorted(m.marked)
-    outputs = []
-    most_bytes = most_plans = 0
+    outputs, probs = [], []
+    most_bytes = most_counts = most_execs = 0
     for seed in seeds:
-        a, _ = run_block_dynamics(f, m, SamplerConfig(theta=0.3, t_max=2050, seed=seed))
+        chain = _Chain(f, m, SamplerConfig(theta=0.3, t_max=2050, seed=seed))
+        a, _ = _run_full(chain, as_rng(seed))
         outputs.append(a)
         for v in marked:
-            pin = {u: a[u - 1] for u in marked if u != v}
-            plan_for(f, *marginals.pin_masks(pin))
+            probs.append(exact_marginal(f, {u: a[u - 1] for u in marked if u != v}, v))
         sols = marginals._SOL_CACHE
         assert marginals._sol_cache_bytes == sum(
             marginals._sol_entry_bytes(k, s) for k, s in sols.items()
         )
-        plans = sum(len(c) for c in marginals._PLAN_CACHES.values())
-        assert plans == marginals._plan_entries
+        counts = marginals.marginal_counts.cache_info()
+        execs = chain.exec_for.cache_info()
+        assert counts.currsize <= counts.maxsize and execs.currsize <= execs.maxsize
         most_bytes = max(most_bytes, marginals._sol_cache_bytes)
-        most_plans = max(most_plans, plans)
-    return outputs, most_bytes, most_plans
+        most_counts = max(most_counts, counts.currsize)
+        most_execs = max(most_execs, execs.currsize)
+    return outputs, probs, most_bytes, most_counts, most_execs
 
 
 def test_caches_stay_bounded_over_many_chains(monkeypatch):
     """60 chains at n=40, m=8, k=5, theta=0.3, under bounds small enough
-    that both caches evict: they stay inside their bounds, and the outputs
-    are those of chains run with the default bounds."""
+    that the solution cache and both memos evict: they stay inside their
+    bounds, and the outputs are those under the default bounds."""
     f, m = _n40_instance()
     monkeypatch.setattr(marginals, "_SOL_CACHE", OrderedDict())
     monkeypatch.setattr(marginals, "_sol_cache_bytes", 0)
-    monkeypatch.setattr(marginals, "_PLAN_CACHES", {})
-    monkeypatch.setattr(marginals, "_plan_entries", 0)
     monkeypatch.setattr(marginals, "_SOL_CACHE_BYTES", 1 << 16)
-    monkeypatch.setattr(marginals, "_PLAN_CACHE_ENTRIES", 200)
-    outputs, most_bytes, most_plans = _chains(f, m, range(60))
+    monkeypatch.setattr(
+        marginals, "marginal_counts", lru_cache(maxsize=200)(marginal_counts.__wrapped__)
+    )
+    monkeypatch.setattr(sampler, "_EXEC_CACHE_ENTRIES", 200)
+    outputs, probs, most_bytes, most_counts, most_execs = _chains(f, m, range(60))
     assert (1 << 16) - 4096 < most_bytes <= 1 << 16  # filled up to the budget
-    assert 100 < most_plans <= 200
+    assert most_counts == 200 and most_execs == 200  # filled up to the bound
 
     monkeypatch.undo()
-    assert _chains(f, m, range(3))[0] == outputs[:3]
+    assert run_block_dynamics(f, m, SamplerConfig(theta=0.3, t_max=2050, seed=0))[0] == outputs[0]
+    assert _chains(f, m, range(3))[:2] == (outputs[:3], probs[: 3 * len(m.marked)])
