@@ -120,7 +120,8 @@ def _step_exec(
     """Execution plan for redrawing the step targets under the pinning
     (dom, val). Targets are the marked variables outside dom, except for
     the full marked pinning, whose targets are the unmarked variables
-    (the final extension)."""
+    (the final extension). _INFEASIBLE where build_exec finds the pinning
+    infeasible."""
     try:
         return build_exec(f, dom, val, marked_mask & ~dom or unmarked_mask, cap)
     except InfeasiblePinningError:
