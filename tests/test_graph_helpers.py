@@ -2,12 +2,16 @@
 built on them, against networkx as an independent oracle."""
 
 import networkx as nx
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ksat import Formula, clause_graph_components
+from ksat.classify import Classification
 from ksat.coupling import _two_step_connected
+from ksat.errors import DomainError, UsageError
 from ksat.formula import bfs_distances, union_find
+from ksat.geometry import extract_two_tree, verify_two_tree
 
 
 @st.composite
@@ -102,3 +106,120 @@ def test_two_step_flood_matches_clause_graph_components(f, data):
     vertices = data.draw(st.sets(st.integers(0, f.m - 1), min_size=1))
     parts = clause_graph_components(f, "shared-any-var", 2, vertices=vertices)
     assert _two_step_connected(f, sum(1 << c for c in vertices)) == (len(parts) == 1)
+
+
+@st.composite
+def partitions(draw, f):
+    """A split of the variables and clauses into good and bad parts; the
+    graph helpers read only these four sets, so they need not come from a
+    fixed point of the contamination process."""
+    v_bad = frozenset(draw(st.sets(st.integers(1, f.n))))
+    c_bad = frozenset(draw(st.sets(st.integers(0, f.m - 1)))) if f.m else frozenset()
+    return Classification(
+        delta=1, zeta=0.3, k=3,
+        v_bad=v_bad, v_good=frozenset(range(1, f.n + 1)) - v_bad,
+        c_bad=c_bad, c_good=frozenset(range(f.m)) - c_bad,
+        bad_components=(),
+    )
+
+
+def mode_line_graph(f, clauses, variables):
+    """The clauses joined when they share one of the variables: the
+    projection onto the clauses of their bipartite incidence graph."""
+    incidence = nx.Graph()
+    incidence.add_nodes_from(("c", c) for c in clauses)
+    incidence.add_edges_from(
+        (("c", c), ("v", v)) for c in clauses for v in f.clause_vars(c) & variables
+    )
+    projected = nx.bipartite.projected_graph(incidence, [("c", c) for c in clauses])
+    return nx.relabel_nodes(projected, {("c", c): c for c in clauses})
+
+
+@settings(max_examples=300, deadline=None)
+@given(formulas(), st.sampled_from(["shared-good-var", "shared-bad-var"]), st.integers(1, 3), st.data())
+def test_good_and_bad_var_components_match_mode_line_graph_power(f, mode, power, data):
+    cl = data.draw(partitions(f))
+    if mode == "shared-good-var":
+        clauses, variables = cl.c_good, cl.v_good
+    else:
+        clauses, variables = cl.c_bad, cl.v_bad
+    vertices = data.draw(st.none() | st.sets(st.sampled_from(sorted(clauses))) if clauses else st.none())
+    powered = nx.power(mode_line_graph(f, clauses, variables), power) if clauses else nx.Graph()
+    want = sorted(map(sorted, nx.connected_components(
+        powered.subgraph(clauses if vertices is None else vertices)
+    )))
+    got = clause_graph_components(f, mode, power, cl, vertices=vertices)
+    assert sorted(map(sorted, got)) == want
+    assert [min(part) for part in got] == sorted(min(part) for part in got)
+    outside = set(range(f.m)) - clauses
+    if outside:
+        with pytest.raises(UsageError):
+            clause_graph_components(f, mode, power, cl, vertices={min(outside)})
+
+
+def greedy_two_tree(g, b, root, target):
+    """The greedy of extract_two_tree on networkx distances: the largest
+    tree it reaches, up to target clauses."""
+    tree = {root}
+    while len(tree) < target:
+        dist = {}
+        for t in tree:
+            for c, d in nx.single_source_shortest_path_length(g, t, cutoff=2).items():
+                dist[c] = min(d, dist.get(c, d))
+        candidates = sorted(c for c in b if dist.get(c) == 2)
+        if not candidates:
+            break
+        tree.add(candidates[0])
+    return tree
+
+
+@settings(max_examples=300, deadline=None)
+@given(formulas(), st.data())
+def test_extract_two_tree_matches_networkx_greedy(f, data):
+    if not f.m:
+        return
+    g = line_graph(f)
+    b = data.draw(st.sampled_from(sorted(map(sorted, nx.connected_components(g)))))
+    root = data.draw(st.sampled_from(b))
+    target = data.draw(st.integers(1, len(b)))
+    want = greedy_two_tree(g, b, root, target)
+    if len(want) == target:
+        assert extract_two_tree(f, b, root, target) == want
+        assert verify_two_tree(f, want)
+        return
+    widest = max(len(f.clause_vars(c)) for c in b)
+    busiest = max(f.degree(v) for c in b for v in f.clause_vars(c))
+    error = AssertionError if len(want) < len(b) // (widest * busiest) else DomainError
+    with pytest.raises(error, match="stalled (at|below)"):
+        extract_two_tree(f, b, root, target)
+    if error is DomainError:
+        with pytest.raises(DomainError, match=f"at size {len(want)} "):
+            extract_two_tree(f, b, root, target)
+
+
+@settings(max_examples=300, deadline=None)
+@given(formulas(), st.data())
+def test_extract_two_tree_rejects_bad_input(f, data):
+    if not f.m:
+        return
+    b = data.draw(st.sets(st.integers(0, f.m - 1), min_size=1))
+    root = data.draw(st.integers(0, f.m - 1))
+    target = data.draw(st.integers(0, len(b) + 1))
+    connected = nx.is_connected(line_graph(f).subgraph(b))
+    if root in b and connected and 1 <= target <= len(b):
+        return
+    with pytest.raises(UsageError):
+        extract_two_tree(f, b, root, target)
+
+
+@settings(max_examples=300, deadline=None)
+@given(formulas(), st.data())
+def test_verify_two_tree_matches_networkx(f, data):
+    tree = data.draw(st.sets(st.integers(0, f.m - 1)) if f.m else st.just(set()))
+    g = line_graph(f)
+    want = (
+        bool(tree)
+        and not any(g.has_edge(a, c) for a in tree for c in tree)
+        and nx.is_connected(nx.power(g, 2).subgraph(tree))
+    )
+    assert verify_two_tree(f, tree) == want
