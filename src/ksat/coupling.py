@@ -22,12 +22,14 @@ import numpy as np
 from .classify import Classification
 from .errors import InfeasiblePinningError, UsageError
 from .formula import (
+    DEFAULT_ENUM_CAP,
     Formula,
     _check_partial,
     assignment_to_mask,
     bit_positions,
     enumerate_solutions,
     is_satisfying,
+    mask_groups,
     mask_to_assignment,
 )
 from .marginals import (
@@ -262,20 +264,6 @@ def _assert_same_coupled_residual(f, dom, xval, yval, v_failed):
             )
 
 
-def _two_step_connected(f: Formula, clauses: int) -> bool:
-    """Whether the clause ids in the mask form one group when clauses at
-    distance <= 2 in the full clause graph are joined."""
-    ball = f._clause_ball2
-    reached = frontier = clauses & -clauses
-    while frontier:
-        grow = 0
-        for cid in bit_positions(frontier):
-            grow |= ball[cid]
-        frontier = grow & clauses & ~reached
-        reached |= frontier
-    return reached == clauses
-
-
 def verify_coupling_trace(
     f: Formula, cl: Classification, trace: CouplingTrace, k_c: int, lam_dom
 ) -> None:
@@ -323,7 +311,7 @@ def verify_coupling_trace(
 
     # failed clause connectivity at distance <= 2 in the full clause graph
     near = sum(1 << cid for cid in trace.e_failed | trace.e_failed_ddagger)
-    if near & (near - 1) and not _two_step_connected(f, near):
+    if len(mask_groups(f._clause_ball2, near)) > 1:
         raise AssertionError("primary failed clauses not 2-step connected")
 
     # agreement on the coupled region
@@ -370,7 +358,7 @@ class InfluenceMatrix:
 
 
 def exact_influence_matrix(
-    f: Formula, m: Marking, lambda_pin, cap: int = 26
+    f: Formula, m: Marking, lambda_pin, cap: int = DEFAULT_ENUM_CAP
 ) -> InfluenceMatrix:
     """Pairwise influences between free marked variables, by enumeration.
 

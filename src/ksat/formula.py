@@ -147,23 +147,24 @@ class Formula:
         return tuple(sum(1 << cid for cid in cids) for cids in self._var_clauses)
 
     @cached_property
-    def _clause_ball2(self) -> tuple:
-        """Per clause, the mask of clause ids at distance <= 2 from it in the
-        clause graph joining clauses that share a variable, itself included."""
+    def _clause_ball1(self) -> tuple:
+        """Per clause, the mask of clause ids sharing a variable with it,
+        itself included: its closed neighbourhood in the clause graph."""
         by_var = self._var_clause_masks
-        ball1 = []
+        balls = []
         for clause in self.clauses:
             near = 0
             for lit in clause:
                 near |= by_var[lit.var]
-            ball1.append(near)
-        ball2 = []
-        for near in ball1:
-            reach = 0
-            for cid in bit_positions(near):
-                reach |= ball1[cid]
-            ball2.append(reach)
-        return tuple(ball2)
+            balls.append(near)
+        return tuple(balls)
+
+    @cached_property
+    def _clause_ball2(self) -> tuple:
+        """Per clause, the mask of clause ids at distance <= 2 from it in the
+        clause graph, itself included."""
+        ball1 = self._clause_ball1
+        return tuple(_ball_union(ball1, near) for near in ball1)
 
 
 def parse_dimacs(text) -> Formula:
@@ -311,20 +312,13 @@ def connected_component(f: Formula, v: int):
     clause touching that set. An isolated variable yields ({v}, set())."""
     if not 1 <= v <= f.n:
         raise UsageError(f"variable {v} out of range [1, {f.n}]")
+    clauses = f._var_clause_masks[v]
+    if clauses:
+        clauses = next(g for g in mask_groups(f._clause_ball1, (1 << f.m) - 1) if g & clauses)
     seen_vars = {v}
-    seen_clauses = set()
-    queue = deque([v])
-    while queue:
-        u = queue.popleft()
-        for cid in f._var_clauses[u]:
-            if cid in seen_clauses:
-                continue
-            seen_clauses.add(cid)
-            for lit in f.clauses[cid]:
-                if lit.var not in seen_vars:
-                    seen_vars.add(lit.var)
-                    queue.append(lit.var)
-    return seen_vars, seen_clauses
+    for cid in bit_positions(clauses):
+        seen_vars |= f.clause_vars(cid)
+    return seen_vars, set(bit_positions(clauses))
 
 
 def clause_graph_components(
@@ -345,56 +339,59 @@ def clause_graph_components(
     if power < 1:
         raise UsageError(f"power must be >= 1, got {power}")
     if adjacency == "shared-any-var":
-        base_vertices = set(range(f.m))
-        var_filter = None
+        base = range(f.m)
+        balls = f._clause_ball1
     elif adjacency in ("shared-good-var", "shared-bad-var"):
         if classification is None:
             raise UsageError(f"adjacency {adjacency!r} requires a classification")
         if adjacency == "shared-good-var":
-            base_vertices = set(classification.c_good)
-            var_filter = classification.v_good
+            base, var_filter = classification.c_good, classification.v_good
         else:
-            base_vertices = set(classification.c_bad)
-            var_filter = classification.v_bad
+            base, var_filter = classification.c_bad, classification.v_bad
+        base_mask = sum(1 << cid for cid in base)
+        by_var = f._var_clause_masks
+        balls = {}
+        for cid in base:
+            ball = 1 << cid
+            for v in f.clause_vars(cid) & var_filter:
+                ball |= by_var[v] & base_mask
+            balls[cid] = ball
     else:
         raise UsageError(f"unknown adjacency mode {adjacency!r}")
 
     if vertices is None:
-        vertices = base_vertices
+        vertices = base
     else:
         vertices = set(vertices)
-        if not vertices <= base_vertices:
+        if not vertices <= set(base):
             raise UsageError("vertices outside the base graph's vertex set")
-
-    neighbors = _clause_adjacency(f, base_vertices, var_filter)
-    vertex_list = sorted(vertices)
-    index = {c: i for i, c in enumerate(vertex_list)}
-    pairs = (
-        (i, index[w])
-        for i, c in enumerate(vertex_list)
-        for w in bfs_distances(neighbors, c, power)
-        if w in index
-    )
-    return [{vertex_list[i] for i in group} for group in union_find(len(vertex_list), pairs)]
+    reach = {cid: balls[cid] for cid in vertices}
+    for _ in range(power - 1):
+        reach = {cid: _ball_union(balls, near) for cid, near in reach.items()}
+    return [set(bit_positions(g)) for g in mask_groups(reach, sum(1 << cid for cid in reach))]
 
 
-def _clause_adjacency(f: Formula, vertex_set, var_filter):
-    """Adjacency lists for the clause graph on vertex_set, joining clauses
-    that share a variable (restricted to var_filter when given)."""
-    by_var = {}
-    for cid in vertex_set:
-        for lit in f.clauses[cid]:
-            if var_filter is not None and lit.var not in var_filter:
-                continue
-            by_var.setdefault(lit.var, []).append(cid)
-    neighbors = {cid: set() for cid in vertex_set}
-    for cids in by_var.values():
-        for i, a in enumerate(cids):
-            for b in cids[i + 1 :]:
-                if a != b:
-                    neighbors[a].add(b)
-                    neighbors[b].add(a)
-    return neighbors
+def mask_groups(balls, ids: int) -> list:
+    """Groups of the clause ids in the mask ids, joining each id c to the
+    ids in the mask balls[c] (a symmetric relation). Each group is a mask;
+    the groups come in order of their lowest id."""
+    groups = []
+    while ids:
+        group = frontier = ids & -ids
+        while frontier:
+            frontier = _ball_union(balls, frontier) & ids & ~group
+            group |= frontier
+        groups.append(group)
+        ids &= ~group
+    return groups
+
+
+def _ball_union(balls, ids: int) -> int:
+    """Union of the masks balls[c] over the ids c in the mask ids."""
+    out = 0
+    for cid in bit_positions(ids):
+        out |= balls[cid]
+    return out
 
 
 def union_find(size: int, pairs) -> list:

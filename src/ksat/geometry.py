@@ -12,20 +12,19 @@ import numpy as np
 
 from .errors import CapExceededError, DomainError, UsageError
 from .formula import (
+    DEFAULT_ENUM_CAP,
     Formula,
-    _clause_adjacency,
     assignment_to_mask,
     bfs_distances,
     clause_graph_components,
     enumerate_solutions,
     hamming,
     is_satisfying,
+    mask_groups,
     union_find,
 )
 from .marginals import DEFAULT_CAP, closest_solution
 from .marking import Marking
-
-DEFAULT_SEARCH_CAP = 26
 
 
 @dataclass(frozen=True)
@@ -134,7 +133,7 @@ class SolutionGraphSummary:
         }
 
 
-def solution_graph(f: Formula, d: int, cap: int = DEFAULT_SEARCH_CAP) -> SolutionGraphSummary:
+def solution_graph(f: Formula, d: int, cap: int = DEFAULT_ENUM_CAP) -> SolutionGraphSummary:
     """Connected components of the graph on all solutions with edges at
     Hamming distance <= d."""
     if d < 0:
@@ -218,7 +217,7 @@ class FlippabilityResult:
         }
 
 
-def check_flippable_all(f: Formula, cap: int = DEFAULT_SEARCH_CAP) -> FlippabilityResult:
+def check_flippable_all(f: Formula, cap: int = DEFAULT_ENUM_CAP) -> FlippabilityResult:
     """Search for an assignment giving every clause a true and a false
     literal; it and its complement then witness that every variable is
     flippable. Falls back to a per-variable check over all solutions."""
@@ -289,7 +288,6 @@ def extract_two_tree(f: Formula, b, root: int, target: int):
     b = set(b)
     if root not in b:
         raise UsageError(f"root clause {root} not in the candidate set")
-    neighbors = _clause_adjacency(f, range(f.m), None)
     parts = clause_graph_components(f, "shared-any-var", 1, vertices=b)
     if len(parts) != 1:
         raise UsageError("candidate clause set is not connected in the line graph")
@@ -301,16 +299,13 @@ def extract_two_tree(f: Formula, b, root: int, target: int):
     # are a legitimate "no such 2-tree found" outcome
     guaranteed = len(b) // (max(widths) * max(degs))
 
+    ball1, ball2 = f._clause_ball1, f._clause_ball2
+    b_mask = sum(1 << c for c in b)
     tree = {root}
+    # clauses within distance 1 and 2 of the tree
+    near1, near2 = ball1[root], ball2[root]
     while len(tree) < target:
-        dist = {}
-        for t in tree:
-            for node, d in bfs_distances(neighbors, t, limit=2).items():
-                if node not in dist or d < dist[node]:
-                    dist[node] = d
-        candidates = sorted(
-            c for c in b if c not in tree and dist.get(c) == 2
-        )
+        candidates = b_mask & near2 & ~near1
         if not candidates:
             if len(tree) < guaranteed:
                 raise AssertionError(
@@ -321,27 +316,24 @@ def extract_two_tree(f: Formula, b, root: int, target: int):
                 f"greedy 2-tree stalled at size {len(tree)} before the "
                 f"requested {target}"
             )
-        tree.add(candidates[0])
+        c = (candidates & -candidates).bit_length() - 1
+        tree.add(c)
+        near1 |= ball1[c]
+        near2 |= ball2[c]
     return frozenset(tree)
 
 
 def verify_two_tree(f: Formula, tree) -> bool:
-    """Independent check: pairwise non-adjacent in the line graph, connected
+    """Property check: pairwise non-adjacent in the line graph, connected
     once distance-2 pairs are joined."""
-    tree = sorted(tree)
+    tree = set(tree)
     if not tree:
         return False
-    neighbors = _clause_adjacency(f, range(f.m), None)
-    dists = {t: bfs_distances(neighbors, t) for t in tree}
-    for i, a in enumerate(tree):
-        for c in tree[i + 1 :]:
-            if dists[a].get(c, 3) < 2:
-                return False
-    # connectivity of the graph joining pairs at distance exactly 2
-    adj = {
-        t: {u for u in tree if u != t and dists[t].get(u) == 2} for t in tree
-    }
-    return len(bfs_distances(adj, tree[0])) == len(tree)
+    mask = sum(1 << t for t in tree)
+    ball1 = f._clause_ball1
+    if any(ball1[t] & mask != 1 << t for t in tree):
+        return False
+    return len(mask_groups(f._clause_ball2, mask)) == 1
 
 
 def greenblue_select(vertices, edges, vertex_color, edge_color, max_green_degree):

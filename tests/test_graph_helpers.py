@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 
 from ksat import Formula, clause_graph_components
 from ksat.classify import Classification
-from ksat.coupling import _two_step_connected
 from ksat.errors import DomainError, UsageError
-from ksat.formula import bfs_distances, union_find
+from ksat.formula import bfs_distances, bit_positions, mask_groups, union_find
 from ksat.geometry import extract_two_tree, verify_two_tree
 
 
@@ -94,18 +93,20 @@ def test_clause_ball2_masks_match_line_graph_distances(f):
     for c in range(f.m):
         near = nx.single_source_shortest_path_length(g, c, cutoff=2)
         assert f._clause_ball2[c] == sum(1 << d for d in near)
+        assert f._clause_ball1[c] == sum(1 << d for d, dist in near.items() if dist <= 1)
 
 
 @settings(max_examples=300, deadline=None)
 @given(formulas(), st.data())
 def test_two_step_flood_matches_clause_graph_components(f, data):
-    """The coupling check's flood over the distance-2 masks joins a clause
-    set exactly when clause_graph_components(power=2) finds one part."""
+    """The flood over the distance-2 masks that the coupling check runs
+    finds the parts of clause_graph_components(power=2)."""
     if not f.m:
         return
     vertices = data.draw(st.sets(st.integers(0, f.m - 1), min_size=1))
     parts = clause_graph_components(f, "shared-any-var", 2, vertices=vertices)
-    assert _two_step_connected(f, sum(1 << c for c in vertices)) == (len(parts) == 1)
+    groups = mask_groups(f._clause_ball2, sum(1 << c for c in vertices))
+    assert [set(bit_positions(g)) for g in groups] == parts
 
 
 @st.composite
@@ -136,18 +137,20 @@ def mode_line_graph(f, clauses, variables):
 
 
 @settings(max_examples=300, deadline=None)
-@given(formulas(), st.sampled_from(["shared-good-var", "shared-bad-var"]), st.integers(1, 3), st.data())
+@given(
+    formulas(), st.sampled_from(["shared-good-var", "shared-bad-var"]), st.integers(1, 3), st.data()
+)
 def test_good_and_bad_var_components_match_mode_line_graph_power(f, mode, power, data):
     cl = data.draw(partitions(f))
     if mode == "shared-good-var":
         clauses, variables = cl.c_good, cl.v_good
     else:
         clauses, variables = cl.c_bad, cl.v_bad
-    vertices = data.draw(st.none() | st.sets(st.sampled_from(sorted(clauses))) if clauses else st.none())
+    subsets = st.sets(st.sampled_from(sorted(clauses))) if clauses else st.nothing()
+    vertices = data.draw(st.none() | subsets)
     powered = nx.power(mode_line_graph(f, clauses, variables), power) if clauses else nx.Graph()
-    want = sorted(map(sorted, nx.connected_components(
-        powered.subgraph(clauses if vertices is None else vertices)
-    )))
+    induced = powered.subgraph(clauses if vertices is None else vertices)
+    want = sorted(map(sorted, nx.connected_components(induced)))
     got = clause_graph_components(f, mode, power, cl, vertices=vertices)
     assert sorted(map(sorted, got)) == want
     assert [min(part) for part in got] == sorted(min(part) for part in got)
