@@ -18,6 +18,7 @@ from .classify import classify, default_delta, good_induced_formula
 from .coupling import coupling_influence_bound, default_k_c, exact_influence_matrix
 from .errors import DomainError, UsageError
 from .formula import (
+    DEFAULT_ENUM_CAP,
     Formula,
     emit_dimacs,
     generate_random_kcnf,
@@ -129,7 +130,7 @@ def _build_parser():
     sp = add("solgraph", "component structure of the Hamming solution graph")
     sp.add_argument("--dimacs", required=True)
     sp.add_argument("--D", type=int, required=True, dest="d")
-    sp.add_argument("--cap", type=int, default=26)
+    sp.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP)
     sp.set_defaults(func=_cmd_solgraph)
 
     sp = add("influence", "exact influence matrix plus coupling estimates")
@@ -144,7 +145,7 @@ def _build_parser():
 
     sp = add("flippable", "NAE witness or the list of frozen variables")
     sp.add_argument("--dimacs", required=True)
-    sp.add_argument("--cap", type=int, default=26)
+    sp.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP)
     sp.set_defaults(func=_cmd_flippable)
 
     sp = add("verify", "check an assignment against a formula")
@@ -197,8 +198,7 @@ def _load_pin(path) -> dict:
     except (ValueError, AttributeError) as exc:
         raise UsageError(f"bad pin file {path}: {exc}") from exc
     for v, b in pin.items():
-        # JSON true/false load as bools, which are ints to Python
-        if type(b) is not int or b not in (0, 1):
+        if not _is_int(b) or b not in (0, 1):
             raise UsageError(f"bad pin file {path}: value for {v} must be 0 or 1, got {b!r}")
     return pin
 
@@ -218,15 +218,43 @@ def _classification(f: Formula, args):
     return classify(f, delta=delta, zeta=args.zeta, k=k), k
 
 
+def _good_marking(f: Formula, cl, k: int, zeta: float, seed: int, km=None, ku=None):
+    """Mark the good CNF of f; km and ku override the default quotas."""
+    default_km, default_ku = default_quotas(k, zeta)
+    return find_marking(
+        good_induced_formula(f, cl, force=True),
+        default_km if km is None else km,
+        default_ku if ku is None else ku,
+        seed=seed,
+        eligible=cl.v_good,
+    )
+
+
 def _marking_for_sampling(f: Formula, args, seed: int):
     """classify, reduce to the good CNF, and mark it."""
     cl, k = _classification(f, args)
-    good = good_induced_formula(f, cl, force=True)
-    km, ku = default_quotas(k, args.zeta)
-    m = find_marking(good, km, ku, seed=seed, eligible=cl.v_good)
+    m = _good_marking(f, cl, k, args.zeta, seed)
     if not m.certified:
         raise DomainError("marking search exhausted its resample budget")
     return cl, m
+
+
+def _draw_samples(f: Formula, m, theta: float, t_max, seed: int, runs: int, cap: int) -> list:
+    """runs block-dynamics samples, run i seeded seed + i; t_max None takes
+    the default budget for theta."""
+    if t_max is None:
+        t_max = default_t_max(theta, f.n)
+    samples = []
+    for i in range(runs):
+        a, trace = run_block_dynamics(f, m, SamplerConfig(theta, t_max, seed + i, cap))
+        samples.append(
+            {
+                "assignment": "".join(map(str, a)),
+                "steps": trace.steps,
+                "max_component": trace.max_component,
+            }
+        )
+    return samples
 
 
 def _write_payload(args, payload) -> None:
@@ -292,24 +320,11 @@ def _cmd_mark(args) -> None:
 def _cmd_sample(args) -> None:
     f = _load_formula(args)
     _, m = _marking_for_sampling(f, args, seed=args.seed)
-    t_max = args.tmax if args.tmax is not None else default_t_max(args.theta, f.n)
-    lines = []
-    for i in range(args.runs):
-        cfg = SamplerConfig(
-            theta=args.theta, t_max=t_max, seed=args.seed + i, cap=args.cap
-        )
-        assignment, trace = run_block_dynamics(f, m, cfg)
-        lines.append(
-            json.dumps(
-                {
-                    "schema": "ksat/sample/v1",
-                    "assignment": "".join(map(str, assignment)),
-                    "steps": trace.steps,
-                    "max_component": trace.max_component,
-                    "seed": cfg.seed,
-                }
-            )
-        )
+    samples = _draw_samples(f, m, args.theta, args.tmax, args.seed, args.runs, args.cap)
+    lines = [
+        json.dumps({"schema": "ksat/sample/v1", **sample, "seed": args.seed + i})
+        for i, sample in enumerate(samples)
+    ]
     _write_text(args, "\n".join(lines) + "\n")
 
 
@@ -394,6 +409,33 @@ def _cmd_verify(args) -> None:
         raise DomainError("assignment does not satisfy the formula")
 
 
+def _is_int(value) -> bool:
+    # JSON true/false load as bools, which are ints to Python
+    return type(value) is int
+
+
+def _is_number(value) -> bool:
+    return type(value) in (int, float)
+
+
+# the optional fields of a pipeline spec, in the order they are checked:
+# (the stage object holding the field, None for the top level; its key;
+# what its value must be; the test of the value)
+_SPEC_FIELDS = (
+    (None, "seeds", "a list of integers", lambda value: all(map(_is_int, value))),
+    *((None, stage, "an object", lambda value: isinstance(value, dict))
+      for stage in ("mark", "sample", "path", "loose")),
+    (None, "zeta", "a number", _is_number),
+    (None, "delta", "an integer", _is_int),
+    ("mark", "km", "an integer", _is_int),
+    ("mark", "ku", "an integer", _is_int),
+    ("sample", "theta", "a number", _is_number),
+    ("sample", "tmax", "an integer", _is_int),
+    ("sample", "runs", "an integer", _is_int),
+    ("path", "mode", "'bounded' or 'random'", lambda value: value in ("bounded", "random")),
+)
+
+
 def _cmd_pipeline(args) -> None:
     try:
         spec = json.loads(_read(args.spec))
@@ -405,10 +447,12 @@ def _cmd_pipeline(args) -> None:
     seeds = spec.get("seeds", [0])
     if not isinstance(instances, list) or not isinstance(seeds, list):
         raise UsageError("pipeline spec needs 'instances' and 'seeds' lists")
-    for stage in ("mark", "sample", "path", "loose"):
-        if stage in spec and not isinstance(spec[stage], dict):
+    for stage, key, what, ok in _SPEC_FIELDS:
+        fields = spec.get(stage, {}) if stage else spec
+        if key in fields and not ok(fields[key]):
+            name = f"{stage}.{key}" if stage else key
             raise UsageError(
-                f"bad pipeline spec: '{stage}' must be an object, got {json.dumps(spec[stage])}"
+                f"bad pipeline spec: '{name}' must be {what}, got {json.dumps(fields[key])}"
             )
     cells = [
         (inst, seed)
@@ -432,30 +476,20 @@ def _pipeline_cell(spec_json: str, instance, seed: int) -> dict:
         f = generate_random_kcnf(
             instance["n"], instance["m"], instance["k"], seed=instance["seed"]
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, UsageError) as exc:
         record["error"] = f"bad instance spec: {exc}"
         return record
-    k = instance["k"]
-    zeta = spec.get("zeta", 0.3)
-    delta = spec.get("delta") or default_delta(k, f.m / f.n)
+    args = argparse.Namespace(k=instance["k"], zeta=spec.get("zeta", 0.3), delta=spec.get("delta"))
     try:
-        cl = classify(f, delta=delta, zeta=zeta, k=k)
+        cl, k = _classification(f, args)
         record["classify"] = cl.report()
     except (UsageError, DomainError) as exc:
         record["error"] = str(exc)
         return record
 
     try:
-        good = good_induced_formula(f, cl, force=True)
-        km, ku = default_quotas(k, zeta)
-        mark_spec = spec.get("mark", {})
-        m = find_marking(
-            good,
-            mark_spec.get("km", km),
-            mark_spec.get("ku", ku),
-            seed=seed,
-            eligible=cl.v_good,
-        )
+        mark = spec.get("mark", {})
+        m = _good_marking(f, cl, k, args.zeta, seed, mark.get("km"), mark.get("ku"))
         record["mark"] = m.to_json()
     except (UsageError, DomainError) as exc:
         record["mark"] = {"error": str(exc)}
@@ -466,24 +500,9 @@ def _pipeline_cell(spec_json: str, instance, seed: int) -> dict:
     if "sample" in spec:
         s = spec["sample"]
         try:
-            cfg = SamplerConfig(
-                theta=s.get("theta", 0.3),
-                t_max=s.get("tmax", default_t_max(s.get("theta", 0.3), f.n)),
-                seed=seed,
+            record["sample"] = _draw_samples(
+                f, m, s.get("theta", 0.3), s.get("tmax"), seed, s.get("runs", 1), DEFAULT_CAP
             )
-            samples = []
-            for i in range(s.get("runs", 1)):
-                a, trace = run_block_dynamics(
-                    f, m, SamplerConfig(cfg.theta, cfg.t_max, seed + i, cfg.cap)
-                )
-                samples.append(
-                    {
-                        "assignment": "".join(map(str, a)),
-                        "steps": trace.steps,
-                        "max_component": trace.max_component,
-                    }
-                )
-            record["sample"] = samples
         except (UsageError, DomainError) as exc:
             record["sample"] = {"error": str(exc)}
 

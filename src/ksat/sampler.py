@@ -68,6 +68,8 @@ class ChainTrace:
 
 def default_t_max(theta: float, n: int) -> int:
     """Desk-scale step budget: ceil((1/theta)^2 * ln(n) * 50)."""
+    if not 0 < theta <= 1:
+        raise UsageError(f"theta must lie in (0, 1], got {theta}")
     return math.ceil((1.0 / theta) ** 2 * math.log(max(n, 2)) * 50)
 
 

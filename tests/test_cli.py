@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -291,3 +296,118 @@ def test_influence_pin_values_must_be_0_or_1(capsys, dimacs_file, value):
     error = json.loads(err)
     assert error["error"] == "usage"
     assert "must be 0 or 1" in error["message"]
+
+
+def run_spec(capsys, tmp_path, spec):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    return run(capsys, "pipeline", "--spec", str(spec_path))
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [
+        {"n": 3, "m": 2, "k": 5, "seed": 0},
+        {"n": 10, "m": 5, "k": 3, "seed": -1},
+        {"n": 0, "m": 0, "k": 0, "seed": 0},
+        {"n": 10, "m": 5, "k": 3},
+    ],
+)
+def test_pipeline_cell_records_a_refused_instance(capsys, tmp_path, instance):
+    good = {"n": 10, "m": 5, "k": 3, "seed": 1}
+    code, out, err = run_spec(capsys, tmp_path, {"instances": [instance, good], "seeds": [4]})
+    assert code == 0, err
+    bad_record, good_record = json.loads(out)["records"]
+    assert set(bad_record) == {"instance", "seed", "error"}
+    assert "classify" in good_record
+
+
+@pytest.mark.parametrize(
+    "fields, name",
+    [
+        ({"mark": {"km": None}}, "mark.km"),
+        ({"sample": {"runs": "2"}}, "sample.runs"),
+        ({"sample": {"theta": True}}, "sample.theta"),
+        ({"seeds": ["a"]}, "seeds"),
+        ({"zeta": "x"}, "zeta"),
+        ({"delta": 2.5}, "delta"),
+        ({"path": {"mode": "zigzag"}}, "path.mode"),
+    ],
+)
+def test_pipeline_spec_field_types(capsys, tmp_path, fields, name):
+    spec = {"instances": [{"n": 10, "m": 5, "k": 3, "seed": 1}], "seeds": [4], **fields}
+    code, out, err = run_spec(capsys, tmp_path, spec)
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "usage"
+    assert f"'{name}'" in error["message"]
+
+
+@pytest.mark.parametrize("theta", ["0", "-0.5", "1.5", "nan"])
+def test_sample_theta_out_of_range(capsys, dimacs_file, tmp_path, theta):
+    f = dimacs_file("f.cnf", "p cnf 4 2\n1 2 -3 0\n-1 3 4 0\n")
+    code, out, err = run(capsys, "sample", "--dimacs", f, "--seed", "1", "--theta", theta)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "usage"
+    spec = {"instances": [{"n": 10, "m": 5, "k": 3, "seed": 1}], "seeds": [4],
+            "sample": {"theta": float(theta)}}
+    code, out, err = run_spec(capsys, tmp_path, spec)
+    assert code == 0, err
+    assert "theta must lie in (0, 1]" in json.loads(out)["records"][0]["sample"]["error"]
+
+
+JUNK = st.sampled_from([None, "x", [], {}, 1.5, True])
+
+
+def field(values):
+    """An optional spec field: absent, one of values, or junk."""
+    return st.none() | st.tuples(st.just(True), st.sampled_from(values) | JUNK)
+
+
+@st.composite
+def pipeline_specs(draw):
+    """Small pipeline specs, well-formed or not, whose cells stay cheap."""
+    instance = st.fixed_dictionaries(
+        {
+            "n": st.integers(-1, 8),
+            "m": st.integers(-1, 6),
+            "k": st.integers(-1, 4),
+            "seed": st.sampled_from([-1, 0, 1, 2**64]),
+        }
+    ) | JUNK
+    spec = {"instances": draw(st.lists(instance, max_size=2))}
+    optional = {
+        "seeds": field([[0], [3, -1], [2**64]]),
+        "zeta": field([0.1, 0.3, 0.6]),
+        "delta": field([0, 1, 3]),
+        "mark": field([{}, {"km": 1}, {"ku": 0}, {"km": None}, {"km": -1}]),
+        "sample": field([{}, {"theta": 0.5, "tmax": 4}, {"runs": 2, "tmax": 3}, {"theta": 0},
+                         {"tmax": -1}, {"runs": "2"}]),
+        "path": field([{}, {"mode": "random"}, {"mode": "zigzag"}]),
+        "loose": field([{}]),
+    }
+    for key, strategy in optional.items():
+        drawn = draw(strategy)
+        if drawn is not None:
+            spec[key] = drawn[1]
+    return spec
+
+
+@settings(max_examples=400, deadline=None)
+@given(pipeline_specs())
+def test_pipeline_spec_fuzz_ends_in_an_exit_code(spec):
+    with tempfile.TemporaryDirectory() as tmp:
+        spec_path = Path(tmp) / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = dispatch(["pipeline", "--spec", str(spec_path)])
+    assert code in (0, 1, 2)
+    if code:
+        assert json.loads(err.getvalue())["error"]
+    else:
+        assert len(json.loads(out.getvalue())["records"]) == len(spec["instances"]) * len(
+            spec.get("seeds", [0])
+        )
