@@ -37,17 +37,14 @@ def main() -> None:
 
 
 def dispatch(argv) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
-    if getattr(args, "func", None) is None:
-        parser.print_help()
-        return 2
-    try:
+        args = _build_parser().parse_args(argv)
+        if getattr(args, "func", None) is None:
+            raise UsageError("no command given; see ksat --help")
         args.func(args)
         return 0
+    except SystemExit as exc:  # --help and --version
+        return 0 if exc.code in (0, None) else 2
     except UsageError as exc:
         _emit_error("usage", exc)
         return 2
@@ -61,8 +58,16 @@ def _emit_error(kind, exc) -> None:
     sys.stderr.write("\n")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a UsageError, so that it reaches stderr
+    as a JSON error object like every other usage error."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def _build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="ksat",
         description="Sampling, paths, and looseness for k-CNF solution spaces",
     )
@@ -218,22 +223,22 @@ def _classification(f: Formula, args):
     return classify(f, delta=delta, zeta=args.zeta, k=k), k
 
 
-def _good_marking(f: Formula, cl, k: int, zeta: float, seed: int, km=None, ku=None):
-    """Mark the good CNF of f; km and ku override the default quotas."""
+def _quotas(k: int, zeta: float, km=None, ku=None) -> tuple:
+    """default_quotas(k, zeta), with km and ku overriding it when given."""
     default_km, default_ku = default_quotas(k, zeta)
-    return find_marking(
-        good_induced_formula(f, cl, force=True),
-        default_km if km is None else km,
-        default_ku if ku is None else ku,
-        seed=seed,
-        eligible=cl.v_good,
-    )
+    return default_km if km is None else km, default_ku if ku is None else ku
+
+
+def _good_marking(f: Formula, cl, quotas: tuple, seed: int):
+    """A marking of the good CNF of f under the (k_m, k_u) quotas."""
+    good = good_induced_formula(f, cl, force=True)
+    return find_marking(good, *quotas, seed=seed, eligible=cl.v_good)
 
 
 def _marking_for_sampling(f: Formula, args, seed: int):
     """classify, reduce to the good CNF, and mark it."""
     cl, k = _classification(f, args)
-    m = _good_marking(f, cl, k, args.zeta, seed)
+    m = _good_marking(f, cl, _quotas(k, args.zeta), seed)
     if not m.certified:
         raise DomainError("marking search exhausted its resample budget")
     return cl, m
@@ -294,11 +299,7 @@ def _cmd_classify(args) -> None:
 def _cmd_mark(args) -> None:
     f = _load_formula(args)
     k = _nominal_k(f, args.k)
-    km, ku = default_quotas(k, args.zeta)
-    if args.km is not None:
-        km = args.km
-    if args.ku is not None:
-        ku = args.ku
+    km, ku = _quotas(k, args.zeta, args.km, args.ku)
     eligible = None
     target = f
     if args.good:
@@ -489,7 +490,7 @@ def _pipeline_cell(spec_json: str, instance, seed: int) -> dict:
 
     try:
         mark = spec.get("mark", {})
-        m = _good_marking(f, cl, k, args.zeta, seed, mark.get("km"), mark.get("ku"))
+        m = _good_marking(f, cl, _quotas(k, args.zeta, mark.get("km"), mark.get("ku")), seed)
         record["mark"] = m.to_json()
     except (UsageError, DomainError) as exc:
         record["mark"] = {"error": str(exc)}

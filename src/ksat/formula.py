@@ -359,12 +359,9 @@ def clause_graph_components(
     else:
         raise UsageError(f"unknown adjacency mode {adjacency!r}")
 
-    if vertices is None:
-        vertices = base
-    else:
-        vertices = set(vertices)
-        if not vertices <= set(base):
-            raise UsageError("vertices outside the base graph's vertex set")
+    vertices = set(base if vertices is None else vertices)
+    if not vertices <= set(base):
+        raise UsageError("vertices outside the base graph's vertex set")
     reach = {cid: balls[cid] for cid in vertices}
     for _ in range(power - 1):
         reach = {cid: _ball_union(balls, near) for cid, near in reach.items()}

@@ -33,6 +33,8 @@ class Marking:
 
 def default_quotas(k: int, zeta: float = 0.0) -> tuple:
     """Desk-scale quotas (k_m, k_u) = (ceil(0.35(1-zeta)k), ceil(0.17(1-zeta)k))."""
+    if not 0 <= zeta < 0.5:
+        raise UsageError(f"zeta must lie in [0, 1/2), got {zeta}")
     return (
         max(1, math.ceil(0.35 * (1 - zeta) * k)),
         max(1, math.ceil(0.17 * (1 - zeta) * k)),

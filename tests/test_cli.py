@@ -411,3 +411,70 @@ def test_pipeline_spec_fuzz_ends_in_an_exit_code(spec):
         assert len(json.loads(out.getvalue())["records"]) == len(spec["instances"]) * len(
             spec.get("seeds", [0])
         )
+
+
+def dispatch_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = dispatch(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_contract(code, err):
+    """Exit 0, 1 or 2; a failure's stderr is one JSON error object."""
+    assert code in (0, 1, 2)
+    if code:
+        assert json.loads(err)["error"]
+
+
+@st.composite
+def dimacs_texts(draw):
+    """Small DIMACS documents, well-formed or not."""
+    header = draw(st.sampled_from(
+        ["p cnf 3 2", "p cnf 4 1", "p cnf 3 0", "p cnf 0 0", "p cnf 2 x", "p cnf -1 1",
+         "p cnf 3", "p dnf 3 2", "c a comment", ""]
+    ))
+    token = st.sampled_from(["1", "-1", "2", "-2", "3", "-3", "4", "0", "0", "x", "9"])
+    return header + "\n" + " ".join(draw(st.lists(token, max_size=12))) + "\n"
+
+
+COMMANDS = [
+    ["classify"], ["mark"], ["mark", "--good"], ["flippable"], ["solgraph", "--D", "1"],
+    ["verify", "--assignment", "A"], ["loose", "--sigma", "A"],
+    ["sample", "--seed", "1", "--tmax", "3", "--runs", "2"],
+    ["path", "--sigma", "A", "--sigma2", "B"],
+    ["influence", "--v0", "1", "--trials", "5"],
+]
+FLAGS = ["--k", "--zeta", "--delta", "--seed", "--theta", "--tmax", "--runs", "--cap",
+         "--km", "--ku", "--pmark", "--D", "--v0", "--kc", "--trials", "--mode", "--bogus"]
+VALUES = ["0", "1", "-1", "2", "3", "0.5", "nan", "x", "random"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(dimacs_texts(), st.sampled_from(COMMANDS), st.sampled_from(["000", "101", "1111", "2"]))
+def test_cli_dimacs_fuzz_ends_in_an_exit_code(text, command, assignment):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, content in (("F", text), ("A", assignment), ("B", assignment[::-1])):
+            paths[name] = str(Path(tmp) / name)
+            Path(paths[name]).write_text(content)
+        argv = [paths.get(arg, arg) for arg in command] + ["--dimacs", paths["F"]]
+        assert_contract(*dispatch_captured(argv)[::2])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(COMMANDS + [["gen", "--n", "4", "--m", "3"], [], ["frobnicate"]]),
+    st.lists(st.tuples(st.sampled_from(FLAGS), st.sampled_from(VALUES)), max_size=4),
+)
+def test_cli_argv_fuzz_ends_in_an_exit_code(command, flags):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"F": str(Path(tmp) / "f.cnf"), "A": str(Path(tmp) / "a"), "B": str(Path(tmp) / "b")}
+        Path(paths["F"]).write_text("p cnf 4 2\n1 2 -3 0\n-1 3 4 0\n")
+        Path(paths["A"]).write_text("1100")
+        Path(paths["B"]).write_text("0011")
+        argv = [paths.get(arg, arg) for arg in command]
+        if command and command[0] not in ("gen", "frobnicate"):
+            argv += ["--dimacs", paths["F"]]
+        argv += [token for pair in flags for token in pair]
+        assert_contract(*dispatch_captured(argv)[::2])

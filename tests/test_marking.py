@@ -77,6 +77,12 @@ def test_default_quotas():
     assert default_quotas(8, 0.0) == (3, 2)
 
 
+@pytest.mark.parametrize("zeta", [-0.1, 0.5, float("nan"), float("inf")])
+def test_default_quotas_rejects_zeta_outside_range(zeta):
+    with pytest.raises(UsageError):
+        default_quotas(4, zeta)
+
+
 def test_deterministic_given_seed():
     f = generate_random_kcnf(15, 10, 4, seed=2)
     a = find_marking(f, 1, 1, seed=42)
