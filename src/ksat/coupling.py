@@ -311,7 +311,7 @@ def verify_coupling_trace(
 
     # failed clause connectivity at distance <= 2 in the full clause graph
     near = sum(1 << cid for cid in trace.e_failed | trace.e_failed_ddagger)
-    if len(mask_groups(f._clause_ball2, near)) > 1:
+    if near & (near - 1) and len(mask_groups(f._clause_ball2, near)) > 1:
         raise AssertionError("primary failed clauses not 2-step connected")
 
     # agreement on the coupled region
