@@ -358,12 +358,27 @@ def test_sample_theta_out_of_range(capsys, dimacs_file, tmp_path, theta):
     assert "theta must lie in (0, 1]" in json.loads(out)["records"][0]["sample"]["error"]
 
 
+def dispatch_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = dispatch(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_contract(code, err):
+    """Exit 0, 1 or 2; a failure's stderr is one JSON error object."""
+    assert code in (0, 1, 2)
+    if code:
+        assert json.loads(err)["error"]
+
+
 JUNK = st.sampled_from([None, "x", [], {}, 1.5, True])
+ABSENT = object()
 
 
 def field(values):
     """An optional spec field: absent, one of values, or junk."""
-    return st.none() | st.tuples(st.just(True), st.sampled_from(values) | JUNK)
+    return st.just(ABSENT) | st.sampled_from(values) | JUNK
 
 
 @st.composite
@@ -389,9 +404,9 @@ def pipeline_specs(draw):
         "loose": field([{}]),
     }
     for key, strategy in optional.items():
-        drawn = draw(strategy)
-        if drawn is not None:
-            spec[key] = drawn[1]
+        value = draw(strategy)
+        if value is not ABSENT:
+            spec[key] = value
     return spec
 
 
@@ -401,30 +416,11 @@ def test_pipeline_spec_fuzz_ends_in_an_exit_code(spec):
     with tempfile.TemporaryDirectory() as tmp:
         spec_path = Path(tmp) / "spec.json"
         spec_path.write_text(json.dumps(spec))
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = dispatch(["pipeline", "--spec", str(spec_path)])
-    assert code in (0, 1, 2)
-    if code:
-        assert json.loads(err.getvalue())["error"]
-    else:
-        assert len(json.loads(out.getvalue())["records"]) == len(spec["instances"]) * len(
-            spec.get("seeds", [0])
-        )
-
-
-def dispatch_captured(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = dispatch(argv)
-    return code, out.getvalue(), err.getvalue()
-
-
-def assert_contract(code, err):
-    """Exit 0, 1 or 2; a failure's stderr is one JSON error object."""
-    assert code in (0, 1, 2)
-    if code:
-        assert json.loads(err)["error"]
+        code, out, err = dispatch_captured(["pipeline", "--spec", str(spec_path)])
+    assert_contract(code, err)
+    if not code:
+        cells = len(spec["instances"]) * len(spec.get("seeds", [0]))
+        assert len(json.loads(out)["records"]) == cells
 
 
 @st.composite
