@@ -135,6 +135,22 @@ def test_solution_graph_strategies_agree():
     assert via_ball == via_pairs
 
 
+@pytest.mark.parametrize("seed", [5, 17, 29])
+@pytest.mark.parametrize("d", [1, 2, 4, 10])
+def test_link_all_pairs_swar_popcount_matches_bitwise_count(seed, d, monkeypatch):
+    # numpy < 2 has no bitwise_count; the SWAR fallback must link the same pairs
+    import numpy as np
+
+    from ksat.formula import assignment_to_mask
+    from ksat.geometry import _link_all_pairs
+
+    f = generate_random_kcnf(10, 12, 3, seed=seed)
+    masks = [assignment_to_mask(x) for x in enumerate_solutions(f)]
+    want = _link_all_pairs(masks, d)
+    monkeypatch.delattr(np, "bitwise_count")
+    assert _link_all_pairs(masks, d) == want
+
+
 def test_flippable_or_clause():
     f = Formula.from_ints(2, [[1, 2]])
     res = check_flippable_all(f)

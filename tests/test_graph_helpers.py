@@ -56,6 +56,27 @@ def test_bfs_distances_match_networkx(graph, data):
     assert bfs_distances(neighbors, source, limit) == want
 
 
+def closed_balls(size, edges):
+    """Per node, the mask of itself and its neighbours."""
+    balls = [1 << u for u in range(size)]
+    for a, b in edges:
+        balls[a] |= 1 << b
+        balls[b] |= 1 << a
+    return balls
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(), st.data())
+def test_mask_groups_match_networkx_components(graph, data):
+    """The flood restricted to an id subset finds the components of the
+    induced subgraph, in order of their lowest id."""
+    size, edges = graph
+    ids = data.draw(st.sets(st.integers(0, size - 1)) if size else st.just(set()))
+    want = sorted(map(sorted, nx.connected_components(nx_graph(size, edges).subgraph(ids))))
+    groups = mask_groups(closed_balls(size, edges), sum(1 << u for u in ids))
+    assert [bit_positions(g) for g in groups] == want
+
+
 @st.composite
 def formulas(draw):
     n = draw(st.integers(1, 10))
