@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import RegimeError, UsageError
-from .formula import Formula, union_find
+from .formula import Formula, _ball_union, bit_positions, mask_groups
 
 
 def default_delta(k: int, alpha: float) -> int:
@@ -136,10 +136,11 @@ def good_induced_formula(f: Formula, cl: Classification, force: bool = False) ->
 def bad_components(cl: Classification, f: Formula) -> tuple:
     """Partition of v_bad by appears-in-the-same-bad-clause adjacency;
     bad variables in no bad clause are singletons. Sorted by min variable."""
-    bad = sorted(cl.v_bad)
-    index = {v: i for i, v in enumerate(bad)}
-    pairs = []
-    for cid in cl.c_bad:
-        first, *rest = sorted(f.clause_vars(cid))
-        pairs.extend((index[first], index[v]) for v in rest)
-    return tuple(frozenset(bad[i] for i in group) for group in union_find(len(bad), pairs))
+    c_bad = sum(1 << cid for cid in cl.c_bad)
+    # per bad variable (bit v-1), itself and the variables of its bad clauses
+    balls = {
+        v - 1: 1 << (v - 1) | _ball_union(f._clause_var_masks, f._var_clause_masks[v] & c_bad)
+        for v in cl.v_bad
+    }
+    groups = mask_groups(balls, sum(1 << (v - 1) for v in cl.v_bad))
+    return tuple(frozenset(b + 1 for b in bit_positions(g)) for g in groups)

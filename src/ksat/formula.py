@@ -11,7 +11,6 @@ bitmasks with variable v at bit v-1; the helpers at the bottom convert.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
@@ -369,9 +368,11 @@ def clause_graph_components(
 
 
 def mask_groups(balls, ids: int) -> list:
-    """Groups of the clause ids in the mask ids, joining each id c to the
-    ids in the mask balls[c] (a symmetric relation). Each group is a mask;
-    the groups come in order of their lowest id."""
+    """Groups of the bit positions in the mask ids under any symmetric
+    relation given as closed neighbourhoods: position c is joined to the
+    positions in the mask balls[c]. Only positions in ids are visited, so
+    balls may be a dict over them. Each group is a mask; the groups come in
+    order of their lowest position."""
     groups = []
     while ids:
         group = frontier = ids & -ids
@@ -395,6 +396,9 @@ def union_find(size: int, pairs) -> list:
     """Connected groups of the ids 0..size-1 joined by the (a, b) pairs,
     each group ascending and the groups in order of their smallest id.
 
+    Its one user is the Hamming solution graph (geometry's two link
+    helpers), which streams its pairs: with S solutions a mask flood costs
+    O(S^2/64) word operations and lost to this on the sparse ball search.
     Ids are dense list indices rather than dict keys: solution_graph feeds
     about 10^6 pairs per call at n=11, D=12, where a dict-backed or
     method-call union-find costs a quarter of its time or more.
@@ -415,23 +419,6 @@ def union_find(size: int, pairs) -> list:
     for i in range(size):
         groups.setdefault(find(i), []).append(i)
     return list(groups.values())
-
-
-def bfs_distances(neighbors, source, limit=None) -> dict:
-    """Breadth-first distances from source over the adjacency mapping
-    neighbors (node -> iterable of nodes), stopping at distance limit when
-    one is given."""
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        if limit is not None and dist[u] >= limit:
-            continue
-        for w in neighbors[u]:
-            if w not in dist:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return dist
 
 
 def enumerate_solutions(f: Formula, cap: int = DEFAULT_ENUM_CAP) -> list:

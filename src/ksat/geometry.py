@@ -14,8 +14,9 @@ from .errors import CapExceededError, DomainError, UsageError
 from .formula import (
     DEFAULT_ENUM_CAP,
     Formula,
+    _ball_union,
     assignment_to_mask,
-    bfs_distances,
+    bit_positions,
     clause_graph_components,
     enumerate_solutions,
     hamming,
@@ -299,28 +300,38 @@ def extract_two_tree(f: Formula, b, root: int, target: int):
     # are a legitimate "no such 2-tree found" outcome
     guaranteed = len(b) // (max(widths) * max(degs))
 
-    ball1, ball2 = f._clause_ball1, f._clause_ball2
-    b_mask = sum(1 << c for c in b)
-    tree = {root}
-    # clauses within distance 1 and 2 of the tree
-    near1, near2 = ball1[root], ball2[root]
-    while len(tree) < target:
-        candidates = b_mask & near2 & ~near1
-        if not candidates:
-            if len(tree) < guaranteed:
-                raise AssertionError(
-                    "greedy 2-tree stalled below the guaranteed size "
-                    f"{guaranteed}"
-                )
-            raise DomainError(
-                f"greedy 2-tree stalled at size {len(tree)} before the "
-                f"requested {target}"
+    tree = _grow_two_tree(f._clause_ball1, sum(1 << c for c in b), root, target)
+    size = tree.bit_count()
+    if size < target:
+        if size < guaranteed:
+            raise AssertionError(
+                f"greedy 2-tree stalled below the guaranteed size {guaranteed}"
             )
-        c = (candidates & -candidates).bit_length() - 1
-        tree.add(c)
-        near1 |= ball1[c]
-        near2 |= ball2[c]
-    return frozenset(tree)
+        raise DomainError(
+            f"greedy 2-tree stalled at size {size} before the requested {target}"
+        )
+    return frozenset(bit_positions(tree))
+
+
+def _grow_two_tree(ball1, allowed: int, root: int, limit=None) -> int:
+    """Greedy 2-tree under the closed neighbourhoods ball1 (masks): from
+    root, repeatedly add the lowest id of the mask allowed at distance
+    exactly 2 from the tree, until none is left or the tree holds limit
+    ids. Returns the tree as a mask."""
+    tree = 1 << root
+    # ids within distance 1 and 2 of the tree
+    near1 = ball1[root]
+    near2 = _ball_union(ball1, near1)
+    while limit is None or tree.bit_count() < limit:
+        candidates = allowed & near2 & ~near1
+        if not candidates:
+            break
+        low = candidates & -candidates
+        tree |= low
+        fresh = ball1[low.bit_length() - 1] & ~near1
+        near1 |= fresh
+        near2 |= _ball_union(ball1, fresh)
+    return tree
 
 
 def verify_two_tree(f: Formula, tree) -> bool:
@@ -345,106 +356,63 @@ def greenblue_select(vertices, edges, vertex_color, edge_color, max_green_degree
     green-edge component, a maximal independent 2-tree, stitched through
     blue edges so the whole set is connected at distance <= 2.
     """
-    vertices = sorted(vertices)
+    vertices = sorted(set(vertices))
     vset = set(vertices)
-    adj = {v: set() for v in vertices}
-    green_adj = {v: set() for v in vertices}
+    index = {v: i for i, v in enumerate(vertices)}
+    # closed neighbourhoods as masks over the indices into vertices
+    adj = [1 << i for i in range(len(vertices))]
+    green_adj = list(adj)
     for u, w in edges:
         if u not in vset or w not in vset or u == w:
             raise UsageError(f"bad edge ({u}, {w})")
         color = edge_color[frozenset((u, w))]
-        adj[u].add(w)
-        adj[w].add(u)
+        i, j = index[u], index[w]
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
         if color == "green":
-            green_adj[u].add(w)
-            green_adj[w].add(u)
+            green_adj[i] |= 1 << j
+            green_adj[j] |= 1 << i
 
     greens = {v for v in vertices if vertex_color[v] == "green"}
     blues = vset - greens
     for v in blues:
-        if green_adj[v]:
+        if green_adj[index[v]] != 1 << index[v]:
             raise UsageError(f"blue vertex {v} touches a green edge")
     for v in greens:
-        if len(green_adj[v]) > max_green_degree:
+        if green_adj[index[v]].bit_count() - 1 > max_green_degree:
             raise UsageError(
                 f"green vertex {v} exceeds the green-degree bound {max_green_degree}"
             )
-    if vertices and len(_components(vset, adj)) != 1:
+    if vertices and len(mask_groups(adj, (1 << len(vertices)) - 1)) != 1:
         raise UsageError("input graph is not connected")
 
     chosen = set(blues)
     # components of the subgraph induced on green vertices (any edge color)
-    for comp in _components(greens, {v: adj[v] & greens for v in greens}):
-        chosen.update(_sweep_green_component(comp, adj, green_adj))
+    for comp in mask_groups(adj, sum(1 << index[v] for v in greens)):
+        picked = _sweep_green_component(comp, adj, green_adj)
+        chosen.update(vertices[i] for i in bit_positions(picked))
     return frozenset(chosen)
 
 
-def _components(vertices, adj):
-    """Components of the graph adj on vertices (adj already restricted to
-    them), in order of their smallest vertex."""
-    seen = set()
-    out = []
-    for start in sorted(vertices):
-        if start not in seen:
-            comp = set(bfs_distances(adj, start))
-            seen |= comp
-            out.append(comp)
-    return out
-
-
-def _sweep_green_component(comp, adj, green_adj):
+def _sweep_green_component(comp: int, adj, green_adj) -> int:
     """Active-component sweep over the green-edge pieces of one component
-    of the green-vertex subgraph."""
-    pieces = _components(comp, {v: green_adj[v] & comp for v in comp})
-    piece_of = {}
-    for i, piece in enumerate(pieces):
-        for v in piece:
-            piece_of[v] = i
-    done = [False] * len(pieces)
-    chosen = set()
-
-    first = min(range(len(pieces)), key=lambda i: min(pieces[i]))
-    chosen.update(_greedy_two_tree(min(pieces[first]), pieces[first], green_adj))
-    done[first] = True
-
-    remaining = len(pieces) - 1
-    while remaining:
-        pick = None
+    (a mask) of the green-vertex subgraph; returns the chosen mask."""
+    pieces = mask_groups(green_adj, comp)
+    done = pieces[0]
+    chosen = _grow_two_tree(green_adj, done, (done & -done).bit_length() - 1)
+    while done != comp:
         # lowest (inactive-side, active-side) blue bridge into a fresh piece
-        for v in sorted(comp):
-            if done[piece_of[v]]:
-                for w in sorted(adj[v] & comp):
-                    if w not in green_adj[v] and not done[piece_of[w]]:
-                        pick = (w, piece_of[w])
-                        break
-            if pick:
+        for v in bit_positions(done):
+            fresh = adj[v] & comp & ~green_adj[v] & ~done
+            if fresh:
                 break
-        if pick is None:
+        else:
             raise AssertionError("green component sweep lost connectivity")
-        anchor, idx = pick
-        chosen.update(_greedy_two_tree(anchor, pieces[idx], green_adj))
-        done[idx] = True
-        remaining -= 1
+        anchor = (fresh & -fresh).bit_length() - 1
+        piece = next(p for p in pieces if p >> anchor & 1)
+        chosen |= _grow_two_tree(green_adj, piece, anchor)
+        done |= piece
     return chosen
-
-
-def _greedy_two_tree(anchor, piece, green_adj):
-    """Maximal independent 2-tree of a green-edge component, grown from the
-    anchor by repeatedly adding the lowest vertex at green-distance 2."""
-    piece_adj = {v: green_adj[v] & piece for v in piece}
-    tree = {anchor}
-    while True:
-        dist = {}
-        for t in tree:
-            for node, d in bfs_distances(piece_adj, t, limit=2).items():
-                if node not in dist or d < dist[node]:
-                    dist[node] = d
-        candidates = sorted(
-            v for v in piece if v not in tree and dist.get(v) == 2
-        )
-        if not candidates:
-            return tree
-        tree.add(candidates[0])
 
 
 def verify_dtree_membership(f: Formula, cl, tree, b: int = 2) -> bool:

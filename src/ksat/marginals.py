@@ -32,7 +32,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .errors import CapExceededError, InfeasiblePinningError, UsageError
-from .formula import _ENUM_CHUNK, Formula, _check_partial, bit_positions, union_find
+from .formula import _ENUM_CHUNK, Formula, _ball_union, _check_partial, bit_positions, mask_groups
 from .rng import as_rng, rand_below, rand_bit
 
 DEFAULT_CAP = 1 << 22  # assignment evaluations allowed per component
@@ -456,11 +456,9 @@ def check_local_uniformity(
 def tree_excess(f: Formula, clause_ids) -> int:
     """Edges - vertices + components of the incidence graph of the given
     clauses and their variables. Zero means the component is a hypertree."""
-    clause_ids = sorted(set(clause_ids))
-    var_nodes = {}  # variable -> incidence-graph node, after the clause nodes
-    edges = []
-    for i, cid in enumerate(clause_ids):
-        for lit in f.clauses[cid]:
-            edges.append((i, var_nodes.setdefault(lit.var, len(clause_ids) + len(var_nodes))))
-    nodes = len(clause_ids) + len(var_nodes)
-    return len(edges) - nodes + len(union_find(nodes, edges))
+    ids = sum(1 << cid for cid in set(clause_ids))
+    edges = sum(len(f.clauses[cid]) for cid in bit_positions(ids))
+    nodes = ids.bit_count() + _ball_union(f._clause_var_masks, ids).bit_count()
+    # every variable node hangs off a clause, so the components are the
+    # groups of the clauses joined through shared variables
+    return edges - nodes + len(mask_groups(f._clause_ball1, ids))

@@ -1,5 +1,8 @@
-"""The shared union-find and BFS helpers, and the clause-graph components
-built on them, against networkx as an independent oracle."""
+"""The shared grouping helpers (union-find, the mask flood), the 2-tree
+grower, and the clause-graph components built on them, against networkx as
+an independent oracle."""
+
+import math
 
 import networkx as nx
 import pytest
@@ -9,8 +12,8 @@ from hypothesis import strategies as st
 from ksat import Formula, clause_graph_components
 from ksat.classify import Classification
 from ksat.errors import DomainError, UsageError
-from ksat.formula import bfs_distances, bit_positions, mask_groups, union_find
-from ksat.geometry import extract_two_tree, verify_two_tree
+from ksat.formula import bit_positions, mask_groups, union_find
+from ksat.geometry import _grow_two_tree, extract_two_tree, verify_two_tree
 
 
 @st.composite
@@ -40,20 +43,6 @@ def test_union_find_matches_networkx_components(graph):
     )
     assert all(g == sorted(g) for g in groups)
     assert [g[0] for g in groups] == sorted(g[0] for g in groups)
-
-
-@settings(max_examples=300, deadline=None)
-@given(graphs(), st.data())
-def test_bfs_distances_match_networkx(graph, data):
-    size, edges = graph
-    if size == 0:
-        return
-    source = data.draw(st.integers(0, size - 1))
-    limit = data.draw(st.none() | st.integers(0, 4))
-    g = nx_graph(size, edges)
-    neighbors = {u: set(g[u]) for u in g}
-    want = nx.single_source_shortest_path_length(g, source, cutoff=limit)
-    assert bfs_distances(neighbors, source, limit) == want
 
 
 def closed_balls(size, edges):
@@ -183,7 +172,7 @@ def test_good_and_bad_var_components_match_mode_line_graph_power(f, mode, power,
 
 def greedy_two_tree(g, b, root, target):
     """The greedy of extract_two_tree on networkx distances: the largest
-    tree it reaches, up to target clauses."""
+    tree it reaches inside b, up to target nodes."""
     tree = {root}
     while len(tree) < target:
         dist = {}
@@ -195,6 +184,22 @@ def greedy_two_tree(g, b, root, target):
             break
         tree.add(candidates[0])
     return tree
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(), st.data())
+def test_grow_two_tree_matches_networkx_greedy(graph, data):
+    """The grower on arbitrary graphs, inside an arbitrary allowed set, with
+    and without a size limit."""
+    size, edges = graph
+    if size == 0:
+        return
+    allowed = data.draw(st.sets(st.integers(0, size - 1)))
+    root = data.draw(st.integers(0, size - 1))
+    limit = data.draw(st.none() | st.integers(1, size))
+    want = greedy_two_tree(nx_graph(size, edges), allowed, root, limit or math.inf)
+    got = _grow_two_tree(closed_balls(size, edges), sum(1 << u for u in allowed), root, limit)
+    assert bit_positions(got) == sorted(want)
 
 
 @settings(max_examples=300, deadline=None)
