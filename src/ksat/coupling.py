@@ -24,6 +24,7 @@ from .errors import InfeasiblePinningError, UsageError
 from .formula import (
     DEFAULT_ENUM_CAP,
     Formula,
+    _ball_union,
     _check_partial,
     assignment_to_mask,
     bit_positions,
@@ -87,15 +88,8 @@ def _bad_clause_components(f: Formula, cl: Classification) -> list:
     no bad clause are left out."""
     if not cl.c_bad:
         return []
-    index = {v: i for i, comp in enumerate(cl.bad_components) for v in comp}
-    clause_masks = [0] * len(cl.bad_components)
-    for cid in cl.c_bad:
-        clause_masks[index[f.clauses[cid][0].var]] |= 1 << cid
-    return [
-        (_var_mask(comp), cids)
-        for comp, cids in zip(cl.bad_components, clause_masks)
-        if cids
-    ]
+    groups = mask_groups(f._clause_ball1, sum(1 << cid for cid in cl.c_bad))
+    return [(_ball_union(f._clause_var_masks, cids), cids) for cids in groups]
 
 
 def run_coupling(
@@ -364,8 +358,7 @@ def exact_influence_matrix(
 
     Entry (u, v) is mu(v=1 | u=0, pin) - mu(v=1 | u=1, pin). Rows whose
     conditioning is one-sided (u frozen under the pinning) are zeroed and
-    flagged. The maximum eigenvalue comes from shifted power iteration at
-    relative tolerance 1e-9.
+    flagged. The maximum eigenvalue comes from a dense eigensolver.
     """
     if not set(lambda_pin) <= m.marked:
         raise UsageError("pinning domain must be a subset of the marked set")
@@ -403,26 +396,13 @@ def exact_influence_matrix(
     )
 
 
-def _max_eigenvalue(mat: np.ndarray, tol: float = 1e-9, max_iter: int = 200_000) -> float:
-    """Largest eigenvalue via power iteration on a positive shift."""
-    n = mat.shape[0]
-    if n == 0:
+def _max_eigenvalue(mat: np.ndarray) -> float:
+    """Largest eigenvalue. The influence matrix is -D^-1 (C - D) for a
+    covariance matrix C and its diagonal D, similar to a symmetric matrix,
+    so its spectrum is real."""
+    if mat.size == 0:
         return 0.0
-    shift = 1.0 + float(np.abs(mat).sum(axis=1).max())
-    a = mat + shift * np.eye(n)
-    x = np.ones(n) / math.sqrt(n)
-    lam_old = None
-    for _ in range(max_iter):
-        y = a @ x
-        norm = float(np.linalg.norm(y))
-        if norm == 0.0:
-            return -shift
-        x = y / norm
-        lam = float(x @ (a @ x))
-        if lam_old is not None and abs(lam - lam_old) <= tol * max(1.0, abs(lam)):
-            return lam - shift
-        lam_old = lam
-    raise ArithmeticError("power iteration did not converge")
+    return float(np.linalg.eigvals(mat).real.max())
 
 
 @dataclass(frozen=True)

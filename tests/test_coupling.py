@@ -160,6 +160,15 @@ def test_exact_influence_or_clause():
     assert inf.max_eigenvalue == pytest.approx(0.5, abs=1e-8)
 
 
+def test_exact_influence_max_eigenvalue_on_slowly_converging_spectrum():
+    # np.linalg.eigvals gives 0.2554537305; a power iteration on the matrix
+    # shifted by 1 + its largest row sum converges slowly here, and its
+    # stopping rule on successive Rayleigh quotients read 0.2554669423
+    f = generate_random_kcnf(9, 9, 3, seed=192)
+    inf = exact_influence_matrix(f, find_marking(f, 1, 1, seed=192), {})
+    assert inf.max_eigenvalue == pytest.approx(0.2554537305, abs=1e-9)
+
+
 def test_exact_influence_satisfied_pinning_is_zero():
     f = Formula.from_ints(3, [[1, 2]])
     m = Marking(frozenset({1, 2, 3}), 1, 1, certified=True)
