@@ -62,11 +62,15 @@ def sample_without_replacement(rng: Rng, n: int, k: int) -> list[int]:
     """
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    pool = list(range(1, n + 1))
+    # the pool 1..n is implicit: position p holds p + 1 unless a swap moved
+    # another value there, so a draw costs O(k) whatever n is
+    moved = {}
+    out = []
     for i in range(k):
         j = i + rand_below(rng, n - i)
-        pool[i], pool[j] = pool[j], pool[i]
-    return pool[:k]
+        out.append(moved.get(j, j + 1))
+        moved[j] = moved.get(i, i + 1)
+    return out
 
 
 def subsample(rng: Rng, items: list, k: int) -> list:
