@@ -14,6 +14,7 @@ from ksat.classify import Classification
 from ksat.errors import DomainError, UsageError
 from ksat.formula import bit_positions, mask_groups, union_find
 from ksat.geometry import _grow_two_tree, extract_two_tree, verify_two_tree
+from ksat.marginals import tree_excess
 
 
 @st.composite
@@ -117,6 +118,21 @@ def test_two_step_flood_matches_clause_graph_components(f, data):
     parts = clause_graph_components(f, "shared-any-var", 2, vertices=vertices)
     groups = mask_groups(f._clause_ball2, sum(1 << c for c in vertices))
     assert [set(bit_positions(g)) for g in groups] == parts
+
+
+@settings(max_examples=300, deadline=None)
+@given(formulas(), st.data())
+def test_tree_excess_matches_networkx_incidence_graph(f, data):
+    clause_ids = data.draw(st.sets(st.integers(0, f.m - 1)) if f.m else st.just(set()))
+    incidence = nx.Graph()
+    incidence.add_nodes_from(("c", c) for c in clause_ids)
+    incidence.add_edges_from((("c", c), ("v", v)) for c in clause_ids for v in f.clause_vars(c))
+    want = (
+        incidence.number_of_edges()
+        - incidence.number_of_nodes()
+        + nx.number_connected_components(incidence)
+    )
+    assert tree_excess(f, clause_ids) == want
 
 
 @st.composite
