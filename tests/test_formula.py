@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ksat import (
     Formula,
@@ -75,6 +77,24 @@ def test_emit_round_trip():
     assert parse_dimacs(emitted) == f
     # emit is a fixpoint: canonical form survives a second round trip
     assert emit_dimacs(parse_dimacs(emitted)) == emitted
+
+
+@st.composite
+def small_formulas(draw, max_n=10):
+    """Formulas on 0..max_n variables with signed clauses of width 1..4."""
+    n = draw(st.integers(0, max_n))
+    if n == 0:
+        return Formula(0, ())
+    clause = st.lists(st.integers(1, n), min_size=1, max_size=min(n, 4), unique=True).flatmap(
+        lambda vs: st.tuples(*(st.sampled_from((v, -v)) for v in vs))
+    )
+    return Formula.from_ints(n, draw(st.lists(clause, max_size=12)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_formulas())
+def test_dimacs_round_trip_property(f):
+    assert parse_dimacs(emit_dimacs(f)) == f
 
 
 def test_emit_empty_formula():
@@ -159,6 +179,31 @@ def test_simplify_commutes_on_disjoint_domains():
         assert joint.status == second.status
         if joint.ok:
             assert sorted(joint.formula.clauses) == sorted(second.formula.clauses)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_formulas(), st.data())
+def test_simplify_commutes_through_enumeration(f, data):
+    """Pinning x then y leaves the same residual solutions as pinning x | y
+    at once; x and y are drawn from one full pinning, so they may overlap
+    but never disagree."""
+    full = data.draw(st.tuples(*(st.integers(0, 1) for _ in range(f.n))))
+    var = st.integers(1, f.n) if f.n else st.nothing()
+    x = {v: full[v - 1] for v in data.draw(st.sets(var))}
+    y = {v: full[v - 1] for v in data.draw(st.sets(var))}
+    joint = simplify(f, {**x, **y})
+    first = simplify(f, x)
+    second = simplify(first.formula, y) if first.ok else first
+    assert joint.ok == second.ok
+    if joint.ok:
+        assert enumerate_solutions(joint.formula) == enumerate_solutions(second.formula)
+        # and both are the oracle's solutions once the pinning is put back
+        pinned = {**x, **y}
+        agree = [s for s in enumerate_solutions(f) if all(s[v - 1] == b for v, b in pinned.items())]
+        assert [
+            s for s in enumerate_solutions(joint.formula)
+            if all(s[v - 1] == b for v, b in pinned.items())
+        ] == agree
 
 
 def test_connected_component_examples():

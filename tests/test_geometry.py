@@ -1,4 +1,7 @@
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ksat import (
     Formula,
@@ -133,6 +136,54 @@ def test_solution_graph_strategies_agree():
     groups = _link_all_pairs(masks, 1)
     via_pairs = tuple(sorted((len(g) for g in groups), reverse=True))
     assert via_ball == via_pairs
+
+
+@st.composite
+def kcnf_distances(draw):
+    """(random k-CNF on at most 10 variables, distance 0..n+1). Wide m and
+    k = 1 make unsatisfiable formulas common; m = 0 gives the clause-free
+    ones."""
+    n = draw(st.integers(1, 10))
+    k = draw(st.integers(1, min(n, 4)))
+    m = draw(st.integers(0, 3 * n))
+    f = generate_random_kcnf(n, m, k, seed=draw(st.integers(0, 2**32)))
+    return f, draw(st.integers(0, n + 1))
+
+
+def hamming_partition(sols, d):
+    """networkx components of the graph on sols joining pairs at Hamming
+    distance <= d, as sorted lists of solution indices."""
+    g = nx.Graph()
+    g.add_nodes_from(range(len(sols)))
+    g.add_edges_from(
+        (i, j)
+        for i in range(len(sols))
+        for j in range(i + 1, len(sols))
+        if hamming(sols[i], sols[j]) <= d
+    )
+    return sorted(sorted(c) for c in nx.connected_components(g))
+
+
+def link_partition(groups):
+    return sorted(sorted(g) for g in groups)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kcnf_distances())
+def test_solution_graph_matches_networkx_components(case):
+    from ksat.formula import assignment_to_mask
+    from ksat.geometry import _link_all_pairs, _link_by_ball_search
+
+    f, d = case
+    sols = enumerate_solutions(f)
+    want = hamming_partition(sols, d)
+    s = solution_graph(f, d)
+    assert s.n_solutions == len(sols)
+    assert list(s.component_sizes) == sorted(map(len, want), reverse=True)
+    # both linkers, whichever one the crossover picks for this input
+    masks = [assignment_to_mask(x) for x in sols]
+    assert link_partition(_link_by_ball_search(f.n, masks, d)) == want
+    assert link_partition(_link_all_pairs(masks, d)) == want
 
 
 @pytest.mark.parametrize("seed", [5, 17, 29])
