@@ -370,13 +370,15 @@ def clause_graph_components(
 def mask_groups(balls, ids: int) -> list:
     """Groups of the bit positions in the mask ids under any symmetric
     relation given as closed neighbourhoods: position c is joined to the
-    positions in the mask balls[c]. Only positions in ids are visited, so
-    balls may be a dict over them. Each group is a mask; the groups come in
-    order of their lowest position."""
+    positions in the mask balls[c]. Only positions in ids are visited, each
+    at most once, so balls may be a dict over them or compute each ball on
+    demand. Each group is a mask; the groups come in order of their lowest
+    position."""
     groups = []
     while ids:
         group = frontier = ids & -ids
-        while frontier:
+        # a group holding every id left cannot grow
+        while frontier and group != ids:
             frontier = _ball_union(balls, frontier) & ids & ~group
             group |= frontier
         groups.append(group)
@@ -392,39 +394,18 @@ def _ball_union(balls, ids: int) -> int:
     return out
 
 
-def union_find(size: int, pairs) -> list:
-    """Connected groups of the ids 0..size-1 joined by the (a, b) pairs,
-    each group ascending and the groups in order of their smallest id.
-
-    Its one user is the Hamming solution graph (geometry's two link
-    helpers), which streams its pairs: with S solutions a mask flood costs
-    O(S^2/64) word operations and lost to this on the sparse ball search.
-    Ids are dense list indices rather than dict keys: solution_graph feeds
-    about 10^6 pairs per call at n=11, D=12, where a dict-backed or
-    method-call union-find costs a quarter of its time or more.
-    """
-    parent = list(range(size))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-    groups = {}
-    for i in range(size):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
-
-
 def enumerate_solutions(f: Formula, cap: int = DEFAULT_ENUM_CAP) -> list:
     """All satisfying assignments, in lexicographic order of the assignment
     tuple (variable 1 most significant). Brute force over all 2^n points;
     this is the reference oracle for everything else in the package."""
+    codes = _solution_codes(f, cap)
+    shifts = np.arange(f.n - 1, -1, -1, dtype=np.uint64)
+    return list(map(tuple, ((codes[:, None] >> shifts) & np.uint64(1)).tolist()))
+
+
+def _solution_codes(f: Formula, cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
+    """The solutions of enumerate_solutions as ascending uint64 codes, with
+    variable v at bit n-v."""
     if f.n > cap:
         raise CapExceededError(
             f"enumeration over n={f.n} variables exceeds cap {cap}", size=f.n
@@ -458,10 +439,8 @@ def enumerate_solutions(f: Formula, cap: int = DEFAULT_ENUM_CAP) -> list:
             ok &= sat
             if not ok.any():
                 break
-        for a in arr[ok]:
-            a = int(a)
-            out.append(tuple((a >> (n - v)) & 1 for v in range(1, n + 1)))
-    return out
+        out.append(arr[ok])
+    return np.concatenate(out)
 
 
 def is_satisfying(f: Formula, a: Assignment) -> bool:

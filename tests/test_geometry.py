@@ -1,4 +1,5 @@
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -125,17 +126,27 @@ def test_solution_graph_dn_single_component():
 
 def test_solution_graph_strategies_agree():
     # the ball-search path (taken by solution_graph at d=1) must produce the
-    # same partition as a direct all-pairs linking
-    from ksat.formula import assignment_to_mask
+    # same partition as the all-pairs flood
+    from ksat.formula import _solution_codes
     from ksat.geometry import _link_all_pairs
 
     f = generate_random_kcnf(10, 9, 3, seed=5)
     via_ball = solution_graph(f, 1).component_sizes
 
-    masks = [assignment_to_mask(x) for x in enumerate_solutions(f)]
-    groups = _link_all_pairs(masks, 1)
-    via_pairs = tuple(sorted((len(g) for g in groups), reverse=True))
+    labels = _link_all_pairs(_solution_codes(f), 1)
+    via_pairs = tuple(sorted(np.unique(labels, return_counts=True)[1].tolist(), reverse=True))
     assert via_ball == via_pairs
+
+
+def test_solution_graph_scale_clause_free():
+    assert solution_graph(Formula(16, ()), 1).component_sizes == (65536,)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_solution_graph_scale_sparse(d):
+    # 121,016 of 2^18 points, about 10^7 candidate lookups at d = 2
+    s = solution_graph(generate_random_kcnf(18, 12, 4, seed=3), d)
+    assert s.component_sizes == (121016,)
 
 
 @st.composite
@@ -153,25 +164,30 @@ def kcnf_distances(draw):
 def hamming_partition(sols, d):
     """networkx components of the graph on sols joining pairs at Hamming
     distance <= d, as sorted lists of solution indices."""
+    masks = [sum(bit << i for i, bit in enumerate(s)) for s in sols]
     g = nx.Graph()
     g.add_nodes_from(range(len(sols)))
     g.add_edges_from(
         (i, j)
         for i in range(len(sols))
         for j in range(i + 1, len(sols))
-        if hamming(sols[i], sols[j]) <= d
+        if (masks[i] ^ masks[j]).bit_count() <= d
     )
     return sorted(sorted(c) for c in nx.connected_components(g))
 
 
-def link_partition(groups):
-    return sorted(sorted(g) for g in groups)
+def link_partition(labels):
+    """The partition of solution indices that a linker's labels give."""
+    groups = {}
+    for i, label in enumerate(labels.tolist()):
+        groups.setdefault(label, []).append(i)
+    return sorted(groups.values())
 
 
 @settings(max_examples=150, deadline=None)
 @given(kcnf_distances())
 def test_solution_graph_matches_networkx_components(case):
-    from ksat.formula import assignment_to_mask
+    from ksat.formula import _solution_codes
     from ksat.geometry import _link_all_pairs, _link_by_ball_search
 
     f, d = case
@@ -180,26 +196,25 @@ def test_solution_graph_matches_networkx_components(case):
     s = solution_graph(f, d)
     assert s.n_solutions == len(sols)
     assert list(s.component_sizes) == sorted(map(len, want), reverse=True)
-    # both linkers, whichever one the crossover picks for this input
-    masks = [assignment_to_mask(x) for x in sols]
-    assert link_partition(_link_by_ball_search(f.n, masks, d)) == want
-    assert link_partition(_link_all_pairs(masks, d)) == want
+    # both linkers, whichever one the crossover picks for this input; each
+    # labels a component by its lowest index
+    codes = _solution_codes(f)
+    for labels in (_link_by_ball_search(f.n, codes, d), _link_all_pairs(codes, d)):
+        assert link_partition(labels) == want
+        assert all(labels[g[0]] == g[0] for g in want)
 
 
 @pytest.mark.parametrize("seed", [5, 17, 29])
 @pytest.mark.parametrize("d", [1, 2, 4, 10])
 def test_link_all_pairs_swar_popcount_matches_bitwise_count(seed, d, monkeypatch):
     # numpy < 2 has no bitwise_count; the SWAR fallback must link the same pairs
-    import numpy as np
-
-    from ksat.formula import assignment_to_mask
+    from ksat.formula import _solution_codes
     from ksat.geometry import _link_all_pairs
 
-    f = generate_random_kcnf(10, 12, 3, seed=seed)
-    masks = [assignment_to_mask(x) for x in enumerate_solutions(f)]
-    want = _link_all_pairs(masks, d)
+    codes = _solution_codes(generate_random_kcnf(10, 12, 3, seed=seed))
+    want = _link_all_pairs(codes, d)
     monkeypatch.delattr(np, "bitwise_count")
-    assert _link_all_pairs(masks, d) == want
+    assert np.array_equal(_link_all_pairs(codes, d), want)
 
 
 def test_flippable_or_clause():
@@ -216,6 +231,11 @@ def test_flippable_unit_clause_fallback():
     assert not res.all_flippable
     assert res.nae_pair is None
     assert res.unflippable == (1,)
+
+
+def test_flippable_fallback_without_solutions():
+    res = check_flippable_all(Formula.from_ints(3, [[1], [-1]]))
+    assert (res.all_flippable, res.nae_pair, res.unflippable) == (False, None, (1, 2, 3))
 
 
 def test_flippable_low_density_suite():

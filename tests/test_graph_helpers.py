@@ -1,4 +1,4 @@
-"""The shared grouping helpers (union-find, the mask flood), the 2-tree
+"""The shared grouping helper (the mask flood), the 2-tree
 grower, and the clause-graph components built on them, against networkx as
 an independent oracle."""
 
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from ksat import Formula, clause_graph_components
 from ksat.classify import Classification
 from ksat.errors import DomainError, UsageError
-from ksat.formula import bit_positions, mask_groups, union_find
+from ksat.formula import bit_positions, mask_groups
 from ksat.geometry import _grow_two_tree, extract_two_tree, verify_two_tree
 from ksat.marginals import tree_excess
 
@@ -32,18 +32,6 @@ def nx_graph(size, edges):
     g.add_nodes_from(range(size))
     g.add_edges_from(edges)
     return g
-
-
-@settings(max_examples=300, deadline=None)
-@given(graphs())
-def test_union_find_matches_networkx_components(graph):
-    size, edges = graph
-    groups = union_find(size, iter(edges))
-    assert sorted(map(sorted, groups)) == sorted(
-        map(sorted, nx.connected_components(nx_graph(size, edges)))
-    )
-    assert all(g == sorted(g) for g in groups)
-    assert [g[0] for g in groups] == sorted(g[0] for g in groups)
 
 
 def closed_balls(size, edges):
