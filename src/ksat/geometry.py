@@ -150,8 +150,8 @@ def solution_graph(f: Formula, d: int, cap: int = DEFAULT_ENUM_CAP) -> SolutionG
 
 
 # the ball search wins while the ball holds at most 1/_SPARSE_RATIO of the
-# solutions: at about 1,400 solutions of n = 11 it took 2, 14 and 42 ms at
-# d = 1, 2, 3 (balls of 11, 66 and 231) against 16-18 ms for the flood
+# solutions: at about 1,400 solutions of n = 11 (2 vCPUs) it took 2, 14 and
+# 42 ms at d = 1, 2, 3 (balls of 11, 66 and 231) against 16-18 ms for the flood
 _SPARSE_RATIO = 16
 # candidate codes looked up per hooking pass of the ball search
 _EDGE_CHUNK = 1 << 18

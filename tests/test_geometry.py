@@ -144,7 +144,7 @@ def test_solution_graph_scale_clause_free():
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_solution_graph_scale_sparse(d):
-    # 121,016 of 2^18 points, about 10^7 candidate lookups at d = 2
+    # 121,016 of 2^18 points, about 2 x 10^7 candidate lookups at d = 2
     s = solution_graph(generate_random_kcnf(18, 12, 4, seed=3), d)
     assert s.component_sizes == (121016,)
 
