@@ -25,7 +25,7 @@ PartialAssignment = Mapping  # Mapping[int, int], values in {0, 1}
 
 DEFAULT_ENUM_CAP = 26  # max variable count for full enumeration
 
-_ENUM_CHUNK = 1 << 20
+_ENUM_CHUNK = 1 << 17  # candidate masks held at once by _enumerate_local
 
 
 class Literal(NamedTuple):
@@ -42,9 +42,6 @@ class Literal(NamedTuple):
 
     def to_int(self) -> int:
         return self.var if self.sign else -self.var
-
-    def negated(self) -> "Literal":
-        return Literal(self.var, not self.sign)
 
 
 @dataclass(frozen=True)
@@ -405,42 +402,36 @@ def enumerate_solutions(f: Formula, cap: int = DEFAULT_ENUM_CAP) -> list:
 
 def _solution_codes(f: Formula, cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
     """The solutions of enumerate_solutions as ascending uint64 codes, with
-    variable v at bit n-v."""
+    variable v at bit n-v, so ascending codes are ascending assignment
+    tuples."""
     if f.n > cap:
         raise CapExceededError(
             f"enumeration over n={f.n} variables exceeds cap {cap}", size=f.n
         )
-    n = f.n
-    total = 1 << n
-    # In the integer encoding below, variable v sits at bit n-v, so ascending
-    # integers yield ascending assignment tuples.
-    pos_list = []
-    neg_list = []
-    for clause in f.clauses:
-        pos = neg = 0
-        for lit in clause:
-            bit = 1 << (n - lit.var)
-            if lit.sign:
-                pos |= bit
-            else:
-                neg |= bit
-        pos_list.append(pos)
-        neg_list.append(neg)
+    # reversing each n-bit clause mask moves variable v from bit v-1 to n-v
+    width = f"0{f.n}b"
+    clauses = [
+        (int(format(pos, width)[::-1], 2), int(format(neg, width)[::-1], 2))
+        for pos, neg in f._clause_masks
+    ]
+    return _enumerate_local(f.n, clauses)
 
-    out = []
+
+def _enumerate_local(nvars: int, clauses) -> np.ndarray:
+    """The masks over bits 0..nvars-1 satisfying every (pos, neg) clause,
+    ascending, as uint64. pos and neg are disjoint, and a mask fails a
+    clause when it has no bit of pos and every bit of neg. Brute force in
+    chunks of _ENUM_CHUNK candidates, each filtered clause by clause."""
+    total = 1 << nvars
+    pieces = []
     for start in range(0, total, _ENUM_CHUNK):
-        stop = min(start + _ENUM_CHUNK, total)
-        arr = np.arange(start, stop, dtype=np.uint64)
-        ok = np.ones(stop - start, dtype=bool)
-        for pos, neg in zip(pos_list, neg_list):
-            sat = (arr & np.uint64(pos)) != 0
-            if neg:
-                sat |= (~arr & np.uint64(neg)) != 0
-            ok &= sat
-            if not ok.any():
+        arr = np.arange(start, min(start + _ENUM_CHUNK, total), dtype=np.uint64)
+        for pos, neg in clauses:
+            arr = arr[(arr & np.uint64(pos | neg)) != np.uint64(neg)]
+            if not len(arr):
                 break
-        out.append(arr[ok])
-    return np.concatenate(out)
+        pieces.append(arr)
+    return np.concatenate(pieces) if len(pieces) > 1 else pieces[0]
 
 
 def is_satisfying(f: Formula, a: Assignment) -> bool:

@@ -32,7 +32,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .errors import CapExceededError, InfeasiblePinningError, UsageError
-from .formula import _ENUM_CHUNK, Formula, _ball_union, _check_partial, bit_positions, mask_groups
+from .formula import Formula, _ball_union, _check_partial, _enumerate_local, bit_positions, mask_groups
 from .rng import as_rng, rand_below, rand_bit
 
 DEFAULT_CAP = 1 << 22  # assignment evaluations allowed per component
@@ -165,26 +165,6 @@ def _cache_solutions(key, sols) -> None:
     _SOL_CACHE[key] = sols
     while _sol_cache_bytes > _SOL_CACHE_BYTES:
         _sol_cache_bytes -= _sol_entry_bytes(*_SOL_CACHE.popitem(last=False))
-
-
-def _enumerate_local(nvars: int, clauses) -> np.ndarray:
-    """Satisfying local masks of a component subformula, ascending. Local
-    variable i (the i-th smallest) sits at bit i."""
-    total = 1 << nvars
-    pieces = []
-    for start in range(0, total, _ENUM_CHUNK):
-        stop = min(start + _ENUM_CHUNK, total)
-        arr = np.arange(start, stop, dtype=np.uint64)
-        ok = np.ones(stop - start, dtype=bool)
-        for pos, neg in clauses:
-            sat = (arr & np.uint64(pos)) != 0 if pos else np.zeros(len(arr), dtype=bool)
-            if neg:
-                sat |= (~arr & np.uint64(neg)) != 0
-            ok &= sat
-            if not ok.any():
-                break
-        pieces.append(arr[ok])
-    return np.concatenate(pieces) if len(pieces) > 1 else pieces[0]
 
 
 class _Plan(NamedTuple):

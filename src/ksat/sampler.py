@@ -53,7 +53,6 @@ class ChainTrace:
     step_component_hist: list = field(default_factory=list)
     extension_max_component: int = 0
     init_retries: int = 0
-    step_retries: int = 0
     final: tuple | None = None  # the returned satisfying assignment
 
     @property
@@ -172,34 +171,28 @@ def _run_marked_chain(chain: _Chain, rng, trace: ChainTrace) -> int:
     # inlined partial Fisher-Yates, consuming exactly like rng.subsample
     widths = [(npool - i - 1).bit_length() for i in range(block_size)]
     for _ in range(chain.cfg.t_max):
-        for _attempt in range(_MAX_REJECTS + 1):
-            pool = marked.copy()
-            s_mask = 0
-            for i in range(block_size):
-                span = npool - i
-                if span == 1:
-                    j = i
-                else:
-                    w = widths[i]
-                    while True:
-                        r = grb(w)
-                        if r < span:
-                            break
-                    j = i + r
-                pool[i], pool[j] = pool[j], pool[i]
-                s_mask |= 1 << (pool[i] - 1)
-            dom = marked_mask & ~s_mask
-            e = exec_for(dom, xbits & dom)
-            if not e.ok:
-                trace.step_retries += 1
-                continue
-            xbits = draw_exec(e, rng, xbits)
-            hist[e.max_comp_vars] += 1
-            break
-        else:
-            raise DomainError(
-                f"step rejected {_MAX_REJECTS} times; conditioning infeasible"
-            )
+        pool = marked.copy()
+        s_mask = 0
+        for i in range(block_size):
+            span = npool - i
+            if span == 1:
+                j = i
+            else:
+                w = widths[i]
+                while True:
+                    r = grb(w)
+                    if r < span:
+                        break
+                j = i + r
+            pool[i], pool[j] = pool[j], pool[i]
+            s_mask |= 1 << (pool[i] - 1)
+        dom = marked_mask & ~s_mask
+        # X(M) always has a satisfying extension (_init_marked checks it and
+        # every draw is exact), so its restriction to dom has one too and
+        # the step's plan is never _INFEASIBLE
+        e = exec_for(dom, xbits & dom)
+        xbits = draw_exec(e, rng, xbits)
+        hist[e.max_comp_vars] += 1
         trace.steps += 1
     return xbits
 
@@ -208,8 +201,6 @@ def _run_full(chain: _Chain, rng):
     trace = ChainTrace()
     xbits = _run_marked_chain(chain, rng, trace)
     ext = chain.exec_for(chain.marked_mask, xbits)
-    if not ext.ok:
-        raise DomainError("final marked assignment is infeasible")
     trace.extension_max_component = ext.max_comp_vars
     bits = draw_exec(ext, rng, xbits)
     assignment = mask_to_assignment(bits, chain.f.n)

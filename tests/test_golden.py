@@ -61,15 +61,15 @@ INSTANCES = {
     "n40-small-open": lambda: _regime_instance(40, 8, 5, 16, 16),
 }
 
-# (instance, theta) -> (assignment, steps, max_component, init_retries, step_retries)
+# (instance, theta) -> (assignment, steps, max_component, init_retries)
 GOLDEN = {
-    ("crit2", 1.0): ("101010111", 110, 9, 1, 0),
-    ("crit2", 0.3): ("111110001", 1221, 7, 1, 0),
-    ("crit4", 1.0): ("1110010101001100110001000001", 167, 15, 0, 0),
-    ("crit4", 0.3): ("1110010100011011100101000011", 1852, 13, 0, 0),
-    ("n40", 0.3): ("0001001111000111000110110101101101111100", 2050, 17, 0, 0),
-    ("n40-small-open", 1.0): ("0001011110000011100011100001010100011000", 185, 22, 0, 0),
-    ("n40-small-open", 0.3): ("1110011111111110011110101101000111010111", 2050, 16, 0, 0),
+    ("crit2", 1.0): ("101010111", 110, 9, 1),
+    ("crit2", 0.3): ("111110001", 1221, 7, 1),
+    ("crit4", 1.0): ("1110010101001100110001000001", 167, 15, 0),
+    ("crit4", 0.3): ("1110010100011011100101000011", 1852, 13, 0),
+    ("n40", 0.3): ("0001001111000111000110110101101101111100", 2050, 17, 0),
+    ("n40-small-open", 1.0): ("0001011110000011100011100001010100011000", 185, 22, 0),
+    ("n40-small-open", 0.3): ("1110011111111110011110101101000111010111", 2050, 16, 0),
 }
 
 
@@ -89,7 +89,6 @@ def test_block_dynamics_golden(instances, name, theta):
         trace.steps,
         trace.max_component,
         trace.init_retries,
-        trace.step_retries,
     )
     assert got == GOLDEN[(name, theta)]
 

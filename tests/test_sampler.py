@@ -2,8 +2,11 @@ import math
 from collections import Counter
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from ksat import Formula, UsageError, enumerate_solutions, generate_random_kcnf, is_satisfying
+from ksat.errors import DomainError
 from ksat.marginals import sample_conditional
 from ksat.marking import Marking, find_marking
 from ksat.rng import make_rng
@@ -11,6 +14,7 @@ from ksat.sampler import (
     ChainTrace,
     SamplerConfig,
     _Chain,
+    _run_full,
     _run_marked_chain,
     check_chain_uniformity,
     default_t_max,
@@ -215,3 +219,55 @@ def test_per_step_component_sizes_logged_and_bounded():
     assert sum(trace.step_component_hist) == 40
     bound = 8 * math.log(f.n)
     assert trace.max_step_component <= bound
+
+
+@st.composite
+def certified_chains(draw):
+    """(random k-CNF on n <= 12 variables with 2 <= k <= 4, a certified
+    (1, 1) marking of it). Dense draws make unsatisfiable formulas common."""
+    n = draw(st.integers(2, 12))
+    k = draw(st.integers(2, min(n, 4)))
+    f = generate_random_kcnf(n, draw(st.integers(0, 4 * n)), k, seed=draw(st.integers(0, 2**32)))
+    m = find_marking(f, 1, 1, seed=draw(st.integers(0, 2**32)))
+    assume(m.certified and m.marked)
+    return f, m
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(
+    certified_chains(),
+    st.sampled_from([0.2, 0.5, 1.0]),
+    st.booleans(),
+    st.integers(0, 30),
+    st.integers(0, 2**32),
+)
+def test_step_and_extension_plans_are_always_feasible(chain_case, theta, with_init, t_max, seed):
+    """A chain state X(M) always has a satisfying extension: the accepted
+    initial assignment has one and every draw is exact. So once the init
+    is accepted, the plan of every step and of the final extension is
+    feasible, and each step asks for exactly one plan."""
+    f, m = chain_case
+    init = None
+    if with_init:
+        sols = enumerate_solutions(f)
+        assume(sols)
+        sol = sols[seed % len(sols)]
+        init = {v: sol[v - 1] for v in m.marked}
+    chain = _Chain(f, m, SamplerConfig(theta=theta, t_max=t_max, seed=seed, init=init))
+    plans = []
+    inner = chain.exec_for
+
+    def recording_exec_for(dom, val):
+        plans.append(inner(dom, val))
+        return plans[-1]
+
+    chain.exec_for = recording_exec_for
+    try:
+        _run_full(chain, make_rng(seed))
+    except DomainError:
+        # only a random init gives up, on finding no feasible draw
+        assert init is None and not any(p.ok for p in plans)
+        return
+    accepted = next(i for i, p in enumerate(plans) if p.ok)
+    assert all(p.ok for p in plans[accepted:])
+    assert len(plans) - accepted == t_max + 2
