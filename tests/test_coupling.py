@@ -1,8 +1,12 @@
+import itertools
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ksat import Formula, InfeasiblePinningError, enumerate_solutions, generate_random_kcnf
 from ksat.classify import classify
@@ -182,6 +186,69 @@ def test_exact_influence_flags_frozen_rows():
     inf = exact_influence_matrix(f, m, {})
     assert inf.flagged == (1,)
     assert not inf.matrix[inf.order.index(1)].any()
+
+
+@st.composite
+def marked_pinning_cases(draw):
+    """(formula on at most 10 variables, a find_marking marking, a pinning of
+    some of its marked variables). The pinning's values are drawn freely, so
+    infeasible pinnings are common."""
+    n = draw(st.integers(1, 10))
+    k = draw(st.integers(1, min(n, 3)))
+    f = generate_random_kcnf(n, draw(st.integers(0, 2 * n)), k, seed=draw(st.integers(0, 2**32)))
+    k_m = draw(st.integers(0, 1))
+    k_u = draw(st.integers(0, min(1, k - k_m)))
+    m = find_marking(f, k_m, k_u, seed=draw(st.integers(0, 2**16)), max_resamples=50)
+    pinned = draw(st.lists(st.sampled_from(sorted(m.marked)), unique=True)) if m.marked else []
+    return f, m, {v: draw(st.integers(0, 1)) for v in pinned}
+
+
+def oracle_influence(f, marked, pin):
+    """(order, exact, flagged, max eigenvalue) of the influence matrix from
+    every satisfying assignment of f that agrees with pin, or None when no
+    assignment does."""
+    sols = [
+        a
+        for a in itertools.product((0, 1), repeat=f.n)
+        if all(any(a[lit.var - 1] == lit.sign for lit in c) for c in f.clauses)
+        and all(a[v - 1] == b for v, b in pin.items())
+    ]
+    if not sols:
+        return None
+    order = tuple(sorted(marked - set(pin)))
+    exact = [[Fraction(0)] * len(order) for _ in order]
+    flagged = []
+    for i, u in enumerate(order):
+        s0 = [a for a in sols if a[u - 1] == 0]
+        s1 = [a for a in sols if a[u - 1] == 1]
+        if not s0 or not s1:
+            flagged.append(u)
+            continue
+        for j, v in enumerate(order):
+            if v != u:
+                exact[i][j] = Fraction(sum(a[v - 1] for a in s0), len(s0)) - Fraction(
+                    sum(a[v - 1] for a in s1), len(s1)
+                )
+    mat = np.array([[float(e) for e in row] for row in exact], dtype=float)
+    top = float(np.linalg.eigvals(mat).real.max()) if order else 0.0
+    return order, tuple(map(tuple, exact)), tuple(flagged), top
+
+
+@settings(max_examples=300, deadline=None)
+@given(marked_pinning_cases())
+def test_exact_influence_matches_enumeration_oracle(case):
+    f, m, pin = case
+    want = oracle_influence(f, m.marked, pin)
+    if want is None:
+        with pytest.raises(InfeasiblePinningError):
+            exact_influence_matrix(f, m, pin)
+        return
+    inf = exact_influence_matrix(f, m, pin)
+    order, exact, flagged, top = want
+    assert inf.order == order
+    assert inf.exact == exact
+    assert inf.flagged == flagged
+    assert inf.max_eigenvalue == pytest.approx(top, abs=1e-9)
 
 
 def test_influence_dominated_by_coupling_estimate():

@@ -14,9 +14,12 @@ from ksat import (
     generate_random_kcnf,
 )
 from ksat.marginals import (
+    DEFAULT_CAP,
     check_local_uniformity,
     closest_solution,
     exact_marginal,
+    pin_masks,
+    plan_for,
     sample_conditional,
     tree_excess,
 )
@@ -215,6 +218,39 @@ def test_closest_solution_matches_brute_force(case, want, data):
         )
         expected = None if best is None else {u: (best[1] >> j) & 1 for j, u in enumerate(comp_vars)}
     assert closest_solution(f, x, v, want, reference) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(pinned_cases(), st.integers(0, 10))
+def test_plan_for_surface_read_by_bench_sweep(case, cap_vars):
+    """bench/make_sweep.py (and through it bench/selftest.py) reads plan_for's
+    .comps in ascending order of lowest variable, .max_comp_vars, and each
+    component's .vars and .solutions(cap), with cap in evaluations, and
+    counts a formula's solutions as 2^(uncovered variables) times the
+    component counts."""
+    f, x, _ = case
+    falsified, comps = residual_oracle(f, x)
+    plan = plan_for(f, *pin_masks(x))
+    if falsified is not None:
+        assert not plan.ok and plan.falsified_clause == falsified and plan.comps == ()
+        return
+    assert [c.vars for c in plan.comps] == [tuple(vs) for vs, _ in comps]
+    assert plan.max_comp_vars == max((len(vs) for vs, _ in comps), default=0)
+    for c, (comp_vars, clauses) in zip(plan.comps, comps):
+        if len(comp_vars) > cap_vars:
+            with pytest.raises(CapExceededError) as info:
+                c.solutions(1 << cap_vars)
+            assert info.value.size == len(comp_vars)
+        else:
+            got = c.solutions(1 << cap_vars).tolist()
+            assert got == component_solutions_oracle(comp_vars, clauses)
+    covered = {v for c in plan.comps for v in c.vars}
+    count = 2 ** (f.n - len(x) - len(covered))
+    for c in plan.comps:
+        count *= len(c.solutions(DEFAULT_CAP))
+    assert count == sum(
+        all(s[u - 1] == b for u, b in x.items()) for s in enumerate_solutions(f)
+    )
 
 
 def test_factorization_across_components():
