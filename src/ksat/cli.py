@@ -66,8 +66,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-_COMPONENT_CAP_HELP = "max assignment evaluations per enumerated component"
-_FORMULA_CAP_HELP = "max variables for enumerating the whole formula"
+_CAP_HELP = "max assignment evaluations, per enumerated component or for the whole formula"
 
 
 def _build_parser():
@@ -117,7 +116,7 @@ def _build_parser():
     sp.add_argument("--tmax", type=int, help="steps (default from theta and n)")
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--runs", type=int, default=1)
-    sp.add_argument("--cap", type=int, default=DEFAULT_CAP, help=_COMPONENT_CAP_HELP)
+    sp.add_argument("--cap", type=int, default=DEFAULT_CAP, help=_CAP_HELP)
     sp.set_defaults(func=_cmd_sample)
 
     sp = add("path", "build a solution path between two assignments")
@@ -126,20 +125,20 @@ def _build_parser():
     sp.add_argument("--sigma", required=True, help="assignment file (bitstring)")
     sp.add_argument("--sigma2", required=True, help="assignment file (bitstring)")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--cap", type=int, default=DEFAULT_CAP, help=_COMPONENT_CAP_HELP)
+    sp.add_argument("--cap", type=int, default=DEFAULT_CAP, help=_CAP_HELP)
     sp.set_defaults(func=_cmd_path)
 
     sp = add("loose", "per-variable flip distances from an assignment")
     _common_formula_flags(sp)
     sp.add_argument("--sigma", required=True, help="assignment file (bitstring)")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--cap", type=int, default=DEFAULT_CAP, help=_COMPONENT_CAP_HELP)
+    sp.add_argument("--cap", type=int, default=DEFAULT_CAP, help=_CAP_HELP)
     sp.set_defaults(func=_cmd_loose)
 
     sp = add("solgraph", "component structure of the Hamming solution graph")
     sp.add_argument("--dimacs", required=True)
     sp.add_argument("--D", type=int, required=True, dest="d")
-    sp.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP, help=_FORMULA_CAP_HELP)
+    sp.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP, help=_CAP_HELP)
     sp.set_defaults(func=_cmd_solgraph)
 
     sp = add("influence", "exact influence matrix plus coupling estimates")
@@ -149,16 +148,12 @@ def _build_parser():
     sp.add_argument("--kc", type=int, help="reveal cutoff (default from k_u, zeta)")
     sp.add_argument("--trials", type=int, default=1000)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument(
-        "--cap", type=int, default=DEFAULT_CAP,
-        help=f"{_COMPONENT_CAP_HELP}, for the coupling estimates; the exact matrix "
-        f"enumerates the whole formula under the {DEFAULT_ENUM_CAP}-variable oracle cap",
-    )
+    sp.add_argument("--cap", type=int, default=DEFAULT_CAP, help=_CAP_HELP)
     sp.set_defaults(func=_cmd_influence)
 
     sp = add("flippable", "NAE witness or the list of frozen variables")
     sp.add_argument("--dimacs", required=True)
-    sp.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP, help=_FORMULA_CAP_HELP)
+    sp.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP, help=_CAP_HELP)
     sp.set_defaults(func=_cmd_flippable)
 
     sp = add("verify", "check an assignment against a formula")
@@ -376,7 +371,7 @@ def _cmd_influence(args) -> None:
     cl, m = _marking_for_sampling(f, args, seed=args.seed)
     if args.v0 not in m.marked:
         raise UsageError(f"--v0 {args.v0} is not marked; marked = {sorted(m.marked)}")
-    inf = exact_influence_matrix(f, m, pin)
+    inf = exact_influence_matrix(f, m, pin, cap=args.cap)
     payload = inf.to_json()
     if args.kc is not None:
         k_c = args.kc

@@ -9,6 +9,10 @@ bad variables; bad components touching a failed variable fail wholesale.
 The final extension draws the coupled region once with shared randomness
 and the failed regions independently, so each output is an exact
 conditional sample.
+
+``exact_influence_matrix`` reads entry (u, v) off ``marginal_counts``, the
+reveal's conditional marginals, under the pinning with u = 0 and u = 1, so
+one cap, in assignment evaluations per residual component, bounds both.
 """
 
 from __future__ import annotations
@@ -22,13 +26,11 @@ import numpy as np
 from .classify import Classification
 from .errors import InfeasiblePinningError, UsageError
 from .formula import (
-    DEFAULT_ENUM_CAP,
     Formula,
     _ball_union,
     _check_partial,
     assignment_to_mask,
     bit_positions,
-    enumerate_solutions,
     is_satisfying,
     mask_groups,
     mask_to_assignment,
@@ -352,39 +354,36 @@ class InfluenceMatrix:
 
 
 def exact_influence_matrix(
-    f: Formula, m: Marking, lambda_pin, cap: int = DEFAULT_ENUM_CAP
+    f: Formula, m: Marking, lambda_pin, cap: int = DEFAULT_CAP
 ) -> InfluenceMatrix:
-    """Pairwise influences between free marked variables, by enumeration.
+    """Pairwise influences between free marked variables, exactly.
 
-    Entry (u, v) is mu(v=1 | u=0, pin) - mu(v=1 | u=1, pin). Rows whose
-    conditioning is one-sided (u frozen under the pinning) are zeroed and
-    flagged. The maximum eigenvalue comes from a dense eigensolver.
+    Entry (u, v) is mu(v=1 | u=0, pin) - mu(v=1 | u=1, pin), both terms
+    marginal_counts ratios, so only residual components are enumerated, at
+    most cap evaluations each. Rows whose conditioning is one-sided (u
+    frozen under the pinning) are zeroed and flagged. The maximum
+    eigenvalue comes from a dense eigensolver.
     """
     if not set(lambda_pin) <= m.marked:
         raise UsageError("pinning domain must be a subset of the marked set")
     _check_partial(f, lambda_pin)
-    sols = enumerate_solutions(f, cap=cap)
-    sols = [
-        s for s in sols if all(s[v - 1] == b for v, b in lambda_pin.items())
-    ]
-    if not sols:
-        raise InfeasiblePinningError("pinning admits no solutions")
+    dom, val = pin_masks(lambda_pin)
+    # an infeasible pinning raises here, also when no marked variable is free
+    build_exec(f, dom, val, ((1 << f.n) - 1) & ~dom, cap)
     order = tuple(sorted(m.marked - set(lambda_pin)))
-    size = len(order)
-    exact = [[Fraction(0)] * size for _ in range(size)]
+    exact = [[Fraction(0)] * len(order) for _ in order]
     flagged = []
     for i, u in enumerate(order):
-        s0 = [s for s in sols if s[u - 1] == 0]
-        s1 = [s for s in sols if s[u - 1] == 1]
-        if not s0 or not s1:
+        ones, total = marginal_counts(f, dom, val, u, cap)
+        if ones in (0, total):
             flagged.append(u)
             continue
+        bit = 1 << (u - 1)
         for j, v in enumerate(order):
-            if v == u:
-                continue
-            p0 = Fraction(sum(s[v - 1] for s in s0), len(s0))
-            p1 = Fraction(sum(s[v - 1] for s in s1), len(s1))
-            exact[i][j] = p0 - p1
+            if v != u:
+                p0 = Fraction(*marginal_counts(f, dom | bit, val, v, cap))
+                p1 = Fraction(*marginal_counts(f, dom | bit, val | bit, v, cap))
+                exact[i][j] = p0 - p1
     matrix = np.array([[float(e) for e in row] for row in exact], dtype=float)
     return InfluenceMatrix(
         pinning=tuple(sorted(lambda_pin.items())),

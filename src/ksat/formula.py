@@ -23,7 +23,7 @@ from .rng import as_rng, rand_bit, sample_without_replacement
 Assignment = tuple  # tuple[int, ...] of 0/1, length n
 PartialAssignment = Mapping  # Mapping[int, int], values in {0, 1}
 
-DEFAULT_ENUM_CAP = 26  # max variable count for full enumeration
+DEFAULT_ENUM_CAP = 1 << 26  # assignment evaluations allowed for the whole formula
 
 _ENUM_CHUNK = 1 << 17  # candidate masks held at once by _enumerate_local
 
@@ -393,8 +393,9 @@ def _ball_union(balls, ids: int) -> int:
 
 def enumerate_solutions(f: Formula, cap: int = DEFAULT_ENUM_CAP) -> list:
     """All satisfying assignments, in lexicographic order of the assignment
-    tuple (variable 1 most significant). Brute force over all 2^n points;
-    this is the reference oracle for everything else in the package."""
+    tuple (variable 1 most significant). Brute force over all 2^n points,
+    which cap must allow (it counts assignment evaluations); this is the
+    reference oracle for everything else in the package."""
     codes = _solution_codes(f, cap)
     shifts = np.arange(f.n - 1, -1, -1, dtype=np.uint64)
     return list(map(tuple, ((codes[:, None] >> shifts) & np.uint64(1)).tolist()))
@@ -404,10 +405,7 @@ def _solution_codes(f: Formula, cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
     """The solutions of enumerate_solutions as ascending uint64 codes, with
     variable v at bit n-v, so ascending codes are ascending assignment
     tuples."""
-    if f.n > cap:
-        raise CapExceededError(
-            f"enumeration over n={f.n} variables exceeds cap {cap}", size=f.n
-        )
+    _check_cap("formula", f.n, cap)
     # reversing each n-bit clause mask moves variable v from bit v-1 to n-v
     width = f"0{f.n}b"
     clauses = [
@@ -415,6 +413,14 @@ def _solution_codes(f: Formula, cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
         for pos, neg in f._clause_masks
     ]
     return _enumerate_local(f.n, clauses)
+
+
+def _check_cap(what: str, nvars: int, cap: int) -> None:
+    """The one enumeration budget: CapExceededError when trying all 2^nvars
+    assignments of `what` would take more than cap evaluations."""
+    if 1 << nvars > cap:
+        msg = f"{what} on {nvars} variables needs {1 << nvars} evaluations, cap is {cap}"
+        raise CapExceededError(msg, size=nvars)
 
 
 def _enumerate_local(nvars: int, clauses) -> np.ndarray:

@@ -15,6 +15,7 @@ from .formula import (
     DEFAULT_ENUM_CAP,
     Formula,
     _ball_union,
+    _check_cap,
     _solution_codes,
     bit_positions,
     clause_graph_components,
@@ -237,10 +238,7 @@ def check_flippable_all(f: Formula, cap: int = DEFAULT_ENUM_CAP) -> Flippability
     """Search for an assignment giving every clause a true and a false
     literal; it and its complement then witness that every variable is
     flippable. Falls back to a per-variable check over all solutions."""
-    if f.n > cap:
-        raise CapExceededError(
-            f"search over n={f.n} variables exceeds cap {cap}", size=f.n
-        )
+    _check_cap("formula", f.n, cap)
     nae = _nae_search(f)
     if nae is not None:
         comp = tuple(1 - b for b in nae)

@@ -7,14 +7,19 @@ clause bitmasks), and enumerate each component's satisfying assignments.
 Component solution sets are cached on a canonical form of the component
 subformula, so every caller that meets the same component shares one array.
 That cache is bounded by bytes and evicts its oldest entries first.
-Residual decompositions ("plans") are not cached: ``plan_for`` is a view
-over ``decompose``. Only ``marginal_counts``, the coupling's reveal, keeps
-a memo of its results, a bounded ``functools.lru_cache``. So memory stays
-flat however many pinnings a run meets.
 
-Sampling goes through one draw schedule (``build_exec``, ``draw_exec``):
-``sample_conditional`` and every block step of the sampler build one and
-draw from it. Determinism contract: components meeting the targets are
+Every exact conditional quantity but the closest solution is read off one
+draw schedule (``build_exec``): ``sample_conditional`` and the sampler's
+block steps draw from it (``draw_exec``), and ``marginal_counts``, behind
+the coupling's reveal and the influence matrix, reads v's counts off the
+schedule of every free variable. So one loop applies the error rule: a
+falsified clause first, then the components by ascending lowest variable,
+the first over the cap or without solutions. Only ``marginal_counts``
+memoizes, in a bounded ``functools.lru_cache``, so memory stays flat
+however many pinnings a run meets; ``plan_for``, which ``closest_solution``
+reads, is an uncached view over ``decompose``.
+
+Determinism contract of a draw: components meeting the targets are
 consumed in ascending order of their minimum variable (one uniform index
 draw each), then target variables outside every residual clause get one
 fair bit each, in ascending variable order.
@@ -31,8 +36,10 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .errors import CapExceededError, InfeasiblePinningError, UsageError
-from .formula import Formula, _ball_union, _check_partial, _enumerate_local, bit_positions, mask_groups
+from .errors import InfeasiblePinningError, UsageError
+from .formula import (
+    Formula, _ball_union, _check_cap, _check_partial, _enumerate_local, bit_positions, mask_groups
+)
 from .rng import as_rng, rand_below, rand_bit
 
 DEFAULT_CAP = 1 << 22  # assignment evaluations allowed per component
@@ -135,16 +142,10 @@ def component_key(vars_mask: int, clauses) -> tuple:
 def component_solutions(key: tuple, cap: int) -> np.ndarray:
     """Satisfying local masks, ascending, of the component with canonical
     form `key`. The cap is checked before any cache lookup or enumeration."""
-    nvars = key[0]
-    if 1 << nvars > cap:
-        raise CapExceededError(
-            f"component on {nvars} variables needs "
-            f"{1 << nvars} evaluations, cap is {cap}",
-            size=nvars,
-        )
+    _check_cap("component", key[0], cap)
     sols = _SOL_CACHE.get(key)
     if sols is None:
-        sols = _enumerate_local(nvars, key[1])
+        sols = _enumerate_local(key[0], key[1])
         _cache_solutions(key, sols)
     return sols
 
@@ -215,26 +216,16 @@ def exact_marginal(f: Formula, x: Mapping, v: int, cap: int = DEFAULT_CAP) -> Fr
 def marginal_counts(f: Formula, dom: int, val: int, v: int, cap: int = DEFAULT_CAP) -> tuple:
     """exact_marginal on the pinning (dom, val) as an unreduced ratio: the
     numbers of solutions of v's component with v = 1 and in all, or (1, 2)
-    when v is in no residual clause. The arguments are not checked; v must
-    be a free variable. Memoized with cap in the key; errors are not."""
-    plan = plan_for(f, dom, val)
-    if not plan.ok:
-        raise InfeasiblePinningError(
-            f"pinning falsifies clause {plan.falsified_clause}"
-        )
-    counts = 1, 2
+    when v is in no residual clause. Read off the draw schedule of every
+    free variable, so the pinning is checked as build_exec checks it. The
+    arguments are not checked; v must be a free variable. Memoized with cap
+    in the key; errors are not."""
     vbit = 1 << (v - 1)
-    for comp in plan.comps:
-        sols = comp.solutions(cap)
-        if len(sols) == 0:
-            raise InfeasiblePinningError(
-                f"component containing variable {comp.vars[0]} has no "
-                "satisfying assignment under the pinning"
-            )
-        if comp.mask & vbit:
-            local = np.uint64((comp.mask & (vbit - 1)).bit_count())
-            counts = int(((sols >> local) & np.uint64(1)).sum()), len(sols)
-    return counts
+    for sols, count, _, pairs in build_exec(f, dom, val, ((1 << f.n) - 1) & ~dom, cap).draws:
+        for local, gb in pairs:
+            if gb == vbit:
+                return int(((sols >> np.uint64(local)) & np.uint64(1)).sum()), count
+    return 1, 2
 
 
 def closest_solution(f: Formula, x: Mapping, v: int, want: int, reference, cap: int = DEFAULT_CAP):
@@ -410,6 +401,8 @@ def check_local_uniformity(
     """
     if s <= 0:
         raise UsageError(f"uniformity parameter s must be positive, got {s}")
+    if trials < 1:
+        raise UsageError("trials must be >= 1")
     rng = as_rng(seed)
     marked = sorted(marking.marked)
     bound = 0.5 * math.exp(1.0 / s)

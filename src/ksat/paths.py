@@ -76,10 +76,6 @@ class _PathBuilder:
         self.distances.append(d)
         self.stages.append(stage)
 
-    def extend(self, path: "SolutionPath", stage=None):
-        for i, entry in enumerate(path.entries[1:]):
-            self.push(entry, stage if stage is not None else path.stages[i])
-
     def build(self) -> SolutionPath:
         return SolutionPath(
             tuple(self.entries), tuple(self.distances), tuple(self.stages)
@@ -212,7 +208,8 @@ def find_path_random(
     leg_b = lifted_leg(sigma_prime)
 
     builder = _PathBuilder(sigma)
-    builder.extend(leg_a, stage=STAGE_LIFT)
+    for entry in leg_a.entries[1:]:
+        builder.push(entry, STAGE_LIFT)
 
     # middle: switch bad components from sigma's to sigma_prime's values
     _switch_components(f, builder, psi, sigma_prime, STAGE_BAD)

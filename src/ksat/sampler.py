@@ -232,6 +232,8 @@ def estimate_tv(f: Formula, m: Marking, cfg: SamplerConfig, runs: int) -> TvEsti
     """Total-variation distance of the empirical chain output law from the
     uniform distribution on all solutions, over `runs` independent chains
     seeded from cfg.seed."""
+    if runs < 1:
+        raise UsageError("runs must be >= 1")
     sols = enumerate_solutions(f)
     if not sols:
         raise DomainError("formula has no solutions to compare against")
@@ -295,6 +297,8 @@ def check_chain_uniformity(
     """Empirical check that the marked chain law stays locally uniform:
     every cell P(X_t(U) = pattern) at most 2^-|U| e^(|U|/s) plus z binomial
     standard errors."""
+    if trials < 1:
+        raise UsageError("trials must be >= 1")
     if s is None:
         s = max((len(c) for c in f.clauses), default=1)
     chain = _Chain(f, m, cfg)

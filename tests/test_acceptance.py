@@ -447,7 +447,7 @@ def test_criterion_10_looseness_and_flippability():
         sigma = tuple(sigma[v] for v in range(1, n + 1))
         rep = looseness_report(f, m, None, sigma, cap=CAP)
         assert rep.ok, f"instance {tried}: failures {rep.failures}"
-        res = check_flippable_all(f, cap=30)
+        res = check_flippable_all(f, cap=1 << 30)
         assert res.all_flippable
         done += 1
 

@@ -8,8 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ksat import Formula, InfeasiblePinningError, enumerate_solutions, generate_random_kcnf
-from ksat.classify import classify
+from ksat import (
+    CapExceededError,
+    Formula,
+    InfeasiblePinningError,
+    enumerate_solutions,
+    generate_random_kcnf,
+)
+from ksat.classify import classify, default_delta, good_induced_formula
 from ksat.coupling import (
     coupling_influence_bound,
     exact_influence_matrix,
@@ -17,8 +23,10 @@ from ksat.coupling import (
     run_coupling,
     verify_coupling_trace,
 )
-from ksat.marking import Marking, find_marking
+from ksat.marginals import exact_marginal
+from ksat.marking import Marking, default_quotas, find_marking
 from ksat.rng import make_rng, spawn_seed
+from ksat.sampler import SamplerConfig, default_t_max, run_block_dynamics
 
 
 def all_good_classification(f, k=4):
@@ -111,8 +119,6 @@ def test_structure_invariants_on_all_good_instances():
 def test_structure_invariants_with_bad_components():
     # sparse n=40 instances with a contained bad set (same configuration as
     # the random-path tests); the trace checks run inside run_coupling
-    from ksat.classify import good_induced_formula
-
     for seed in (0, 3, 4):
         f = generate_random_kcnf(40, 8, 4, seed=seed)
         cl = classify(f, delta=2, zeta=0.3, k=4)
@@ -249,6 +255,29 @@ def test_exact_influence_matches_enumeration_oracle(case):
     assert inf.exact == exact
     assert inf.flagged == flagged
     assert inf.max_eigenvalue == pytest.approx(top, abs=1e-9)
+
+
+def test_exact_influence_beyond_the_whole_formula_oracle():
+    """n = 40 is past whole-formula enumeration, but with all but 8 marked
+    variables pinned to a chain sample every residual component is small,
+    and only those are enumerated."""
+    f = generate_random_kcnf(40, 8, 5, seed=0)
+    cl = classify(f, delta=default_delta(5, f.m / f.n), zeta=0.3, k=5)
+    good = good_induced_formula(f, cl, force=True)
+    m = find_marking(good, *default_quotas(5, 0.3), seed=0, eligible=cl.v_good)
+    sample, _ = run_block_dynamics(f, m, SamplerConfig(0.3, default_t_max(0.3, f.n), 0))
+    marked = sorted(m.marked)
+    pin = {v: sample[v - 1] for v in marked[8:]}
+    inf = exact_influence_matrix(f, m, pin)
+    assert inf.order == tuple(marked[:8])
+    assert inf.matrix.shape == (8, 8) and inf.matrix.any()
+    for u in inf.order:
+        for v in inf.order:
+            if v != u and u not in inf.flagged:
+                p0 = exact_marginal(f, {**pin, u: 0}, v)
+                assert inf.entry(u, v) == p0 - exact_marginal(f, {**pin, u: 1}, v)
+    with pytest.raises(CapExceededError):
+        exact_influence_matrix(f, m, pin, cap=2)
 
 
 def test_influence_dominated_by_coupling_estimate():

@@ -268,7 +268,7 @@ def test_enumerate_matches_oracle_and_is_satisfying():
 
 def test_enumerate_cap():
     with pytest.raises(CapExceededError):
-        enumerate_solutions(Formula(30, ()), cap=26)
+        enumerate_solutions(Formula(30, ()), cap=1 << 26)
 
 
 def test_hamming():

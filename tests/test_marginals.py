@@ -319,6 +319,14 @@ def test_local_uniformity_empty_formula():
     assert rep.ok
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_local_uniformity_rejects_trials_below_one(trials):
+    f = Formula(3, ())
+    m = Marking(frozenset({1, 2}), 0, 0, certified=True)
+    with pytest.raises(UsageError, match="trials must be >= 1"):
+        check_local_uniformity(f, m, s=4, trials=trials, seed=9)
+
+
 def test_local_uniformity_or_clause_within_bound():
     # mu = 2/3 vs bound (1/2)e^(1/2) ~ 0.824
     f = Formula.from_ints(2, [[1, 2]])

@@ -204,6 +204,22 @@ def test_invalid_configs_rejected():
         run_block_dynamics(f, uncertified, SamplerConfig(theta=1.0, t_max=1, seed=1))
 
 
+@pytest.mark.parametrize("runs", [0, -3])
+def test_estimate_tv_rejects_runs_below_one(runs):
+    f = Formula.from_ints(2, [[1, 2]])
+    cfg = SamplerConfig(theta=0.5, t_max=1, seed=1)
+    with pytest.raises(UsageError, match="runs must be >= 1"):
+        estimate_tv(f, trivial_marking({1, 2}), cfg, runs=runs)
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_chain_uniformity_rejects_trials_below_one(trials):
+    f = Formula.from_ints(2, [[1, 2]])
+    cfg = SamplerConfig(theta=0.5, t_max=1, seed=1)
+    with pytest.raises(UsageError, match="trials must be >= 1"):
+        check_chain_uniformity(f, trivial_marking({1, 2}), cfg, trials=trials)
+
+
 def test_default_t_max_positive():
     assert default_t_max(0.3, 20) >= 1
 
