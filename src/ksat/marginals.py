@@ -224,7 +224,7 @@ def marginal_counts(f: Formula, dom: int, val: int, v: int, cap: int = DEFAULT_C
     for sols, count, _, pairs in build_exec(f, dom, val, ((1 << f.n) - 1) & ~dom, cap).draws:
         for local, gb in pairs:
             if gb == vbit:
-                return int(((sols >> np.uint64(local)) & np.uint64(1)).sum()), count
+                return int(np.count_nonzero(sols & np.uint64(1 << local))), count
     return 1, 2
 
 
