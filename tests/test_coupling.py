@@ -119,6 +119,8 @@ def test_structure_invariants_on_all_good_instances():
 def test_structure_invariants_with_bad_components():
     # sparse n=40 instances with a contained bad set (same configuration as
     # the random-path tests); the trace checks run inside run_coupling
+    from ksat.classify import good_induced_formula
+
     for seed in (0, 3, 4):
         f = generate_random_kcnf(40, 8, 4, seed=seed)
         cl = classify(f, delta=2, zeta=0.3, k=4)
