@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .classify import Classification
-from .errors import InfeasiblePinningError, UsageError
+from .errors import InfeasiblePinningError, RegimeError, UsageError
 from .formula import (
     Formula,
     _ball_union,
@@ -37,9 +37,9 @@ from .formula import (
 )
 from .marginals import (
     DEFAULT_CAP,
-    build_exec,
     draw_exec,
     exact_marginal,
+    exec_store,
     marginal_counts,
     pin_masks,
 )
@@ -144,6 +144,16 @@ def run_coupling(
     for cid, (pos, neg) in enumerate(clause_masks):
         if not (pos & xval or neg & dom & ~xval) or not (pos & yval or neg & dom & ~yval):
             e_unsat |= 1 << cid
+    # the reveal loop starts at v0's unsatisfied clauses; with no open good
+    # variable in any of them and an open bad one left, no failure rule runs
+    # and that bad variable would end up coupled across unequal residuals
+    open_at_v0 = [
+        clause_vars[cid] & ~dom for cid in bit_positions(e_unsat & f._var_clause_masks[v0])
+    ]
+    if any(open_at_v0) and not any(vs & good for vs in open_at_v0):
+        raise RegimeError(
+            f"no open good variable in the unsatisfied clauses of variable {v0}"
+        )
 
     def apply_failure_rules():
         # iterated to fixpoint: each rule can enable the next
@@ -218,18 +228,19 @@ def run_coupling(
     v_coupled = ((1 << f.n) - 1) & ~v_failed
 
     # extension: one shared draw on the coupled region
+    store = exec_store(f)
     coupled_open = v_coupled & ~dom
     shared = 0
     if coupled_open:
-        shared = draw_exec(build_exec(f, dom, xval, coupled_open, cap), rng, 0)
+        shared = draw_exec(store(dom, xval, coupled_open, cap), rng, 0)
     _assert_same_coupled_residual(f, dom, xval, yval, v_failed)
     x = xval | shared
     y = yval | shared
     # independent draws on the failed regions
     failed_open = v_failed & ~dom
     if failed_open:
-        x |= draw_exec(build_exec(f, dom, xval, failed_open, cap), rng, 0)
-        y |= draw_exec(build_exec(f, dom, yval, failed_open, cap), rng, 0)
+        x |= draw_exec(store(dom, xval, failed_open, cap), rng, 0)
+        y |= draw_exec(store(dom, yval, failed_open, cap), rng, 0)
 
     trace = CouplingTrace(
         v_set=_var_set(dom),
@@ -368,8 +379,9 @@ def exact_influence_matrix(
         raise UsageError("pinning domain must be a subset of the marked set")
     _check_partial(f, lambda_pin)
     dom, val = pin_masks(lambda_pin)
-    # an infeasible pinning raises here, also when no marked variable is free
-    build_exec(f, dom, val, ((1 << f.n) - 1) & ~dom, cap)
+    # an infeasible pinning raises here, also when no marked variable is free;
+    # the schedule stays in the store for the first row's marginal_counts
+    exec_store(f)(dom, val, ((1 << f.n) - 1) & ~dom, cap)
     order = tuple(sorted(m.marked - set(lambda_pin)))
     exact = [[Fraction(0)] * len(order) for _ in order]
     flagged = []

@@ -56,15 +56,6 @@ class Formula:
     n: int
     clauses: tuple
 
-    def __hash__(self) -> int:
-        # plan and solution caches look formulas up on every call; hashing
-        # the clause tuple each time would cost O(m) a lookup
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.n, self.clauses))
-
     def __post_init__(self):
         if self.n < 0:
             raise UsageError(f"variable count must be >= 0, got {self.n}")

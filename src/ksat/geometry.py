@@ -15,7 +15,6 @@ from .formula import (
     DEFAULT_ENUM_CAP,
     Formula,
     _ball_union,
-    _check_cap,
     _solution_codes,
     bit_positions,
     clause_graph_components,
@@ -237,9 +236,10 @@ class FlippabilityResult:
 def check_flippable_all(f: Formula, cap: int = DEFAULT_ENUM_CAP) -> FlippabilityResult:
     """Search for an assignment giving every clause a true and a false
     literal; it and its complement then witness that every variable is
-    flippable. Falls back to a per-variable check over all solutions."""
-    _check_cap("formula", f.n, cap)
-    nae = _nae_search(f)
+    flippable. Falls back to a per-variable check over all solutions. The
+    search and the fallback each have cap evaluations: a (variable, value)
+    the search tries counts as one, and the fallback needs 2^n."""
+    nae = _nae_search(f, cap)
     if nae is not None:
         comp = tuple(1 - b for b in nae)
         for a in (nae, comp):
@@ -254,9 +254,10 @@ def check_flippable_all(f: Formula, cap: int = DEFAULT_ENUM_CAP) -> Flippability
     return FlippabilityResult(not unflippable, None, unflippable)
 
 
-def _nae_search(f: Formula):
+def _nae_search(f: Formula, cap: int):
     """First NAE-satisfying assignment in lexicographic order, or None.
-    Backtracking over variables 1..n, value 0 before 1."""
+    Backtracking over variables 1..n, value 0 before 1; CapExceededError
+    once it has tried more than cap (variable, value) pairs."""
     n = f.n
     lits = [tuple((lit.var, lit.sign) for lit in c) for c in f.clauses]
     state = [None] * (n + 1)
@@ -278,21 +279,27 @@ def _nae_search(f: Formula):
         return unassigned + (1 if true_seen else 0) + (1 if false_seen else 0) >= 2
 
     occ = f._var_clauses
-
-    def backtrack(v):
-        if v > n:
-            return True
-        for b in (0, 1):
-            state[v] = b
-            if all(clause_ok(c) for c in occ[v]):
-                if backtrack(v + 1):
-                    return True
-        state[v] = None
-        return False
-
-    if backtrack(1):
-        return tuple(state[1:])
-    return None
+    tries = 0
+    v, b = 1, 0  # the next (variable, value) to try
+    while v <= n:
+        if b == 2:  # both values of v failed: back up to the previous one
+            state[v] = None
+            v -= 1
+            if not v:
+                return None
+            b = state[v] + 1
+            continue
+        tries += 1
+        if tries > cap:
+            raise CapExceededError(
+                f"NAE search on {n} variables needs more than {cap} evaluations", size=n
+            )
+        state[v] = b
+        if all(clause_ok(c) for c in occ[v]):
+            v, b = v + 1, 0
+        else:
+            b += 1
+    return tuple(state[1:])
 
 
 def extract_two_tree(f: Formula, b, root: int, target: int):

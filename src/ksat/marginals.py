@@ -9,15 +9,17 @@ subformula, so every caller that meets the same component shares one array.
 That cache is bounded by bytes and evicts its oldest entries first.
 
 Every exact conditional quantity but the closest solution is read off one
-draw schedule (``build_exec``): ``sample_conditional`` and the sampler's
-block steps draw from it (``draw_exec``), and ``marginal_counts``, behind
-the coupling's reveal and the influence matrix, reads v's counts off the
-schedule of every free variable. So one loop applies the error rule: a
-falsified clause first, then the components by ascending lowest variable,
-the first over the cap or without solutions. Only ``marginal_counts``
-memoizes, in a bounded ``functools.lru_cache``, so memory stays flat
-however many pinnings a run meets; ``plan_for``, which ``closest_solution``
-reads, is an uncached view over ``decompose``.
+draw schedule (``build_exec``): ``sample_conditional``, the sampler's block
+steps and the coupling's extension draw from it (``draw_exec``), and
+``marginal_counts``, behind the coupling's reveal and the influence matrix,
+reads v's counts off the schedule of every free variable. So one loop
+applies the error rule: a falsified clause first, then the components by
+ascending lowest variable, the first over the cap or without solutions.
+Each formula holds one store of its schedules (``exec_store``), a bounded
+``functools.lru_cache`` keyed by (dom, val, targets, cap), which every
+caller reads, so memory stays flat however many pinnings a run meets;
+``plan_for``, which ``closest_solution`` reads, is an uncached view over
+``decompose``.
 
 Determinism contract of a draw: components meeting the targets are
 consumed in ascending order of their minimum variable (one uniform index
@@ -31,7 +33,7 @@ import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -50,7 +52,7 @@ DEFAULT_CAP = 1 << 22  # assignment evaluations allowed per component
 _SOL_CACHE_BYTES = 64 << 20
 _SOL_ENTRY_BYTES = 256
 _SOL_CLAUSE_BYTES = 128
-_COUNT_CACHE_ENTRIES = 1 << 14
+_EXEC_CACHE_ENTRIES = 1 << 14  # schedules per formula store
 
 # canonical component subformula -> uint64 array of satisfying local masks,
 # oldest first; _sol_cache_bytes is its charge against _SOL_CACHE_BYTES. An
@@ -86,8 +88,9 @@ class _Component(NamedTuple):
         return component_solutions(component_key(self.mask, self.clauses), cap)
 
 
-def decompose(f: Formula, dom: int, val: int) -> tuple:
-    """Residual of f under the pinning (dom, val), split into components.
+def decompose(clause_masks, dom: int, val: int) -> tuple:
+    """Residual of a formula, given as its (pos, neg) clause masks, under
+    the pinning (dom, val), split into components.
 
     Returns (falsified, groups). When some clause has every literal pinned
     false, falsified is the id of the first such clause and groups is
@@ -100,7 +103,7 @@ def decompose(f: Formula, dom: int, val: int) -> tuple:
     groups = []
     false_lits = dom & ~val
     free = ~dom
-    for cid, (pos, neg) in enumerate(f._clause_masks):
+    for cid, (pos, neg) in enumerate(clause_masks):
         if pos & val or neg & false_lits:
             continue
         fpos = pos & free
@@ -191,7 +194,7 @@ class _Plan(NamedTuple):
 
 def plan_for(f: Formula, dom_mask: int, val_mask: int) -> _Plan:
     """Residual decomposition of f under the pinning (dom, val), uncached."""
-    falsified, groups = decompose(f, dom_mask, val_mask & dom_mask)
+    falsified, groups = decompose(f._clause_masks, dom_mask, val_mask & dom_mask)
     comps = sorted((_Component(*g) for g in groups), key=lambda c: c.mask & -c.mask)
     return _Plan(falsified, tuple(comps))
 
@@ -212,16 +215,15 @@ def exact_marginal(f: Formula, x: Mapping, v: int, cap: int = DEFAULT_CAP) -> Fr
     return Fraction(*marginal_counts(f, *pin_masks(x), v, cap))
 
 
-@lru_cache(maxsize=_COUNT_CACHE_ENTRIES)
 def marginal_counts(f: Formula, dom: int, val: int, v: int, cap: int = DEFAULT_CAP) -> tuple:
     """exact_marginal on the pinning (dom, val) as an unreduced ratio: the
     numbers of solutions of v's component with v = 1 and in all, or (1, 2)
-    when v is in no residual clause. Read off the draw schedule of every
-    free variable, so the pinning is checked as build_exec checks it. The
-    arguments are not checked; v must be a free variable. Memoized with cap
-    in the key; errors are not."""
+    when v is in no residual clause. Read off the stored schedule of every
+    free variable, so one build per pinning serves every v, and the pinning
+    is checked as build_exec checks it. The arguments are not checked; v
+    must be a free variable."""
     vbit = 1 << (v - 1)
-    for sols, count, _, pairs in build_exec(f, dom, val, ((1 << f.n) - 1) & ~dom, cap).draws:
+    for sols, count, _, pairs in exec_store(f)(dom, val, ((1 << f.n) - 1) & ~dom, cap).draws:
         for local, gb in pairs:
             if gb == vbit:
                 return int(np.count_nonzero(sols & np.uint64(1 << local))), count
@@ -268,24 +270,24 @@ class ExecPlan:
     ascending. max_comp_vars: the largest component of the whole residual.
     """
 
-    __slots__ = ("ok", "draws", "free_bits", "max_comp_vars")
+    __slots__ = ("draws", "free_bits", "max_comp_vars")
 
-    def __init__(self, ok, draws, free_bits, max_comp_vars):
-        self.ok = ok
+    def __init__(self, draws, free_bits, max_comp_vars):
         self.draws = draws
         self.free_bits = free_bits
         self.max_comp_vars = max_comp_vars
 
 
-def build_exec(f: Formula, dom: int, val: int, targets_mask: int, cap: int) -> ExecPlan:
-    """Draw schedule for the targets under the pinning (dom, val).
+def build_exec(clause_masks, dom: int, val: int, targets_mask: int, cap: int) -> ExecPlan:
+    """Draw schedule for the targets under the pinning (dom, val) of the
+    formula with these (pos, neg) clause masks.
 
     Only the components meeting the targets are enumerated, in ascending
     order of their lowest variable. InfeasiblePinningError when the pinning
     falsifies a clause or, at the first one in that order, a component has
     no solutions.
     """
-    falsified, groups = decompose(f, dom, val)
+    falsified, groups = decompose(clause_masks, dom, val)
     if falsified is not None:
         raise InfeasiblePinningError(f"pinning falsifies clause {falsified}")
     clause_vars_mask = 0
@@ -319,7 +321,19 @@ def build_exec(f: Formula, dom: int, val: int, targets_mask: int, cap: int) -> E
         gb = rest & -rest
         free_bits.append(gb)
         rest ^= gb
-    return ExecPlan(True, tuple(draws), tuple(free_bits), max_comp_vars)
+    return ExecPlan(tuple(draws), tuple(free_bits), max_comp_vars)
+
+
+def exec_store(f: Formula):
+    """f's store of draw schedules, store(dom, val, targets_mask, cap): an
+    lru_cache of _EXEC_CACHE_ENTRIES entries over build_exec on f's clause
+    masks, which keeps no errors. It lives in f.__dict__, as cached_property
+    keeps f._clause_masks, and holds no reference to f, so it dies with f."""
+    store = f.__dict__.get("_exec_store")
+    if store is None:
+        store = lru_cache(maxsize=_EXEC_CACHE_ENTRIES)(partial(build_exec, f._clause_masks))
+        f.__dict__["_exec_store"] = store
+    return store
 
 
 def draw_exec(e: ExecPlan, rng, bits: int) -> int:
@@ -366,7 +380,7 @@ def sample_conditional(f: Formula, x: Mapping, targets, seed, cap: int = DEFAULT
         if v in x:
             raise UsageError(f"target variable {v} is pinned by the conditioning")
         targets_mask |= 1 << (v - 1)
-    bits = draw_exec(build_exec(f, *pin_masks(x), targets_mask, cap), rng, 0)
+    bits = draw_exec(exec_store(f)(*pin_masks(x), targets_mask, cap), rng, 0)
     return {v: (bits >> (v - 1)) & 1 for v in targets}
 
 

@@ -10,9 +10,10 @@ Each step draws from the schedule ``marginals.build_exec`` builds under the
 step's pinning, with ``marginals.draw_exec``: the one draw path
 ``sample_conditional`` takes too, so a step consumes randomness exactly as
 that call would, and a chain is reproducible from (formula, marking,
-config) alone. A chain memoizes its schedules in a ``functools.lru_cache``
-of ``_EXEC_CACHE_ENTRIES`` entries, so pinnings that recur, as on small
-formulas, are built once, and memory stays flat when they do not.
+config) alone. Steps and the extension read their schedules from the
+formula's bounded store (``marginals.exec_store``), so a pinning that
+recurs, within a chain or across chains and calls on one formula, is
+built once, and memory stays flat when none does.
 """
 
 from __future__ import annotations
@@ -20,17 +21,15 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
 from typing import Mapping
 
 from .errors import DomainError, InfeasiblePinningError, UsageError
 from .formula import Formula, enumerate_solutions, is_satisfying, mask_to_assignment
-from .marginals import DEFAULT_CAP, ExecPlan, build_exec, draw_exec
+from .marginals import DEFAULT_CAP, draw_exec, exec_store
 from .marking import Marking
 from .rng import as_rng, make_rng, rand_below, rand_bit, spawn_seed, subsample
 
 _MAX_REJECTS = 100
-_EXEC_CACHE_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -103,33 +102,13 @@ class _Chain:
         self.unmarked_mask = 0
         for v in self.unmarked:
             self.unmarked_mask |= 1 << (v - 1)
-        # built over the fields, not over self, so no reference cycle keeps
-        # a dead chain's memo alive
-        self.exec_for = lru_cache(maxsize=_EXEC_CACHE_ENTRIES)(
-            partial(_step_exec, f, self.marked_mask, self.unmarked_mask, cfg.cap)
-        )
+        self.store = exec_store(f)
 
-    def feasible_full_pinning(self, xbits: int) -> bool:
-        # every residual component meets the targets (all unmarked
-        # variables), so the plan is ok exactly when each has a solution
-        return self.exec_for(self.marked_mask, xbits).ok
-
-
-def _step_exec(
-    f: Formula, marked_mask: int, unmarked_mask: int, cap: int, dom: int, val: int
-) -> ExecPlan:
-    """Execution plan for redrawing the step targets under the pinning
-    (dom, val). Targets are the marked variables outside dom, except for
-    the full marked pinning, whose targets are the unmarked variables
-    (the final extension). _INFEASIBLE where build_exec finds the pinning
-    infeasible."""
-    try:
-        return build_exec(f, dom, val, marked_mask & ~dom or unmarked_mask, cap)
-    except InfeasiblePinningError:
-        return _INFEASIBLE
-
-
-_INFEASIBLE = ExecPlan(False, (), (), 0)
+    def extension(self, xbits: int):
+        """Schedule of the unmarked variables under the marked pinning xbits.
+        Every residual component meets those targets, so InfeasiblePinningError
+        comes exactly when xbits has no satisfying extension."""
+        return self.store(self.marked_mask, xbits, self.unmarked_mask, self.cfg.cap)
 
 
 def _init_marked(chain: _Chain, rng, trace: ChainTrace) -> int:
@@ -141,17 +120,21 @@ def _init_marked(chain: _Chain, rng, trace: ChainTrace) -> int:
         for v in chain.marked:
             if cfg.init[v]:
                 xbits |= 1 << (v - 1)
-        if not chain.feasible_full_pinning(xbits):
-            raise DomainError("given initial marked assignment is infeasible")
+        try:
+            chain.extension(xbits)
+        except InfeasiblePinningError:
+            raise DomainError("given initial marked assignment is infeasible") from None
         return xbits
     for _ in range(_MAX_REJECTS + 1):
         xbits = 0
         for v in chain.marked:
             if rand_bit(rng):
                 xbits |= 1 << (v - 1)
-        if chain.feasible_full_pinning(xbits):
+        try:
+            chain.extension(xbits)
             return xbits
-        trace.init_retries += 1
+        except InfeasiblePinningError:
+            trace.init_retries += 1
     raise DomainError(
         "no feasible initial marked assignment found in "
         f"{_MAX_REJECTS} redraws; the formula may be unsatisfiable"
@@ -164,7 +147,8 @@ def _run_marked_chain(chain: _Chain, rng, trace: ChainTrace) -> int:
     marked = chain.marked
     marked_mask = chain.marked_mask
     block_size = chain.block
-    exec_for = chain.exec_for
+    store = chain.store
+    cap = chain.cfg.cap
     hist = trace.step_component_hist = [0] * (chain.f.n + 1)
     grb = rng.getrandbits
     npool = len(marked)
@@ -189,8 +173,8 @@ def _run_marked_chain(chain: _Chain, rng, trace: ChainTrace) -> int:
         dom = marked_mask & ~s_mask
         # X(M) always has a satisfying extension (_init_marked checks it and
         # every draw is exact), so its restriction to dom has one too and
-        # the step's plan is never _INFEASIBLE
-        e = exec_for(dom, xbits & dom)
+        # the step's schedule never raises InfeasiblePinningError
+        e = store(dom, xbits & dom, s_mask, cap)
         xbits = draw_exec(e, rng, xbits)
         hist[e.max_comp_vars] += 1
         trace.steps += 1
@@ -200,7 +184,7 @@ def _run_marked_chain(chain: _Chain, rng, trace: ChainTrace) -> int:
 def _run_full(chain: _Chain, rng):
     trace = ChainTrace()
     xbits = _run_marked_chain(chain, rng, trace)
-    ext = chain.exec_for(chain.marked_mask, xbits)
+    ext = chain.extension(xbits)
     trace.extension_max_component = ext.max_comp_vars
     bits = draw_exec(ext, rng, xbits)
     assignment = mask_to_assignment(bits, chain.f.n)

@@ -12,6 +12,7 @@ from ksat import (
     CapExceededError,
     Formula,
     InfeasiblePinningError,
+    RegimeError,
     enumerate_solutions,
     generate_random_kcnf,
 )
@@ -23,7 +24,7 @@ from ksat.coupling import (
     run_coupling,
     verify_coupling_trace,
 )
-from ksat.marginals import exact_marginal
+from ksat.marginals import exact_marginal, exec_store
 from ksat.marking import Marking, default_quotas, find_marking
 from ksat.rng import make_rng, spawn_seed
 from ksat.sampler import SamplerConfig, default_t_max, run_block_dynamics
@@ -92,6 +93,32 @@ def test_coupling_with_pinning_and_infeasible_branch():
     # pinning x2=0 forces x1=1: the v0=x1 branch X(v0)=0 is infeasible
     with pytest.raises(InfeasiblePinningError):
         run_coupling(f, cl, m, {2: 0}, v0=1, k_c=1, seed=0)
+
+
+def test_no_open_good_variable_at_v0_is_out_of_regime():
+    """v0 = 1 sits only in (-1 v 3), unsatisfied in Y, whose open variable
+    3 is bad: the reveal loop has nothing to pick, yet 3 must not end up
+    coupled. Every seed raises RegimeError before any draw."""
+    f = Formula.from_ints(4, [[2, 3, -4], [-1, 3], [2, 3]])
+    cl = classify(f, delta=2, zeta=0.3, k=4)
+    assert 3 in cl.v_bad and 1 in cl.v_good
+    m = Marking(frozenset({1}), 1, 1, certified=True)
+    for seed in range(6):
+        with pytest.raises(RegimeError):
+            run_coupling(f, cl, m, {}, v0=1, k_c=1, seed=seed)
+
+
+def test_repeated_run_reads_every_schedule_from_the_store():
+    """A second identical run builds no schedule: its reveals and its
+    extension draws all hit the formula's store, and its trace is the
+    first run's."""
+    f = generate_random_kcnf(9, 10, 3, seed=7)
+    cl = all_good_classification(f, k=3)
+    m = Marking(frozenset(range(1, 10)), 1, 1, certified=True)
+    first = run_coupling(f, cl, m, {2: 1}, v0=1, k_c=1, seed=11)
+    misses = exec_store(f).cache_info().misses
+    assert run_coupling(f, cl, m, {2: 1}, v0=1, k_c=1, seed=11) == first
+    assert exec_store(f).cache_info().misses == misses
 
 
 def test_structure_invariants_on_all_good_instances():

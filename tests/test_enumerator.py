@@ -60,7 +60,7 @@ def test_enumeration_across_chunk_boundaries(f, monkeypatch):
     monkeypatch.setattr(formula, "_ENUM_CHUNK", 8)
     monkeypatch.setattr(marginals, "_SOL_CACHE", OrderedDict())
     monkeypatch.setattr(marginals, "_sol_cache_bytes", 0)
-    marginals.marginal_counts.cache_clear()
+    f = Formula(f.n, f.clauses)  # a fresh schedule store
 
     assert enumerate_solutions(f) == brute_solutions(f)
     pinnings = [{}] + [{u: b} for u in range(1, f.n + 1) for b in (0, 1)]

@@ -1,3 +1,5 @@
+import itertools
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -5,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ksat import (
+    CapExceededError,
     Formula,
     UsageError,
     enumerate_solutions,
@@ -236,6 +239,40 @@ def test_flippable_unit_clause_fallback():
 def test_flippable_fallback_without_solutions():
     res = check_flippable_all(Formula.from_ints(3, [[1], [-1]]))
     assert (res.all_flippable, res.nae_pair, res.unflippable) == (False, None, (1, 2, 3))
+
+
+def test_flippable_search_past_the_enumeration_oracle():
+    """The NAE search has its own budget of cap (variable, value) trials,
+    so n = 40 needs no 2^40 enumeration; a cap below the trials the search
+    needs raises."""
+    f = generate_random_kcnf(40, 8, 5, seed=0)
+    res = check_flippable_all(f)
+    assert res.all_flippable and all(is_satisfying(f, a) for a in res.nae_pair)
+    assert check_flippable_all(f, cap=f.n).nae_pair == res.nae_pair
+    with pytest.raises(CapExceededError):
+        check_flippable_all(f, cap=f.n - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 8), st.integers(0, 12), st.integers(0, 2**32))
+def test_flippable_search_finds_the_first_nae_assignment(n, m, seed):
+    """The witness is the lexicographically first assignment giving every
+    clause a true and a false literal, by brute force; with none, the
+    solution fallback decides."""
+    f = generate_random_kcnf(n, m, min(n, 3), seed=seed) if n else Formula(0, ())
+    nae = next(
+        (
+            a
+            for a in itertools.product((0, 1), repeat=n)
+            if all(len({a[lit.var - 1] == lit.sign for lit in c}) == 2 for c in f.clauses)
+        ),
+        None,
+    )
+    res = check_flippable_all(f)
+    if nae is not None:
+        assert res.nae_pair == (nae, tuple(1 - b for b in nae))
+    else:
+        assert res.nae_pair is None
 
 
 def test_flippable_low_density_suite():

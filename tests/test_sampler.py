@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ksat import Formula, UsageError, enumerate_solutions, generate_random_kcnf, is_satisfying
 from ksat.errors import DomainError
-from ksat.marginals import sample_conditional
+from ksat.marginals import exec_store, sample_conditional
 from ksat.marking import Marking, find_marking
 from ksat.rng import make_rng
 from ksat.sampler import (
@@ -37,6 +37,21 @@ def test_unique_solution_formula():
     for seed in range(5):
         a, trace = run_block_dynamics(f, m, SamplerConfig(theta=1.0, t_max=3, seed=seed))
         assert a == (1, 0)
+
+
+def test_repeated_run_reads_every_schedule_from_the_store():
+    """A second run_block_dynamics call on the same (f, m, cfg) builds no
+    schedule: each chain reads the formula's store, so the first call's
+    schedules serve every step of the second, and the output repeats."""
+    f = generate_random_kcnf(12, 12, 4, seed=4)
+    m = find_marking(f, 1, 1, seed=3)
+    assert m.certified
+    cfg = SamplerConfig(theta=0.3, t_max=100, seed=9)
+    first = run_block_dynamics(f, m, cfg)
+    misses = exec_store(f).cache_info().misses
+    assert misses > 1
+    assert run_block_dynamics(f, m, cfg) == first
+    assert exec_store(f).cache_info().misses == misses
 
 
 def test_empty_formula_uniform_output():
@@ -270,20 +285,21 @@ def test_step_and_extension_plans_are_always_feasible(chain_case, theta, with_in
         sol = sols[seed % len(sols)]
         init = {v: sol[v - 1] for v in m.marked}
     chain = _Chain(f, m, SamplerConfig(theta=theta, t_max=t_max, seed=seed, init=init))
-    plans = []
-    inner = chain.exec_for
+    plans = []  # each schedule asked for, None where the pinning was infeasible
+    inner = chain.store
 
-    def recording_exec_for(dom, val):
-        plans.append(inner(dom, val))
+    def recording_store(dom, val, targets, cap):
+        plans.append(None)
+        plans[-1] = inner(dom, val, targets, cap)
         return plans[-1]
 
-    chain.exec_for = recording_exec_for
+    chain.store = recording_store
     try:
         _run_full(chain, make_rng(seed))
     except DomainError:
         # only a random init gives up, on finding no feasible draw
-        assert init is None and not any(p.ok for p in plans)
+        assert init is None and all(p is None for p in plans)
         return
-    accepted = next(i for i, p in enumerate(plans) if p.ok)
-    assert all(p.ok for p in plans[accepted:])
+    accepted = next(i for i, p in enumerate(plans) if p is not None)
+    assert all(p is not None for p in plans[accepted:])
     assert len(plans) - accepted == t_max + 2
