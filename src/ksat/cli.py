@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -182,6 +183,8 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path} is not ASCII text: {exc}") from exc
 
 
 def _load_formula(args) -> Formula:
@@ -275,8 +278,11 @@ def _write_payload(args, payload) -> None:
 
 def _write_text(args, text: str) -> None:
     if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="ascii") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -463,8 +469,11 @@ def _cmd_pipeline(args) -> None:
         for inst in instances
         for seed in seeds
     ]
-    if args.jobs > 1 and cells:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # the pool forks all its workers at the first submit, so never more
+    # than there are cells or CPUs to run them
+    workers = min(args.jobs, len(cells), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(
                 pool.map(_pipeline_cell, (json.dumps(spec) for _ in cells), *zip(*cells))
             )

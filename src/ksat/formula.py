@@ -116,13 +116,6 @@ class Formula:
         return tuple(masks)
 
     @cached_property
-    def _var_clauses(self) -> tuple:
-        """Per-variable tuple of clause ids (deduplicated, ascending)."""
-        return tuple(
-            tuple(sorted({cid for cid, _ in entries})) for entries in self.occ
-        )
-
-    @cached_property
     def _clause_var_masks(self) -> tuple:
         """Variable mask of each clause, bit v-1 for var v."""
         return tuple(pos | neg for pos, neg in self._clause_masks)
@@ -131,7 +124,7 @@ class Formula:
     def _var_clause_masks(self) -> tuple:
         """Per-variable mask of the clause ids containing it, bit cid for
         clause cid (index 0 unused)."""
-        return tuple(sum(1 << cid for cid in cids) for cids in self._var_clauses)
+        return tuple(sum({1 << cid for cid, _ in entries}) for entries in self.occ)
 
     @cached_property
     def _clause_ball1(self) -> tuple:

@@ -278,7 +278,7 @@ def _nae_search(f: Formula, cap: int):
         # still satisfiable as NAE if not all assigned literals same-sided
         return unassigned + (1 if true_seen else 0) + (1 if false_seen else 0) >= 2
 
-    occ = f._var_clauses
+    occ = [bit_positions(mask) for mask in f._var_clause_masks]
     tries = 0
     v, b = 1, 0  # the next (variable, value) to try
     while v <= n:

@@ -8,18 +8,19 @@ Component solution sets are cached on a canonical form of the component
 subformula, so every caller that meets the same component shares one array.
 That cache is bounded by bytes and evicts its oldest entries first.
 
-Every exact conditional quantity but the closest solution is read off one
-draw schedule (``build_exec``): ``sample_conditional``, the sampler's block
-steps and the coupling's extension draw from it (``draw_exec``), and
-``marginal_counts``, behind the coupling's reveal and the influence matrix,
-reads v's counts off the schedule of every free variable. So one loop
-applies the error rule: a falsified clause first, then the components by
-ascending lowest variable, the first over the cap or without solutions.
-Each formula holds one store of its schedules (``exec_store``), a bounded
-``functools.lru_cache`` keyed by (dom, val, targets, cap), which every
-caller reads, so memory stays flat however many pinnings a run meets;
-``plan_for``, which ``closest_solution`` reads, is an uncached view over
-``decompose``.
+Every exact conditional quantity is read off one draw schedule
+(``build_exec``): ``sample_conditional``, the sampler's block steps and the
+coupling's extension draw from it (``draw_exec``), while ``marginal_counts``,
+behind the coupling's reveal and the influence matrix, and
+``closest_solution``, behind paths and looseness, read v's component off the
+schedule of every free variable. So one loop applies the error rule: a
+falsified clause first, then the components by ascending lowest variable,
+the first over the cap or without solutions. Each formula holds one store of
+its schedules (``exec_store``), a bounded ``functools.lru_cache`` keyed by
+(dom, val, targets, cap), which every caller reads, so memory stays flat
+however many pinnings a run meets. ``plan_for`` is an uncached, read-only
+view over ``decompose`` for the bench scripts and the acceptance filters;
+nothing in the package calls it.
 
 Determinism contract of a draw: components meeting the targets are
 consumed in ascending order of their minimum variable (one uniform index
@@ -187,10 +188,6 @@ class _Plan(NamedTuple):
     def max_comp_vars(self) -> int:
         return max((c.mask.bit_count() for c in self.comps), default=0)
 
-    def component_of(self, v: int):
-        bit = 1 << (v - 1)
-        return next((c for c in self.comps if c.mask & bit), None)
-
 
 def plan_for(f: Formula, dom_mask: int, val_mask: int) -> _Plan:
     """Residual decomposition of f under the pinning (dom, val), uncached."""
@@ -218,16 +215,13 @@ def exact_marginal(f: Formula, x: Mapping, v: int, cap: int = DEFAULT_CAP) -> Fr
 def marginal_counts(f: Formula, dom: int, val: int, v: int, cap: int = DEFAULT_CAP) -> tuple:
     """exact_marginal on the pinning (dom, val) as an unreduced ratio: the
     numbers of solutions of v's component with v = 1 and in all, or (1, 2)
-    when v is in no residual clause. Read off the stored schedule of every
-    free variable, so one build per pinning serves every v, and the pinning
-    is checked as build_exec checks it. The arguments are not checked; v
-    must be a free variable."""
-    vbit = 1 << (v - 1)
-    for sols, count, _, pairs in exec_store(f)(dom, val, ((1 << f.n) - 1) & ~dom, cap).draws:
-        for local, gb in pairs:
-            if gb == vbit:
-                return int(np.count_nonzero(sols & np.uint64(1 << local))), count
-    return 1, 2
+    when v is in no residual clause. The arguments are not checked; v must
+    be a free variable."""
+    hit = _free_draw(f, dom, val, v, cap)
+    if hit is None:
+        return 1, 2
+    (sols, count, _, _), local = hit
+    return int(np.count_nonzero(sols & np.uint64(1 << local))), count
 
 
 def closest_solution(f: Formula, x: Mapping, v: int, want: int, reference, cap: int = DEFAULT_CAP):
@@ -235,30 +229,32 @@ def closest_solution(f: Formula, x: Mapping, v: int, want: int, reference, cap: 
     the component solution with v = want nearest to the full assignment
     `reference` in Hamming distance, ties to the smallest local mask.
     {v: want} when v is in no residual clause; None when no component
-    solution has v = want."""
-    plan = plan_for(f, *pin_masks(x))
-    if not plan.ok:
-        raise InfeasiblePinningError(f"pinning falsifies clause {plan.falsified_clause}")
-    comp = plan.component_of(v)
-    if comp is None:
+    solution has v = want. Raises as exact_marginal does."""
+    hit = _free_draw(f, *pin_masks(x), v, cap)
+    if hit is None:
         return {v: want}
-    comp_vars = comp.vars
-    vbit = comp_vars.index(v)
-    ref_mask = 0
-    for i, u in enumerate(comp_vars):
-        if reference[u - 1]:
-            ref_mask |= 1 << i
+    (sols, _, _, pairs), vlocal = hit
+    ref_mask = sum(1 << lb for lb, gb in pairs if reference[gb.bit_length() - 1])
     best = min(
-        (
-            ((s ^ ref_mask).bit_count(), s)
-            for s in map(int, comp.solutions(cap))
-            if (s >> vbit) & 1 == want
-        ),
+        (((s ^ ref_mask).bit_count(), s) for s in map(int, sols) if (s >> vlocal) & 1 == want),
         default=None,
     )
     if best is None:
         return None
-    return {u: (best[1] >> i) & 1 for i, u in enumerate(comp_vars)}
+    return {gb.bit_length(): (best[1] >> lb) & 1 for lb, gb in pairs}
+
+
+def _free_draw(f: Formula, dom: int, val: int, v: int, cap: int):
+    """v's draw in f's stored schedule of every free variable under the
+    pinning (dom, val), with v's local bit in it, or None when v is in no
+    residual clause. One build per pinning serves every v, and the pinning
+    is checked as build_exec checks it."""
+    vbit = 1 << (v - 1)
+    for draw in exec_store(f)(dom, val, ((1 << f.n) - 1) & ~dom, cap).draws:
+        for local, gb in draw[3]:
+            if gb == vbit:
+                return draw, local
+    return None
 
 
 class ExecPlan:

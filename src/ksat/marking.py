@@ -110,9 +110,7 @@ def _violations(f: Formula, marked, k_m: int, k_u: int) -> list:
     out = []
     for cid in range(f.m):
         vs = f.clause_vars(cid)
-        n_marked = len(vs & marked) if isinstance(marked, (set, frozenset)) else sum(
-            v in marked for v in vs
-        )
+        n_marked = len(vs & marked)
         if n_marked < k_m or len(vs) - n_marked < k_u:
             out.append(cid)
     return out

@@ -4,11 +4,14 @@ The bounded-degree walk runs in two stages. Stage 1 processes marked
 variables in ascending order, retargeting each to its destination value by
 re-solving only the connected component of that variable in the formula
 simplified under the other marked values, and picking the component solution
-closest in Hamming distance (``marginals.closest_solution``; ties broken by
-the smallest local solution encoding). Stage 2 pins all marked variables at
-their destination values and switches each residual component wholesale to
-the destination assignment (``_switch_components``); variables outside the
-marked set and every residual component flip in the first stage-2 step.
+closest in Hamming distance (``marginals.closest_solution``, read off the
+formula's draw schedule; ties broken by the smallest local solution
+encoding). Stage 2 pins all marked variables at their destination values and
+switches each residual component wholesale to the destination assignment
+(``_switch_components``); variables outside the marked set and every
+residual component flip in the first stage-2 step. Stage 2 needs only the
+components' variables, so it splits the residual (``marginals.decompose``)
+and enumerates nothing.
 
 The random-formula walk routes both endpoints through a common uniform
 solution of the good CNF, then switches the bad components between the two
@@ -21,8 +24,8 @@ from dataclasses import dataclass
 
 from .classify import Classification, good_induced_formula
 from .errors import RegimeError, UsageError
-from .formula import Formula, hamming, is_satisfying, simplify
-from .marginals import DEFAULT_CAP, closest_solution, pin_masks, plan_for, sample_conditional
+from .formula import Formula, bit_positions, hamming, is_satisfying, simplify
+from .marginals import DEFAULT_CAP, closest_solution, decompose, pin_masks, sample_conditional
 from .marking import Marking, verify_marking
 from .rng import as_rng
 
@@ -87,15 +90,17 @@ def _switch_components(f, builder, pin, dest, stage):
     one step per residual component of f under pin, in ascending order of
     lowest variable. The free variables in no component move with the
     first step, or alone when there is no component."""
-    plan = plan_for(f, *pin_masks(pin))
-    if not plan.ok:
+    dom, val = pin_masks(pin)
+    falsified, groups = decompose(f._clause_masks, dom, val)
+    if falsified is not None:
         raise AssertionError("pinning taken from a solution falsifies a clause")
-    rest = [v for v in range(1, f.n + 1) if v not in pin and plan.component_of(v) is None]
-    for comp_vars in [comp.vars for comp in plan.comps] or [()]:
+    comps = sorted((mask for mask, _ in groups), key=lambda mask: mask & -mask)
+    rest = ((1 << f.n) - 1) & ~dom & ~sum(comps)
+    for mask in comps or [0]:
         nxt = list(builder.current)
-        for u in (*comp_vars, *rest):
-            nxt[u - 1] = dest[u - 1]
-        rest = ()
+        for b in bit_positions(mask | rest):
+            nxt[b] = dest[b]
+        rest = 0
         if not is_satisfying(f, nxt):
             raise AssertionError(f"{stage} step broke satisfaction")
         builder.push(nxt, stage)

@@ -98,10 +98,7 @@ class _Chain:
         self.marked_mask = 0
         for v in self.marked:
             self.marked_mask |= 1 << (v - 1)
-        self.unmarked = [v for v in range(1, f.n + 1) if not (self.marked_mask >> (v - 1)) & 1]
-        self.unmarked_mask = 0
-        for v in self.unmarked:
-            self.unmarked_mask |= 1 << (v - 1)
+        self.unmarked_mask = ((1 << f.n) - 1) & ~self.marked_mask
         self.store = exec_store(f)
 
     def extension(self, xbits: int):

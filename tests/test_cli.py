@@ -239,6 +239,78 @@ def test_pipeline_parallel_jobs(capsys, tmp_path):
     assert json.loads(out_serial) == json.loads(out_parallel)
 
 
+class RecordingExecutor:
+    """Stands in for ProcessPoolExecutor: records max_workers and maps in
+    this process, so no worker is ever started."""
+
+    made = []
+
+    def __init__(self, max_workers):
+        self.made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("n_instances, n_seeds, jobs, cpus, workers", [
+    (2, 2, "5000", 3, 3),
+    (2, 2, "5000", 64, 4),
+    (1, 1, "5000", 8, None),
+    (2, 2, "2", 1, None),
+])
+def test_pipeline_jobs_clamped_to_cells_and_cpus(
+    capsys, tmp_path, monkeypatch, n_instances, n_seeds, jobs, cpus, workers
+):
+    from ksat import cli
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(RecordingExecutor, "made", [])
+    spec = {
+        "instances": [{"n": 10, "m": 5, "k": 3, "seed": s} for s in range(1, n_instances + 1)],
+        "seeds": list(range(4, 4 + n_seeds)),
+        "sample": {"theta": 0.5, "tmax": 3, "runs": 1},
+    }
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    code, out_serial, _ = run(capsys, "pipeline", "--spec", str(spec_path))
+    assert code == 0
+    code, out_jobs, _ = run(capsys, "pipeline", "--spec", str(spec_path), "--jobs", jobs)
+    assert code == 0
+    assert RecordingExecutor.made == ([] if workers is None else [workers])
+    assert json.loads(out_jobs) == json.loads(out_serial)
+
+
+def test_non_ascii_input_is_a_usage_error(capsys, dimacs_file, tmp_path):
+    f = dimacs_file("f.cnf", "c caf\u00e9\np cnf 2 1\n1 2 0\n")
+    code, _, err = run(capsys, "classify", "--dimacs", f)
+    assert code == 2
+    assert json.loads(err)["error"] == "usage"
+    good = dimacs_file("g.cnf", "p cnf 2 1\n1 2 0\n")
+    assignment = tmp_path / "a.txt"
+    assignment.write_bytes(b"1\xff")
+    code, _, err = run(capsys, "verify", "--dimacs", good, "--assignment", str(assignment))
+    assert code == 2
+    assert json.loads(err)["error"] == "usage"
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_unwritable_out_is_a_usage_error(capsys, tmp_path, where):
+    out = tmp_path / "no" / "such" / "x" if where == "missing-dir" else tmp_path
+    code, stdout, err = run(
+        capsys, "gen", "--n", "20", "--m", "30", "--k", "4", "--seed", "7", "--out", str(out)
+    )
+    assert code == 2
+    assert stdout == ""
+    assert json.loads(err)["error"] == "usage"
+
+
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])
 def test_sample_seed_out_of_range(capsys, dimacs_file, seed):
     f = dimacs_file("f.cnf", "p cnf 4 2\n1 2 -3 0\n-1 3 4 0\n")

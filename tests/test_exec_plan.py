@@ -52,9 +52,8 @@ def reference_exec(f, dom, val, targets, cap):
         if len(sols) == 0:
             return None
         draws.append((sols.tolist(), len(sols), (len(sols) - 1).bit_length(), pairs))
-    free = tuple(
-        1 << b for b in range(f.n) if (targets >> b) & 1 and plan.component_of(b + 1) is None
-    )
+    covered = sum(comp.mask for comp in plan.comps)
+    free = tuple(1 << b for b in range(f.n) if (targets & ~covered) >> b & 1)
     return tuple(draws), free, plan.max_comp_vars
 
 

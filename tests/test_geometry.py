@@ -15,7 +15,7 @@ from ksat import (
     hamming,
     is_satisfying,
 )
-from ksat.classify import classify
+from ksat.classify import classify, default_delta, good_induced_formula
 from ksat.geometry import (
     certify_loose,
     check_flippable_all,
@@ -27,8 +27,10 @@ from ksat.geometry import (
     verify_dtree_membership,
     verify_two_tree,
 )
-from ksat.marking import Marking, find_marking
+from ksat.marginals import exec_store
+from ksat.marking import Marking, default_quotas, find_marking
 from ksat.rng import make_rng
+from ksat.sampler import SamplerConfig, run_block_dynamics
 
 
 def trivial_marking(marked=()):
@@ -73,6 +75,27 @@ def test_witnesses_verified_on_random_suite():
             assert is_satisfying(f, w)
             assert w[v - 1] != sigma[v - 1]
             assert hamming(sigma, w) == rep.distances[v]
+
+
+@pytest.mark.parametrize("n, m, k, seed", [(24, 7, 4, 3), (32, 9, 4, 5), (30, 4, 6, 7)])
+def test_looseness_report_reuses_the_chain_schedules(n, m, k, seed):
+    """After run_block_dynamics, every unmarked variable's flip reads the
+    chain's extension schedule from the formula's store, so the report
+    builds at most one schedule per marked variable."""
+    f = generate_random_kcnf(n, m, k, seed=seed)
+    cl = classify(f, default_delta(k, m / n), 0.3, k)
+    mk = find_marking(
+        good_induced_formula(f, cl, force=True), *default_quotas(k, 0.3), seed=seed,
+        eligible=cl.v_good,
+    )
+    assert mk.certified and mk.marked
+    sigma, _ = run_block_dynamics(f, mk, SamplerConfig(0.3, 20, seed))
+    before = exec_store(f).cache_info()
+    rep = looseness_report(f, mk, cl, sigma)
+    after = exec_store(f).cache_info()
+    assert rep.distances
+    assert after.misses - before.misses <= len(mk.marked)
+    assert after.hits - before.hits >= n - len(mk.marked)
 
 
 def test_looseness_report_empty_formula():

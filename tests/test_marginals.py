@@ -161,63 +161,87 @@ def test_exact_marginal_matches_enumeration_oracle(case):
         assert exact_marginal(f, x, v) == want
 
 
-@settings(max_examples=300, deadline=None)
-@given(pinned_cases(), st.integers(0, 10))
-def test_exact_marginal_error_kinds(case, cap_vars):
-    """A falsified clause comes first; then the components in ascending
-    order of lowest variable, the first too large for the cap or without
-    solutions deciding the error."""
-    f, x, v = case
+def expected_error(f, x, cap_vars):
+    """(kind, detail) of the error raised on f under x with a cap of
+    2^cap_vars evaluations, or None. A falsified clause comes first; then
+    the components in ascending order of lowest variable, the first too
+    large for the cap or without solutions deciding the error."""
     falsified, comps = residual_oracle(f, x)
-    error = None
     if falsified is not None:
-        error = InfeasiblePinningError, f"pinning falsifies clause {falsified}"
+        return InfeasiblePinningError, f"pinning falsifies clause {falsified}"
     for comp_vars, clauses in comps:
-        if error is not None:
-            break
         if len(comp_vars) > cap_vars:
-            error = CapExceededError, len(comp_vars)
-        elif not component_solutions_oracle(comp_vars, clauses):
-            error = InfeasiblePinningError, f"component containing variable {comp_vars[0]} "
-    if error is None:
-        assert exact_marginal(f, x, v, cap=1 << cap_vars) == oracle_marginal(f, x, v)
-        return
+            return CapExceededError, len(comp_vars)
+        if not component_solutions_oracle(comp_vars, clauses):
+            return InfeasiblePinningError, f"component containing variable {comp_vars[0]} "
+    return None
+
+
+def assert_raises_as(error, call):
     kind, detail = error
     with pytest.raises(kind) as info:
-        exact_marginal(f, x, v, cap=1 << cap_vars)
+        call()
     if kind is CapExceededError:
         assert info.value.size == detail
     else:
         assert str(info.value).startswith(detail)
 
 
+def closest_oracle(f, x, v, want, reference):
+    """closest_solution by brute force over v's component, on a pinning
+    with a satisfying extension."""
+    comp = next((c for c in residual_oracle(f, x)[1] if v in c[0]), None)
+    if comp is None:
+        return {v: want}
+    comp_vars, clauses = comp
+    i = comp_vars.index(v)
+    ref = sum(reference[u - 1] << j for j, u in enumerate(comp_vars))
+    best = min(
+        (
+            ((s ^ ref).bit_count(), s)
+            for s in component_solutions_oracle(comp_vars, clauses)
+            if (s >> i) & 1 == want
+        ),
+        default=None,
+    )
+    return None if best is None else {u: (best[1] >> j) & 1 for j, u in enumerate(comp_vars)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(pinned_cases(), st.integers(0, 10), st.integers(0, 1), st.data())
+def test_exact_marginal_error_kinds(case, cap_vars, want, data):
+    """exact_marginal and closest_solution raise by one rule (see
+    expected_error) and otherwise match their oracles."""
+    f, x, v = case
+    reference = data.draw(st.tuples(*[st.integers(0, 1)] * f.n))
+    cap = 1 << cap_vars
+    calls = (
+        (lambda: exact_marginal(f, x, v, cap=cap), lambda: oracle_marginal(f, x, v)),
+        (
+            lambda: closest_solution(f, x, v, want, reference, cap),
+            lambda: closest_oracle(f, x, v, want, reference),
+        ),
+    )
+    error = expected_error(f, x, cap_vars)
+    for call, oracle in calls:
+        if error is None:
+            assert call() == oracle()
+        else:
+            assert_raises_as(error, call)
+
+
 @settings(max_examples=300, deadline=None)
 @given(pinned_cases(), st.integers(0, 1), st.data())
 def test_closest_solution_matches_brute_force(case, want, data):
+    """The nearest solution of v's component with v = want; any residual
+    component without solutions makes the pinning infeasible."""
     f, x, v = case
     reference = data.draw(st.tuples(*[st.integers(0, 1)] * f.n))
-    falsified, comps = residual_oracle(f, x)
-    if falsified is not None:
-        with pytest.raises(InfeasiblePinningError):
-            closest_solution(f, x, v, want, reference)
-        return
-    comp = next((c for c in comps if v in c[0]), None)
-    if comp is None:
-        expected = {v: want}
+    error = expected_error(f, x, DEFAULT_CAP.bit_length() - 1)
+    if error is not None:
+        assert_raises_as(error, lambda: closest_solution(f, x, v, want, reference))
     else:
-        comp_vars, clauses = comp
-        i = comp_vars.index(v)
-        ref = sum(reference[u - 1] << j for j, u in enumerate(comp_vars))
-        best = min(
-            (
-                ((s ^ ref).bit_count(), s)
-                for s in component_solutions_oracle(comp_vars, clauses)
-                if (s >> i) & 1 == want
-            ),
-            default=None,
-        )
-        expected = None if best is None else {u: (best[1] >> j) & 1 for j, u in enumerate(comp_vars)}
-    assert closest_solution(f, x, v, want, reference) == expected
+        assert closest_solution(f, x, v, want, reference) == closest_oracle(f, x, v, want, reference)
 
 
 @settings(max_examples=200, deadline=None)
