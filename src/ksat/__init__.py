@@ -14,7 +14,6 @@ from .errors import (
 from .formula import (
     Formula,
     Literal,
-    SimplifyOutcome,
     clause_graph_components,
     connected_component,
     emit_dimacs,
@@ -23,7 +22,6 @@ from .formula import (
     hamming,
     is_satisfying,
     parse_dimacs,
-    simplify,
 )
 from .classify import Classification, classify, good_induced_formula
 from .marking import Marking, find_marking, verify_marking
@@ -61,7 +59,6 @@ __all__ = [
     "UsageError",
     "Formula",
     "Literal",
-    "SimplifyOutcome",
     "clause_graph_components",
     "connected_component",
     "emit_dimacs",
@@ -70,7 +67,6 @@ __all__ = [
     "hamming",
     "is_satisfying",
     "parse_dimacs",
-    "simplify",
     "Classification",
     "classify",
     "good_induced_formula",

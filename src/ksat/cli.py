@@ -253,6 +253,8 @@ def _marking_for_sampling(f: Formula, args, seed: int):
 def _draw_samples(f: Formula, m, theta: float, t_max, seed: int, runs: int, cap: int) -> list:
     """runs block-dynamics samples, run i seeded seed + i; t_max None takes
     the default budget for theta."""
+    if runs < 1:
+        raise UsageError(f"runs must be >= 1, got {runs}")
     if t_max is None:
         t_max = default_t_max(theta, f.n)
     samples = []

@@ -1,4 +1,4 @@
-"""CNF data model: DIMACS I/O, random instances, simplification, graph views.
+"""CNF data model: DIMACS I/O, random instances, graph views.
 
 Variables are 1-based. Assignments come in two public flavors:
 
@@ -218,6 +218,8 @@ def generate_random_kcnf(n: int, m: int, k: int, seed) -> Formula:
     Deterministic given the seed; variables within a clause are sorted and
     signs are drawn in sorted-variable order.
     """
+    if m < 0:
+        raise UsageError(f"clause count m must be >= 0, got {m}")
     if k > n:
         raise UsageError(f"clause width k={k} exceeds variable count n={n}")
     if k < 1 and m > 0:
@@ -228,63 +230,6 @@ def generate_random_kcnf(n: int, m: int, k: int, seed) -> Formula:
         vs = sorted(sample_without_replacement(rng, n, k))
         clauses.append(tuple(Literal(v, bool(rand_bit(rng))) for v in vs))
     return Formula(n, tuple(clauses))
-
-
-@dataclass(frozen=True)
-class SimplifyOutcome:
-    """Result of simplifying under a partial assignment.
-
-    ``clause_ids[i]`` is the id in the original formula of clause i of
-    ``formula``. On status 'falsified', ``falsified_clause`` is the original
-    id of a clause whose literals are all false under the assignment, and
-    ``formula`` covers only the clauses processed before it.
-    """
-
-    formula: Formula
-    status: str  # 'ok' | 'falsified'
-    clause_ids: tuple
-    falsified_clause: int | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "ok"
-
-
-def simplify(f: Formula, x: PartialAssignment) -> SimplifyOutcome:
-    """Remove clauses satisfied by x and delete assigned variables elsewhere.
-
-    A clause with every literal falsified yields status 'falsified' (not an
-    exception): infeasible pinnings must be detectable, not fatal.
-    """
-    _check_partial(f, x)
-    new_clauses = []
-    clause_ids = []
-    for cid, clause in enumerate(f.clauses):
-        residual = []
-        satisfied = False
-        for lit in clause:
-            val = x.get(lit.var)
-            if val is None:
-                residual.append(lit)
-            elif (val == 1) == lit.sign:
-                satisfied = True
-                break
-        if satisfied:
-            continue
-        if not residual:
-            return SimplifyOutcome(
-                formula=Formula(f.n, tuple(new_clauses)),
-                status="falsified",
-                clause_ids=tuple(clause_ids),
-                falsified_clause=cid,
-            )
-        new_clauses.append(tuple(residual))
-        clause_ids.append(cid)
-    return SimplifyOutcome(
-        formula=Formula(f.n, tuple(new_clauses)),
-        status="ok",
-        clause_ids=tuple(clause_ids),
-    )
 
 
 def connected_component(f: Formula, v: int):

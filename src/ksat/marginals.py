@@ -4,9 +4,6 @@ solutions.
 Everything here reduces to one primitive: simplify the formula under a
 pinning, split the residual into connected components (``decompose``, on
 clause bitmasks), and enumerate each component's satisfying assignments.
-Component solution sets are cached on a canonical form of the component
-subformula, so every caller that meets the same component shares one array.
-That cache is bounded by bytes and evicts its oldest entries first.
 
 Every exact conditional quantity is read off one draw schedule
 (``build_exec``): ``sample_conditional``, the sampler's block steps and the
@@ -15,12 +12,14 @@ behind the coupling's reveal and the influence matrix, and
 ``closest_solution``, behind paths and looseness, read v's component off the
 schedule of every free variable. So one loop applies the error rule: a
 falsified clause first, then the components by ascending lowest variable,
-the first over the cap or without solutions. Each formula holds one store of
-its schedules (``exec_store``), a bounded ``functools.lru_cache`` keyed by
-(dom, val, targets, cap), which every caller reads, so memory stays flat
-however many pinnings a run meets. ``plan_for`` is an uncached, read-only
-view over ``decompose`` for the bench scripts and the acceptance filters;
-nothing in the package calls it.
+the first over the cap or without solutions. Each formula holds two bounded
+``functools.lru_cache`` stores in its ``__dict__``, which every caller
+reads: its component solutions keyed by the component's canonical form
+(``solution_store``) and its schedules keyed by (dom, val, targets, cap)
+(``exec_store``). So memory stays flat however many pinnings a run meets,
+every cache dies with its formula, and the module holds no mutable state.
+``plan_for`` is an uncached, read-only view over ``decompose`` for the bench
+scripts and the acceptance filters; nothing in the package calls it.
 
 Determinism contract of a draw: components meeting the targets are
 consumed in ascending order of their minimum variable (one uniform index
@@ -31,7 +30,6 @@ fair bit each, in ascending variable order.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -47,20 +45,7 @@ from .rng import as_rng, rand_below, rand_bit
 
 DEFAULT_CAP = 1 << 22  # assignment evaluations allowed per component
 
-# Cache bounds. The solution budget counts each array's data plus an
-# estimate of the Python objects around it (_SOL_ENTRY_BYTES an entry,
-# _SOL_CLAUSE_BYTES a clause of its key).
-_SOL_CACHE_BYTES = 64 << 20
-_SOL_ENTRY_BYTES = 256
-_SOL_CLAUSE_BYTES = 128
-_EXEC_CACHE_ENTRIES = 1 << 14  # schedules per formula store
-
-# canonical component subformula -> uint64 array of satisfying local masks,
-# oldest first; _sol_cache_bytes is its charge against _SOL_CACHE_BYTES. An
-# OrderedDict, because dropping a plain dict's first entry again and again
-# costs time proportional to the entries dropped before it.
-_SOL_CACHE: OrderedDict = OrderedDict()
-_sol_cache_bytes = 0
+_STORE_ENTRIES = 1 << 14  # entries per store of a formula
 
 
 def pin_masks(x: Mapping) -> tuple:
@@ -86,7 +71,9 @@ class _Component(NamedTuple):
         return tuple(b + 1 for b in bit_positions(self.mask))
 
     def solutions(self, cap: int) -> np.ndarray:
-        return component_solutions(component_key(self.mask, self.clauses), cap)
+        """Satisfying local masks, ascending, enumerated uncached."""
+        _check_cap("component", self.mask.bit_count(), cap)
+        return _enumerate_local(*component_key(self.mask, self.clauses))
 
 
 def decompose(clause_masks, dom: int, val: int) -> tuple:
@@ -141,35 +128,6 @@ def component_key(vars_mask: int, clauses) -> tuple:
             fneg ^= low
         local.add((lpos, lneg))
     return vars_mask.bit_count(), tuple(sorted(local))
-
-
-def component_solutions(key: tuple, cap: int) -> np.ndarray:
-    """Satisfying local masks, ascending, of the component with canonical
-    form `key`. The cap is checked before any cache lookup or enumeration."""
-    _check_cap("component", key[0], cap)
-    sols = _SOL_CACHE.get(key)
-    if sols is None:
-        sols = _enumerate_local(key[0], key[1])
-        _cache_solutions(key, sols)
-    return sols
-
-
-def _sol_entry_bytes(key, sols) -> int:
-    return sols.nbytes + _SOL_ENTRY_BYTES + _SOL_CLAUSE_BYTES * len(key[1])
-
-
-def _cache_solutions(key, sols) -> None:
-    """Store sols under key, evicting the oldest entries while the cache is
-    over its byte budget. An array larger than the whole budget is not
-    stored."""
-    global _sol_cache_bytes
-    cost = _sol_entry_bytes(key, sols)
-    if cost > _SOL_CACHE_BYTES:
-        return
-    _sol_cache_bytes += cost
-    _SOL_CACHE[key] = sols
-    while _sol_cache_bytes > _SOL_CACHE_BYTES:
-        _sol_cache_bytes -= _sol_entry_bytes(*_SOL_CACHE.popitem(last=False))
 
 
 class _Plan(NamedTuple):
@@ -274,14 +232,17 @@ class ExecPlan:
         self.max_comp_vars = max_comp_vars
 
 
-def build_exec(clause_masks, dom: int, val: int, targets_mask: int, cap: int) -> ExecPlan:
+def build_exec(
+    clause_masks, solutions, dom: int, val: int, targets_mask: int, cap: int
+) -> ExecPlan:
     """Draw schedule for the targets under the pinning (dom, val) of the
-    formula with these (pos, neg) clause masks.
+    formula with these (pos, neg) clause masks, whose component solutions
+    `solutions(component_key)` returns.
 
     Only the components meeting the targets are enumerated, in ascending
-    order of their lowest variable. InfeasiblePinningError when the pinning
-    falsifies a clause or, at the first one in that order, a component has
-    no solutions.
+    order of their lowest variable, each checked against the cap first.
+    InfeasiblePinningError when the pinning falsifies a clause or, at the
+    first one in that order, a component has no solutions.
     """
     falsified, groups = decompose(clause_masks, dom, val)
     if falsified is not None:
@@ -297,7 +258,8 @@ def build_exec(clause_masks, dom: int, val: int, targets_mask: int, cap: int) ->
     hit.sort()
     draws = []
     for low, mask, clauses in hit:
-        sols = component_solutions(component_key(mask, clauses), cap)
+        _check_cap("component", mask.bit_count(), cap)
+        sols = solutions(component_key(mask, clauses))
         count = len(sols)
         if count == 0:
             raise InfeasiblePinningError(
@@ -320,15 +282,28 @@ def build_exec(clause_masks, dom: int, val: int, targets_mask: int, cap: int) ->
     return ExecPlan(tuple(draws), tuple(free_bits), max_comp_vars)
 
 
+def solution_store(f: Formula):
+    """f's store of component solutions, store(component_key): an lru_cache
+    of _STORE_ENTRIES entries over _enumerate_local, which it calls as a
+    module global, giving the satisfying local masks in ascending order. It
+    lives in f.__dict__, as cached_property keeps f._clause_masks, and holds
+    no reference to f, so it dies with f."""
+    store = f.__dict__.get("_solution_store")
+    if store is None:
+        store = lru_cache(maxsize=_STORE_ENTRIES)(lambda key: _enumerate_local(*key))
+        f.__dict__["_solution_store"] = store
+    return store
+
+
 def exec_store(f: Formula):
     """f's store of draw schedules, store(dom, val, targets_mask, cap): an
-    lru_cache of _EXEC_CACHE_ENTRIES entries over build_exec on f's clause
-    masks, which keeps no errors. It lives in f.__dict__, as cached_property
-    keeps f._clause_masks, and holds no reference to f, so it dies with f."""
+    lru_cache of _STORE_ENTRIES entries over build_exec on f's clause masks
+    and solution store, which keeps no errors. Like the solution store it
+    lives in f.__dict__ and dies with f."""
     store = f.__dict__.get("_exec_store")
     if store is None:
-        store = lru_cache(maxsize=_EXEC_CACHE_ENTRIES)(partial(build_exec, f._clause_masks))
-        f.__dict__["_exec_store"] = store
+        build = partial(build_exec, f._clause_masks, solution_store(f))
+        store = f.__dict__["_exec_store"] = lru_cache(maxsize=_STORE_ENTRIES)(build)
     return store
 
 

@@ -16,6 +16,10 @@ and enumerates nothing.
 The random-formula walk routes both endpoints through a common uniform
 solution of the good CNF, then switches the bad components between the two
 bad-variable assignments the same way, under the good solution's pinning.
+Each leg to the good solution is the bounded-degree walk in the formula
+itself with the endpoint's bad values added to every pinning, so both legs
+read the formula's own stores; the marking is checked once, against the good
+CNF, before any draw.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 
 from .classify import Classification, good_induced_formula
 from .errors import RegimeError, UsageError
-from .formula import Formula, bit_positions, hamming, is_satisfying, simplify
+from .formula import Formula, bit_positions, hamming, is_satisfying
 from .marginals import DEFAULT_CAP, closest_solution, decompose, pin_masks, sample_conditional
 from .marking import Marking, verify_marking
 from .rng import as_rng
@@ -106,17 +110,19 @@ def _switch_components(f, builder, pin, dest, stage):
         builder.push(nxt, stage)
 
 
-def _check_inputs(f, m, sigma, sigma_prime):
-    if not m.certified:
-        raise UsageError("marking is not certified")
-    bad = verify_marking(f, m)
-    if bad:
-        raise UsageError(f"marking violates its quotas on clauses {bad}")
+def _check_inputs(f, g, m, sigma, sigma_prime):
+    """Endpoints that satisfy f, and a certified marking within its quotas
+    on g."""
     for name, a in (("sigma", sigma), ("sigma_prime", sigma_prime)):
         if len(a) != f.n:
             raise UsageError(f"{name} has length {len(a)}, expected {f.n}")
         if not is_satisfying(f, a):
             raise UsageError(f"{name} does not satisfy the formula")
+    if not m.certified:
+        raise UsageError("marking is not certified")
+    bad = verify_marking(g, m)
+    if bad:
+        raise UsageError(f"marking violates its quotas on clauses {bad}")
 
 
 def find_path_bounded(
@@ -127,9 +133,14 @@ def find_path_bounded(
     cap: int = DEFAULT_CAP,
 ) -> SolutionPath:
     """Two-stage marked-variable walk from sigma to sigma_prime."""
-    _check_inputs(f, m, sigma, sigma_prime)
-    sigma = tuple(sigma)
-    sigma_prime = tuple(sigma_prime)
+    _check_inputs(f, f, m, sigma, sigma_prime)
+    return _marked_walk(f, m, tuple(sigma), tuple(sigma_prime), {}, cap)
+
+
+def _marked_walk(f, m, sigma, sigma_prime, fixed, cap) -> SolutionPath:
+    """The two-stage walk from sigma to sigma_prime, which agree on the
+    variables of `fixed` (var -> bit), with `fixed` added to every pinning:
+    the walk in f simplified under `fixed`, read off f's own stores."""
     builder = _PathBuilder(sigma)
     marked = sorted(m.marked)
 
@@ -138,7 +149,7 @@ def find_path_bounded(
         cur = builder.current
         if cur[v - 1] == sigma_prime[v - 1]:
             continue
-        pin = {u: cur[u - 1] for u in marked if u != v}
+        pin = {**fixed, **{u: cur[u - 1] for u in marked if u != v}}
         update = closest_solution(f, pin, v, sigma_prime[v - 1], cur, cap)
         if update is None:
             raise RegimeError(
@@ -156,7 +167,7 @@ def find_path_bounded(
     assert all(builder.current[v - 1] == sigma_prime[v - 1] for v in marked)
 
     # Stage 2: pin the marked destination, switch residual components
-    pin = {v: sigma_prime[v - 1] for v in marked}
+    pin = {**fixed, **{v: sigma_prime[v - 1] for v in marked}}
     _switch_components(f, builder, pin, sigma_prime, STAGE_UNMARKED)
 
     path = builder.build()
@@ -176,28 +187,18 @@ def find_path_random(
 ) -> SolutionPath:
     """Route both endpoints through a uniform good-CNF solution, then walk
     the bad components between the endpoint bad assignments."""
-    sigma = tuple(sigma)
-    sigma_prime = tuple(sigma_prime)
-    for name, a in (("sigma", sigma), ("sigma_prime", sigma_prime)):
-        if not is_satisfying(f, a):
-            raise UsageError(f"{name} does not satisfy the formula")
-    if not m.certified:
-        raise UsageError("marking is not certified")
+    good = good_induced_formula(f, cl, force=True)
+    _check_inputs(f, good, m, sigma, sigma_prime)
     if not m.marked <= cl.v_good:
         raise UsageError("marking must sit inside the good variables")
+    sigma = tuple(sigma)
+    sigma_prime = tuple(sigma_prime)
     rng = as_rng(seed)
-
-    good = good_induced_formula(f, cl, force=True)
-    good_vars = sorted(cl.v_good)
-    psi = sample_conditional(good, {}, good_vars, rng, cap=cap)
+    psi = sample_conditional(good, {}, sorted(cl.v_good), rng, cap=cap)
 
     def lifted_leg(endpoint):
-        """Path from `endpoint` to psi + endpoint(bad vars), inside the
-        formula simplified under the endpoint's bad assignment."""
-        bad_pin = {v: endpoint[v - 1] for v in sorted(cl.v_bad)}
-        out = simplify(f, bad_pin)
-        if not out.ok:
-            raise AssertionError("satisfying endpoint falsified its own pinning")
+        """Path from `endpoint` to psi + endpoint(bad vars): the marked walk
+        in f with the endpoint's bad values added to every pinning."""
         target = list(endpoint)
         for v, b in psi.items():
             target[v - 1] = b
@@ -207,7 +208,8 @@ def find_path_random(
                 "uniform good-CNF solution does not lift to a solution; "
                 "classification parameters outside the supported regime"
             )
-        return find_path_bounded(out.formula, m, endpoint, target, cap=cap)
+        bad_pin = {v: endpoint[v - 1] for v in cl.v_bad}
+        return _marked_walk(f, m, endpoint, target, bad_pin, cap)
 
     leg_a = lifted_leg(sigma)
     leg_b = lifted_leg(sigma_prime)

@@ -52,6 +52,12 @@ def test_gen_usage_error(capsys):
     assert json.loads(err)["error"] == "usage"
 
 
+def test_gen_negative_clause_count(capsys):
+    code, out, err = run(capsys, "gen", "--n", "5", "--m", "-3", "--k", "3", "--seed", "1")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "usage"
+
+
 def test_unknown_command(capsys):
     assert run(capsys, "frobnicate")[0] == 2
 
@@ -383,6 +389,7 @@ def run_spec(capsys, tmp_path, spec):
         {"n": 10, "m": 5, "k": 3, "seed": -1},
         {"n": 0, "m": 0, "k": 0, "seed": 0},
         {"n": 10, "m": 5, "k": 3},
+        {"n": 10, "m": -3, "k": 3, "seed": 1},
     ],
 )
 def test_pipeline_cell_records_a_refused_instance(capsys, tmp_path, instance):
@@ -546,3 +553,17 @@ def test_cli_argv_fuzz_ends_in_an_exit_code(command, flags):
             argv += ["--dimacs", paths["F"]]
         argv += [token for pair in flags for token in pair]
         assert_contract(*dispatch_captured(argv)[::2])
+
+
+def test_sample_runs_below_one(capsys, dimacs_file, tmp_path):
+    f = dimacs_file("f.cnf", "p cnf 5 2\n1 2 3 0\n-2 4 5 0\n")
+    code, out, err = run(capsys, "sample", "--dimacs", f, "--runs", "0", "--seed", "1")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "usage"
+    spec = {"instances": [{"n": 10, "m": 5, "k": 3, "seed": 1}], "seeds": [4],
+            "sample": {"runs": 0}, "path": {}, "loose": {}}
+    code, out, err = run_spec(capsys, tmp_path, spec)
+    assert code == 0, err
+    (record,) = json.loads(out)["records"]
+    assert "runs must be >= 1" in record["sample"]["error"]
+    assert "path" not in record and "loose" not in record

@@ -5,7 +5,6 @@ component masks with the i-th lowest variable at bit i) under renaming
 variables and flipping the signs of one variable."""
 
 import itertools
-from collections import OrderedDict
 from fractions import Fraction
 
 import pytest
@@ -58,9 +57,7 @@ def test_enumeration_across_chunk_boundaries(f, monkeypatch):
     pinning match the brute force."""
     assert marginals._enumerate_local is formula._enumerate_local
     monkeypatch.setattr(formula, "_ENUM_CHUNK", 8)
-    monkeypatch.setattr(marginals, "_SOL_CACHE", OrderedDict())
-    monkeypatch.setattr(marginals, "_sol_cache_bytes", 0)
-    f = Formula(f.n, f.clauses)  # a fresh schedule store
+    f = Formula(f.n, f.clauses)  # fresh solution and schedule stores
 
     assert enumerate_solutions(f) == brute_solutions(f)
     pinnings = [{}] + [{u: b} for u in range(1, f.n + 1) for b in (0, 1)]

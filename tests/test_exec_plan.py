@@ -1,10 +1,8 @@
 """The block step's draw schedule against plan_for and the enumeration oracle,
-the bound on the solution cache, and the contract of each formula's
-schedule store."""
+and the contract of each formula's solution and schedule stores."""
 
 import gc
 import weakref
-from collections import OrderedDict
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +12,9 @@ from ksat import CapExceededError, Formula, InfeasiblePinningError
 from ksat import enumerate_solutions, generate_random_kcnf
 from ksat import marginals
 from ksat.classify import classify, default_delta, good_induced_formula
-from ksat.marginals import DEFAULT_CAP, draw_exec, exact_marginal, exec_store, plan_for
+from ksat.marginals import (
+    DEFAULT_CAP, draw_exec, exact_marginal, exec_store, plan_for, solution_store
+)
 from ksat.marking import Marking, default_quotas, find_marking
 from ksat.rng import as_rng, make_rng
 from ksat.sampler import SamplerConfig, _Chain, _run_full, run_block_dynamics
@@ -99,25 +99,6 @@ def test_exec_plan_matches_plan_for_and_oracle(case, seed):
                 assert bits in conditional
 
 
-def test_solution_cache_evicts_oldest_within_budget(monkeypatch):
-    """A budget too small for one component's solutions leaves it uncached;
-    one that holds two entries keeps the newest two."""
-    monkeypatch.setattr(marginals, "_SOL_CACHE", OrderedDict())
-    monkeypatch.setattr(marginals, "_sol_cache_bytes", 0)
-    keys = [(3, ((1 << i, 0),)) for i in range(3)]  # x_i: 4 solutions each
-    cost = marginals._sol_entry_bytes(keys[0], marginals.component_solutions(keys[0], 8))
-    assert marginals._sol_cache_bytes == cost
-    monkeypatch.setattr(marginals, "_SOL_CACHE_BYTES", 2 * cost)
-    for key in keys[1:]:
-        marginals.component_solutions(key, 8)
-    assert list(marginals._SOL_CACHE) == keys[1:]
-    assert marginals._sol_cache_bytes == 2 * cost
-    monkeypatch.setattr(marginals, "_SOL_CACHE_BYTES", cost - 1)
-    sols = marginals.component_solutions((3, ((7, 0),)), 8)
-    assert len(sols) == 7
-    assert (3, ((7, 0),)) not in marginals._SOL_CACHE
-
-
 def test_store_keys_on_cap():
     """A schedule stored under the default cap does not answer a call with
     a cap too small for the component."""
@@ -143,14 +124,14 @@ def test_store_does_not_keep_errors():
 
 
 def test_store_is_bounded_and_dies_with_its_formula(monkeypatch):
-    """A store keeps at most _EXEC_CACHE_ENTRIES schedules, and with the
-    cycle collector off, dropping the formula frees the formula and its
-    store: nothing but the formula holds the store, and the store holds no
-    reference back."""
-    monkeypatch.setattr(marginals, "_EXEC_CACHE_ENTRIES", 5)
+    """Each store keeps at most _STORE_ENTRIES entries, and with the cycle
+    collector off, dropping the formula frees the formula and its stores:
+    nothing but the formula holds them, and they hold no reference back."""
+    monkeypatch.setattr(marginals, "_STORE_ENTRIES", 5)
     f = Formula.from_ints(6, [[1, 2, 3], [-3, 4], [4, -5, 6]])
     store = exec_store(f)
-    assert exec_store(f) is store
+    sols = solution_store(f)
+    assert exec_store(f) is store and solution_store(f) is sols
     for dom in range(1 << 6):
         for v in range(1, 7):
             if not (dom >> (v - 1)) & 1:
@@ -158,13 +139,29 @@ def test_store_is_bounded_and_dies_with_its_formula(monkeypatch):
                     marginals.marginal_counts(f, dom, 0, v)
                 except InfeasiblePinningError:
                     pass
-    info = store.cache_info()
-    assert info.maxsize == 5 and info.currsize == 5
-    refs = weakref.ref(f), weakref.ref(store)
-    del f, store
+    for info in (store.cache_info(), sols.cache_info()):
+        assert info.maxsize == 5 and info.currsize == 5 and info.misses > 5
+    refs = weakref.ref(f), weakref.ref(store), weakref.ref(sols)
     gc.disable()
     try:
+        del f, store, sols
         assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
+
+
+def test_no_cache_outlives_its_formula():
+    """A component's solution array, taken out of a schedule, is freed with
+    its formula once the caller lets go of it: no cache outside the formula
+    keeps it, even with the cycle collector off."""
+    f = Formula.from_ints(4, [[1, 2], [-2, 3, 4]])
+    sols = exec_store(f)(0, 0, 0b1111, DEFAULT_CAP).draws[0][0]
+    assert len(sols) == 10
+    ref = weakref.ref(sols)
+    gc.disable()
+    try:
+        del f, sols
+        assert ref() is None
     finally:
         gc.enable()
 
@@ -182,43 +179,36 @@ def _chains(f, m, seeds):
     """Run one chain per seed, and per chain take the exact marginal of each
     marked variable under its final marked pinning with that variable
     freed, as looseness checks do. Returns the outputs, the marginals, and
-    the largest solution-cache charge and store size seen."""
+    the largest sizes of the formula's solution and schedule stores seen."""
     marked = sorted(m.marked)
     outputs, probs = [], []
-    most_bytes = most_execs = 0
+    most_sols = most_execs = 0
     for seed in seeds:
         chain = _Chain(f, m, SamplerConfig(theta=0.3, t_max=2050, seed=seed))
         a, _ = _run_full(chain, as_rng(seed))
         outputs.append(a)
         for v in marked:
             probs.append(exact_marginal(f, {u: a[u - 1] for u in marked if u != v}, v))
-        sols = marginals._SOL_CACHE
-        assert marginals._sol_cache_bytes == sum(
-            marginals._sol_entry_bytes(k, s) for k, s in sols.items()
-        )
+        sols = solution_store(f).cache_info()
         execs = chain.store.cache_info()
-        assert execs.currsize <= execs.maxsize
-        most_bytes = max(most_bytes, marginals._sol_cache_bytes)
+        assert sols.currsize <= sols.maxsize and execs.currsize <= execs.maxsize
+        most_sols = max(most_sols, sols.currsize)
         most_execs = max(most_execs, execs.currsize)
-    return outputs, probs, most_bytes, most_execs
+    return outputs, probs, most_sols, most_execs
 
 
 def test_caches_stay_bounded_over_many_chains(monkeypatch):
     """60 chains at n=40, m=8, k=5, theta=0.3, under bounds small enough
-    that the solution cache and the formula's schedule store evict: they
-    stay inside their bounds, and the outputs are those under the default
-    bounds."""
+    that the formula's solution and schedule stores evict: they stay inside
+    their bound, and the outputs are those under the default bound."""
     f, m = _n40_instance()
-    monkeypatch.setattr(marginals, "_SOL_CACHE", OrderedDict())
-    monkeypatch.setattr(marginals, "_sol_cache_bytes", 0)
-    monkeypatch.setattr(marginals, "_SOL_CACHE_BYTES", 1 << 16)
-    monkeypatch.setattr(marginals, "_EXEC_CACHE_ENTRIES", 200)
-    outputs, probs, most_bytes, most_execs = _chains(f, m, range(60))
-    assert (1 << 16) - 4096 < most_bytes <= 1 << 16  # filled up to the budget
-    assert most_execs == 200  # filled up to the bound
+    monkeypatch.setattr(marginals, "_STORE_ENTRIES", 200)
+    outputs, probs, most_sols, most_execs = _chains(f, m, range(60))
+    assert most_sols == most_execs == 200  # both filled up to the bound
 
     monkeypatch.undo()
-    f = Formula(f.n, f.clauses)  # an equal formula with a default-bound store
-    assert exec_store(f).cache_info().maxsize == marginals._EXEC_CACHE_ENTRIES
+    f = Formula(f.n, f.clauses)  # an equal formula with default-bound stores
+    assert exec_store(f).cache_info().maxsize == marginals._STORE_ENTRIES
+    assert solution_store(f).cache_info().maxsize == marginals._STORE_ENTRIES
     assert run_block_dynamics(f, m, SamplerConfig(theta=0.3, t_max=2050, seed=0))[0] == outputs[0]
     assert _chains(f, m, range(3))[:2] == (outputs[:3], probs[: 3 * len(m.marked)])

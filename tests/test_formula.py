@@ -16,7 +16,6 @@ from ksat import (
     hamming,
     is_satisfying,
     parse_dimacs,
-    simplify,
 )
 from ksat.rng import make_rng
 
@@ -147,63 +146,6 @@ def test_generate_clause_frequencies():
     assert set(counts) == outcomes
     for key in outcomes:
         assert abs(counts.get(key, 0) / draws - 1 / 24) <= 0.005, key
-
-
-def test_simplify_examples():
-    f = Formula.from_ints(3, [[1, 2, 3]])
-    out = simplify(f, {1: 1})
-    assert out.ok and out.formula.m == 0
-
-    out = simplify(f, {1: 0})
-    assert out.ok
-    assert [l.to_int() for l in out.formula.clauses[0]] == [2, 3]
-    assert out.clause_ids == (0,)
-
-    unit = Formula.from_ints(1, [[1]])
-    out = simplify(unit, {1: 0})
-    assert out.status == "falsified" and out.falsified_clause == 0
-
-
-def test_simplify_commutes_on_disjoint_domains():
-    rng = make_rng(7)
-    for trial in range(30):
-        f = generate_random_kcnf(8, 10, 3, seed=rng)
-        x = {1: trial % 2, 3: (trial >> 1) % 2}
-        y = {5: trial % 2, 8: 1 - trial % 2}
-        joint = simplify(f, {**x, **y})
-        first = simplify(f, x)
-        if not first.ok:
-            assert not joint.ok
-            continue
-        second = simplify(first.formula, y)
-        assert joint.status == second.status
-        if joint.ok:
-            assert sorted(joint.formula.clauses) == sorted(second.formula.clauses)
-
-
-@settings(max_examples=200, deadline=None)
-@given(small_formulas(), st.data())
-def test_simplify_commutes_through_enumeration(f, data):
-    """Pinning x then y leaves the same residual solutions as pinning x | y
-    at once; x and y are drawn from one full pinning, so they may overlap
-    but never disagree."""
-    full = data.draw(st.tuples(*(st.integers(0, 1) for _ in range(f.n))))
-    var = st.integers(1, f.n) if f.n else st.nothing()
-    x = {v: full[v - 1] for v in data.draw(st.sets(var))}
-    y = {v: full[v - 1] for v in data.draw(st.sets(var))}
-    joint = simplify(f, {**x, **y})
-    first = simplify(f, x)
-    second = simplify(first.formula, y) if first.ok else first
-    assert joint.ok == second.ok
-    if joint.ok:
-        assert enumerate_solutions(joint.formula) == enumerate_solutions(second.formula)
-        # and both are the oracle's solutions once the pinning is put back
-        pinned = {**x, **y}
-        agree = [s for s in enumerate_solutions(f) if all(s[v - 1] == b for v, b in pinned.items())]
-        assert [
-            s for s in enumerate_solutions(joint.formula)
-            if all(s[v - 1] == b for v, b in pinned.items())
-        ] == agree
 
 
 def test_connected_component_examples():

@@ -172,6 +172,34 @@ def test_random_path_with_bad_variables():
         assert "bad-component" in p.stages
 
 
+def test_random_path_reads_the_formulas_own_store():
+    """Both lifted legs walk f itself, so a call on a fresh formula fills
+    f's schedule store; a marking that breaks a quota of the good CNF is
+    refused before any draw."""
+    from ksat.classify import good_induced_formula
+    from ksat.marginals import exec_store
+    from ksat.sampler import SamplerConfig, run_block_dynamics
+
+    f = generate_random_kcnf(40, 8, 4, seed=0)
+    cl = classify(f, delta=2, zeta=0.3, k=4)
+    good = good_induced_formula(f, cl, force=True)
+    m = find_marking(good, 1, 1, seed=9, eligible=cl.v_good)
+    a, _ = run_block_dynamics(f, m, SamplerConfig(theta=1.0, t_max=1, seed=77))
+    b, _ = run_block_dynamics(f, m, SamplerConfig(theta=1.0, t_max=1, seed=78))
+    fresh = Formula(f.n, f.clauses)
+    p = find_path_random(fresh, cl, m, a, b, seed=11)
+    assert p == find_path_random(f, cl, m, a, b, seed=11)
+    info = exec_store(fresh).cache_info()
+    assert info.hits + info.misses > 0
+
+    unmarked = Marking(frozenset(), 1, 1, certified=True)
+    rng = make_rng(11)
+    state = rng.getstate()
+    with pytest.raises(UsageError, match="violates its quotas"):
+        find_path_random(f, cl, unmarked, a, b, seed=rng)
+    assert rng.getstate() == state
+
+
 def test_random_path_agreeing_bad_assignments_have_no_bad_stage():
     # endpoints agreeing on every bad variable: all middle switches are
     # trivial, and trivial steps are dropped from the path
