@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import RegimeError, UsageError
-from .formula import Formula, _ball_union, bit_positions, mask_groups
+from .formula import Formula, _ball_union, bit_positions, mask_groups, var_mask
 
 
 def default_delta(k: int, alpha: float) -> int:
@@ -142,5 +142,5 @@ def bad_components(cl: Classification, f: Formula) -> tuple:
         v - 1: 1 << (v - 1) | _ball_union(f._clause_var_masks, f._var_clause_masks[v] & c_bad)
         for v in cl.v_bad
     }
-    groups = mask_groups(balls, sum(1 << (v - 1) for v in cl.v_bad))
+    groups = mask_groups(balls, var_mask(cl.v_bad))
     return tuple(frozenset(b + 1 for b in bit_positions(g)) for g in groups)

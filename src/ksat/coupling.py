@@ -34,6 +34,7 @@ from .formula import (
     is_satisfying,
     mask_groups,
     mask_to_assignment,
+    var_mask,
 )
 from .marginals import (
     DEFAULT_CAP,
@@ -73,10 +74,6 @@ class CouplingTrace:
         return frozenset(
             v + 1 for v in range(len(self.x)) if self.x[v] != self.y[v]
         )
-
-
-def _var_mask(variables) -> int:
-    return sum(1 << (v - 1) for v in variables)
 
 
 def _var_set(mask: int) -> frozenset:
@@ -127,8 +124,8 @@ def run_coupling(
     rng = as_rng(seed)
     clause_masks = f._clause_masks
     clause_vars = f._clause_var_masks
-    good = _var_mask(cl.v_good)
-    bad = _var_mask(cl.v_bad)
+    good = var_mask(cl.v_good)
+    bad = var_mask(cl.v_bad)
 
     lam, lam_val = pin_masks(lambda_pin)
     bit0 = 1 << (v0 - 1)
@@ -275,10 +272,10 @@ def verify_coupling_trace(
     f: Formula, cl: Classification, trace: CouplingTrace, k_c: int, lam_dom
 ) -> None:
     """Runtime validation of the coupling's structural guarantees."""
-    v_set = _var_mask(trace.v_set)
-    v_failed = _var_mask(trace.v_failed)
-    v_coupled = _var_mask(trace.v_coupled)
-    good = _var_mask(cl.v_good)
+    v_set = var_mask(trace.v_set)
+    v_failed = var_mask(trace.v_failed)
+    v_coupled = var_mask(trace.v_coupled)
+    good = var_mask(cl.v_good)
     x = assignment_to_mask(trace.x)
     y = assignment_to_mask(trace.y)
     xs, ys = x & v_set, y & v_set

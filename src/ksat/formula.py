@@ -372,7 +372,11 @@ def _enumerate_local(nvars: int, clauses) -> np.ndarray:
 def is_satisfying(f: Formula, a: Assignment) -> bool:
     if len(a) != f.n:
         raise UsageError(f"assignment length {len(a)} != n={f.n}")
-    mask = assignment_to_mask(a)
+    return satisfies_mask(f, assignment_to_mask(a))
+
+
+def satisfies_mask(f: Formula, mask: int) -> bool:
+    """Whether the assignment mask, variable v at bit v-1, satisfies f."""
     for pos, neg in f._clause_masks:
         if not (mask & pos) and not (neg & ~mask):
             return False
@@ -391,6 +395,14 @@ def assignment_to_mask(a: Assignment) -> int:
     for i, bit in enumerate(a):
         if bit:
             mask |= 1 << i
+    return mask
+
+
+def var_mask(variables) -> int:
+    """Bitmask of a variable set, variable v at bit v-1."""
+    mask = 0
+    for v in variables:
+        mask |= 1 << (v - 1)
     return mask
 
 

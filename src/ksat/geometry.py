@@ -16,11 +16,14 @@ from .formula import (
     Formula,
     _ball_union,
     _solution_codes,
+    assignment_to_mask,
     bit_positions,
     clause_graph_components,
-    hamming,
     is_satisfying,
     mask_groups,
+    mask_to_assignment,
+    satisfies_mask,
+    var_mask,
 )
 from .marginals import DEFAULT_CAP, closest_solution
 from .marking import Marking
@@ -47,22 +50,20 @@ def certify_loose(
     variables are never marked, so the same pinning rule covers both the
     good and bad cases.
     """
-    sigma = tuple(sigma)
     if not is_satisfying(f, sigma):
         raise UsageError("sigma does not satisfy the formula")
     if not 1 <= v <= f.n:
         raise UsageError(f"variable {v} out of range [1, {f.n}]")
-    pin = {u: sigma[u - 1] for u in sorted(m.marked) if u != v}
-    update = closest_solution(f, pin, v, 1 - sigma[v - 1], sigma, cap)
+    ref = assignment_to_mask(sigma)
+    dom = var_mask(m.marked) & ~(1 << (v - 1))
+    update = closest_solution(f, dom, ref & dom, v, 1 - sigma[v - 1], ref, cap)
     if update is None:
         return None
-    witness = list(sigma)
-    for u, b in update.items():
-        witness[u - 1] = b
-    witness = tuple(witness)
-    if not is_satisfying(f, witness):
+    comp, vals = update
+    witness = ref & ~comp | vals
+    if not satisfies_mask(f, witness):
         raise AssertionError("component flip broke satisfaction")
-    return FlipWitness(witness, hamming(sigma, witness))
+    return FlipWitness(mask_to_assignment(witness, f.n), (ref ^ witness).bit_count())
 
 
 @dataclass(frozen=True)
@@ -259,47 +260,41 @@ def _nae_search(f: Formula, cap: int):
     Backtracking over variables 1..n, value 0 before 1; CapExceededError
     once it has tried more than cap (variable, value) pairs."""
     n = f.n
-    lits = [tuple((lit.var, lit.sign) for lit in c) for c in f.clauses]
-    state = [None] * (n + 1)
+    clause_masks = f._clause_masks
+    occ = [bit_positions(mask) for mask in f._var_clause_masks]
 
     def clause_ok(cid):
-        true_seen = false_seen = False
-        unassigned = 0
-        for var, sign in lits[cid]:
-            val = state[var]
-            if val is None:
-                unassigned += 1
-            elif (val == 1) == sign:
-                true_seen = True
-            else:
-                false_seen = True
-        if unassigned == 0:
-            return true_seen and false_seen
-        # still satisfiable as NAE if not all assigned literals same-sided
-        return unassigned + (1 if true_seen else 0) + (1 if false_seen else 0) >= 2
+        # still NAE-satisfiable while the free literals and the assigned
+        # sides number at least 2; val's bits outside dom are stale
+        pos, neg = clause_masks[cid]
+        ones, zeros = val & dom, dom & ~val
+        free = ((pos | neg) & ~dom).bit_count()
+        return free + bool(pos & ones | neg & zeros) + bool(pos & zeros | neg & ones) >= 2
 
-    occ = [bit_positions(mask) for mask in f._var_clause_masks]
+    dom = val = 0
     tries = 0
     v, b = 1, 0  # the next (variable, value) to try
     while v <= n:
         if b == 2:  # both values of v failed: back up to the previous one
-            state[v] = None
+            dom &= ~(1 << (v - 1))
             v -= 1
             if not v:
                 return None
-            b = state[v] + 1
+            b = ((val >> (v - 1)) & 1) + 1
             continue
         tries += 1
         if tries > cap:
             raise CapExceededError(
                 f"NAE search on {n} variables needs more than {cap} evaluations", size=n
             )
-        state[v] = b
+        bit = 1 << (v - 1)
+        dom |= bit
+        val = val | bit if b else val & ~bit
         if all(clause_ok(c) for c in occ[v]):
             v, b = v + 1, 0
         else:
             b += 1
-    return tuple(state[1:])
+    return mask_to_assignment(val, n)
 
 
 def extract_two_tree(f: Formula, b, root: int, target: int):

@@ -12,7 +12,10 @@ behind the coupling's reveal and the influence matrix, and
 ``closest_solution``, behind paths and looseness, read v's component off the
 schedule of every free variable. So one loop applies the error rule: a
 falsified clause first, then the components by ascending lowest variable,
-the first over the cap or without solutions. Each formula holds two bounded
+the first over the cap or without solutions. Both of those take the pinning
+as masks (dom, val), and closest_solution answers in masks too, v's
+component and its new values, so a caller steps with
+``cur & ~comp | vals``. Each formula holds two bounded
 ``functools.lru_cache`` stores in its ``__dict__``, which every caller
 reads: its component solutions keyed by the component's canonical form
 (``solution_store``) and its schedules keyed by (dom, val, targets, cap)
@@ -39,7 +42,8 @@ import numpy as np
 
 from .errors import InfeasiblePinningError, UsageError
 from .formula import (
-    Formula, _ball_union, _check_cap, _check_partial, _enumerate_local, bit_positions, mask_groups
+    Formula, _ball_union, _check_cap, _check_partial, _enumerate_local, bit_positions, mask_groups,
+    var_mask,
 )
 from .rng import as_rng, rand_below, rand_bit
 
@@ -50,13 +54,7 @@ _STORE_ENTRIES = 1 << 14  # entries per store of a formula
 
 def pin_masks(x: Mapping) -> tuple:
     """(domain mask, value mask) of a partial assignment, bit v-1 for var v."""
-    dom = val = 0
-    for v, b in x.items():
-        bit = 1 << (v - 1)
-        dom |= bit
-        if b:
-            val |= bit
-    return dom, val
+    return var_mask(x), var_mask(v for v, b in x.items() if b)
 
 
 class _Component(NamedTuple):
@@ -182,24 +180,25 @@ def marginal_counts(f: Formula, dom: int, val: int, v: int, cap: int = DEFAULT_C
     return int(np.count_nonzero(sols & np.uint64(1 << local))), count
 
 
-def closest_solution(f: Formula, x: Mapping, v: int, want: int, reference, cap: int = DEFAULT_CAP):
-    """Values on the component of v in f under the pinning x, as var -> bit:
-    the component solution with v = want nearest to the full assignment
-    `reference` in Hamming distance, ties to the smallest local mask.
-    {v: want} when v is in no residual clause; None when no component
-    solution has v = want. Raises as exact_marginal does."""
-    hit = _free_draw(f, *pin_masks(x), v, cap)
+def closest_solution(f: Formula, dom: int, val: int, v: int, want: int, ref: int, cap: int):
+    """The component of v in f under the pinning (dom, val) and its new
+    values, as (component mask, values mask): the component solution with
+    v = want nearest to the assignment mask ref in Hamming distance, ties to
+    the smallest local mask. (v's bit, want on it) when v is in no residual
+    clause; None when no component solution has v = want. The arguments are
+    not checked; it raises as exact_marginal does."""
+    hit = _free_draw(f, dom, val, v, cap)
     if hit is None:
-        return {v: want}
+        return 1 << (v - 1), want << (v - 1)
     (sols, _, _, pairs), vlocal = hit
-    ref_mask = sum(1 << lb for lb, gb in pairs if reference[gb.bit_length() - 1])
+    ref_local = sum(1 << lb for lb, gb in pairs if ref & gb)
     best = min(
-        (((s ^ ref_mask).bit_count(), s) for s in map(int, sols) if (s >> vlocal) & 1 == want),
+        (((s ^ ref_local).bit_count(), s) for s in map(int, sols) if (s >> vlocal) & 1 == want),
         default=None,
     )
     if best is None:
         return None
-    return {gb.bit_length(): (best[1] >> lb) & 1 for lb, gb in pairs}
+    return sum(gb for _, gb in pairs), sum(gb for lb, gb in pairs if (best[1] >> lb) & 1)
 
 
 def _free_draw(f: Formula, dom: int, val: int, v: int, cap: int):

@@ -11,7 +11,8 @@ switches each residual component wholesale to the destination assignment
 (``_switch_components``); variables outside the marked set and every
 residual component flip in the first stage-2 step. Stage 2 needs only the
 components' variables, so it splits the residual (``marginals.decompose``)
-and enumerates nothing.
+and enumerates nothing. The walks hold assignments and pinnings as int
+masks, variable v at bit v-1, and build the SolutionPath's tuples once.
 
 The random-formula walk routes both endpoints through a common uniform
 solution of the good CNF, then switches the bad components between the two
@@ -28,8 +29,11 @@ from dataclasses import dataclass
 
 from .classify import Classification, good_induced_formula
 from .errors import RegimeError, UsageError
-from .formula import Formula, bit_positions, hamming, is_satisfying
-from .marginals import DEFAULT_CAP, closest_solution, decompose, pin_masks, sample_conditional
+from .formula import (
+    Formula, assignment_to_mask, bit_positions, hamming, is_satisfying, mask_to_assignment,
+    satisfies_mask, var_mask,
+)
+from .marginals import DEFAULT_CAP, closest_solution, decompose, sample_conditional
 from .marking import Marking, verify_marking
 from .rng import as_rng
 
@@ -65,47 +69,41 @@ class SolutionPath:
 
 
 class _PathBuilder:
-    def __init__(self, start):
-        self.entries = [tuple(start)]
-        self.distances = []
+    """Path under construction, its entries as assignment masks."""
+
+    def __init__(self, start: int):
+        self.entries = [start]
         self.stages = []
 
     @property
-    def current(self):
+    def current(self) -> int:
         return self.entries[-1]
 
-    def push(self, assignment, stage):
-        assignment = tuple(assignment)
-        d = hamming(self.current, assignment)
-        if d == 0:
-            return
-        self.entries.append(assignment)
-        self.distances.append(d)
-        self.stages.append(stage)
+    def push(self, assignment: int, stage):
+        if assignment != self.current:
+            self.entries.append(assignment)
+            self.stages.append(stage)
 
-    def build(self) -> SolutionPath:
-        return SolutionPath(
-            tuple(self.entries), tuple(self.distances), tuple(self.stages)
-        )
+    def build(self, n: int) -> SolutionPath:
+        e = self.entries
+        distances = tuple((a ^ b).bit_count() for a, b in zip(e, e[1:]))
+        entries = tuple(mask_to_assignment(a, n) for a in e)
+        return SolutionPath(entries, distances, tuple(self.stages))
 
 
-def _switch_components(f, builder, pin, dest, stage):
-    """Walk from builder.current to dest on the variables pin leaves free:
-    one step per residual component of f under pin, in ascending order of
+def _switch_components(f, builder, dom, dest, stage):
+    """Walk from builder.current to the mask dest off dom, under dest's
+    pinning on dom: one step per residual component, in ascending order of
     lowest variable. The free variables in no component move with the
     first step, or alone when there is no component."""
-    dom, val = pin_masks(pin)
-    falsified, groups = decompose(f._clause_masks, dom, val)
+    falsified, groups = decompose(f._clause_masks, dom, dest & dom)
     if falsified is not None:
         raise AssertionError("pinning taken from a solution falsifies a clause")
-    comps = sorted((mask for mask, _ in groups), key=lambda mask: mask & -mask)
-    rest = ((1 << f.n) - 1) & ~dom & ~sum(comps)
-    for mask in comps or [0]:
-        nxt = list(builder.current)
-        for b in bit_positions(mask | rest):
-            nxt[b] = dest[b]
-        rest = 0
-        if not is_satisfying(f, nxt):
+    comps = sorted((mask for mask, _ in groups), key=lambda mask: mask & -mask) or [0]
+    comps[0] |= ((1 << f.n) - 1) & ~dom & ~sum(comps)
+    for mask in comps:
+        nxt = builder.current & ~mask | dest & mask
+        if not satisfies_mask(f, nxt):
             raise AssertionError(f"{stage} step broke satisfaction")
         builder.push(nxt, stage)
 
@@ -134,46 +132,45 @@ def find_path_bounded(
 ) -> SolutionPath:
     """Two-stage marked-variable walk from sigma to sigma_prime."""
     _check_inputs(f, f, m, sigma, sigma_prime)
-    return _marked_walk(f, m, tuple(sigma), tuple(sigma_prime), {}, cap)
+    start, dest = assignment_to_mask(sigma), assignment_to_mask(sigma_prime)
+    return _marked_walk(f, m, start, dest, 0, cap).build(f.n)
 
 
-def _marked_walk(f, m, sigma, sigma_prime, fixed, cap) -> SolutionPath:
-    """The two-stage walk from sigma to sigma_prime, which agree on the
-    variables of `fixed` (var -> bit), with `fixed` added to every pinning:
-    the walk in f simplified under `fixed`, read off f's own stores."""
-    builder = _PathBuilder(sigma)
-    marked = sorted(m.marked)
+def _marked_walk(f, m, start, dest, fixed, cap) -> _PathBuilder:
+    """The two-stage walk from the assignment mask start to dest, which
+    agree on the variable mask fixed, with fixed added to every pinning:
+    the walk in f simplified under those values, read off f's own stores."""
+    builder = _PathBuilder(start)
+    marked = var_mask(m.marked)
 
     # Stage 1: retarget marked variables one at a time
-    for v in marked:
+    for b in bit_positions(marked):
         cur = builder.current
-        if cur[v - 1] == sigma_prime[v - 1]:
+        want = (dest >> b) & 1
+        if (cur >> b) & 1 == want:
             continue
-        pin = {**fixed, **{u: cur[u - 1] for u in marked if u != v}}
-        update = closest_solution(f, pin, v, sigma_prime[v - 1], cur, cap)
+        dom = fixed | marked & ~(1 << b)
+        update = closest_solution(f, dom, cur & dom, b + 1, want, cur, cap)
         if update is None:
             raise RegimeError(
-                f"marked variable {v} cannot take value {sigma_prime[v - 1]} "
+                f"marked variable {b + 1} cannot take value {want} "
                 "under the shared marked pinning; marking preconditions "
                 "do not hold at these parameters"
             )
-        nxt = list(cur)
-        for u, b in update.items():
-            nxt[u - 1] = b
-        if not is_satisfying(f, nxt):
+        comp, vals = update
+        nxt = cur & ~comp | vals
+        if not satisfies_mask(f, nxt):
             raise AssertionError("stage-1 update broke satisfaction")
         builder.push(nxt, STAGE_MARKED)
 
-    assert all(builder.current[v - 1] == sigma_prime[v - 1] for v in marked)
+    assert not (builder.current ^ dest) & marked
 
     # Stage 2: pin the marked destination, switch residual components
-    pin = {**fixed, **{v: sigma_prime[v - 1] for v in marked}}
-    _switch_components(f, builder, pin, sigma_prime, STAGE_UNMARKED)
+    _switch_components(f, builder, fixed | marked, dest, STAGE_UNMARKED)
 
-    path = builder.build()
-    if path.entries[-1] != sigma_prime:
+    if builder.current != dest:
         raise AssertionError("path does not reach the destination")
-    return path
+    return builder
 
 
 def find_path_random(
@@ -191,44 +188,40 @@ def find_path_random(
     _check_inputs(f, good, m, sigma, sigma_prime)
     if not m.marked <= cl.v_good:
         raise UsageError("marking must sit inside the good variables")
-    sigma = tuple(sigma)
-    sigma_prime = tuple(sigma_prime)
+    start, dest = assignment_to_mask(sigma), assignment_to_mask(sigma_prime)
     rng = as_rng(seed)
     psi = sample_conditional(good, {}, sorted(cl.v_good), rng, cap=cap)
+    good_mask = var_mask(psi)
+    psi_val = var_mask(v for v, b in psi.items() if b)
 
     def lifted_leg(endpoint):
         """Path from `endpoint` to psi + endpoint(bad vars): the marked walk
         in f with the endpoint's bad values added to every pinning."""
-        target = list(endpoint)
-        for v, b in psi.items():
-            target[v - 1] = b
-        target = tuple(target)
-        if not is_satisfying(f, target):
+        target = endpoint & ~good_mask | psi_val
+        if not satisfies_mask(f, target):
             raise RegimeError(
                 "uniform good-CNF solution does not lift to a solution; "
                 "classification parameters outside the supported regime"
             )
-        bad_pin = {v: endpoint[v - 1] for v in cl.v_bad}
-        return _marked_walk(f, m, endpoint, target, bad_pin, cap)
+        return _marked_walk(f, m, endpoint, target, var_mask(cl.v_bad), cap)
 
-    leg_a = lifted_leg(sigma)
-    leg_b = lifted_leg(sigma_prime)
+    leg_a = lifted_leg(start)
+    leg_b = lifted_leg(dest)
 
-    builder = _PathBuilder(sigma)
+    builder = _PathBuilder(start)
     for entry in leg_a.entries[1:]:
         builder.push(entry, STAGE_LIFT)
 
     # middle: switch bad components from sigma's to sigma_prime's values
-    _switch_components(f, builder, psi, sigma_prime, STAGE_BAD)
+    _switch_components(f, builder, good_mask, leg_b.current, STAGE_BAD)
 
     # reversed second leg: from psi + sigma_prime(bad) back to sigma_prime
     for entry in reversed(leg_b.entries[:-1]):
         builder.push(entry, STAGE_LIFT)
 
-    path = builder.build()
-    if path.entries[-1] != sigma_prime:
+    if builder.current != dest:
         raise AssertionError("path does not reach sigma_prime")
-    return path
+    return builder.build(f.n)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .errors import DomainError, InfeasiblePinningError, UsageError
-from .formula import Formula, enumerate_solutions, is_satisfying, mask_to_assignment
+from .formula import Formula, enumerate_solutions, mask_to_assignment, satisfies_mask, var_mask
 from .marginals import DEFAULT_CAP, draw_exec, exec_store
 from .marking import Marking
 from .rng import as_rng, make_rng, rand_below, rand_bit, spawn_seed, subsample
@@ -95,9 +95,7 @@ class _Chain:
             )
         self.block = block
         self.cfg = cfg
-        self.marked_mask = 0
-        for v in self.marked:
-            self.marked_mask |= 1 << (v - 1)
+        self.marked_mask = var_mask(self.marked)
         self.unmarked_mask = ((1 << f.n) - 1) & ~self.marked_mask
         self.store = exec_store(f)
 
@@ -113,20 +111,14 @@ def _init_marked(chain: _Chain, rng, trace: ChainTrace) -> int:
     if cfg.init is not None:
         if set(cfg.init) != set(chain.marked):
             raise UsageError("init assignment must cover exactly the marked set")
-        xbits = 0
-        for v in chain.marked:
-            if cfg.init[v]:
-                xbits |= 1 << (v - 1)
+        xbits = var_mask(v for v in chain.marked if cfg.init[v])
         try:
             chain.extension(xbits)
         except InfeasiblePinningError:
             raise DomainError("given initial marked assignment is infeasible") from None
         return xbits
     for _ in range(_MAX_REJECTS + 1):
-        xbits = 0
-        for v in chain.marked:
-            if rand_bit(rng):
-                xbits |= 1 << (v - 1)
+        xbits = var_mask(v for v in chain.marked if rand_bit(rng))
         try:
             chain.extension(xbits)
             return xbits
@@ -184,9 +176,9 @@ def _run_full(chain: _Chain, rng):
     ext = chain.extension(xbits)
     trace.extension_max_component = ext.max_comp_vars
     bits = draw_exec(ext, rng, xbits)
-    assignment = mask_to_assignment(bits, chain.f.n)
-    if not is_satisfying(chain.f, assignment):
+    if not satisfies_mask(chain.f, bits):
         raise AssertionError("block dynamics produced a non-satisfying assignment")
+    assignment = mask_to_assignment(bits, chain.f.n)
     trace.final = assignment
     return assignment, trace
 
@@ -228,8 +220,6 @@ def estimate_tv(f: Formula, m: Marking, cfg: SamplerConfig, runs: int) -> TvEsti
         max_comp = max(max_comp, trace.max_component)
     p = 1.0 / len(sols)
     tv = 0.5 * sum(abs(counts.get(s, 0) / runs - p) for s in sols)
-    stray = runs - sum(counts.get(s, 0) for s in sols)
-    tv += 0.5 * stray / runs
     halfwidth = max(
         1.96 * math.sqrt(max(c / runs * (1 - c / runs), 0.0) / runs)
         for c in counts.values()
@@ -297,9 +287,7 @@ def check_chain_uniformity(
         size = subset_sizes[rand_below(master, len(subset_sizes))]
         size = min(size, len(marked))
         subset = tuple(sorted(subsample(master, marked, size)))
-        sub_mask = 0
-        for v in subset:
-            sub_mask |= 1 << (v - 1)
+        sub_mask = var_mask(subset)
         counts = Counter(x & sub_mask for x in samples)
         bound = (0.5 ** len(subset)) * math.exp(len(subset) / s)
         for pattern_bits, c in sorted(counts.items()):

@@ -13,11 +13,13 @@ from ksat import (
     Formula,
     InfeasiblePinningError,
     RegimeError,
+    UsageError,
     enumerate_solutions,
     generate_random_kcnf,
 )
 from ksat.classify import classify, default_delta, good_induced_formula
 from ksat.coupling import (
+    CouplingTrace,
     coupling_influence_bound,
     exact_influence_matrix,
     r_window_violations,
@@ -179,6 +181,30 @@ def test_r_window_on_lll_regime_instance():
     for _ in range(300):
         tr = run_coupling(f, cl, m, {}, v0=1, k_c=1, seed=make_rng(spawn_seed(rng)))
         assert r_window_violations(tr, s=5) == []
+
+
+def test_r_window_flags_disagreements_on_either_side_only():
+    # s = 4: the window is [1/4, 3/4]
+    records = ((1, 0.1, 0, 1), (2, 0.9, 1, 0), (3, 0.05, 1, 1), (4, 0.5, 0, 1))
+    empty = frozenset()
+    trace = CouplingTrace(empty, empty, empty, empty, empty, empty, (), (), records, 1)
+    assert r_window_violations(trace, s=4) == [(1, 0.1), (2, 0.9)]
+
+
+@pytest.mark.parametrize(
+    "pin, v0, k_c, match",
+    [
+        ({}, 3, 1, "v0=3 is not a marked variable"),
+        ({1: 0}, 1, 1, "v0=1 is pinned"),
+        ({3: 0}, 1, 1, "pinning domain must be a subset of the marked set"),
+        ({}, 1, 0, "k_c must be >= 1, got 0"),
+    ],
+)
+def test_run_coupling_rejects_bad_inputs(pin, v0, k_c, match):
+    f = Formula.from_ints(3, [[2, 3]])
+    m = Marking(frozenset({1, 2}), 1, 1, certified=True)
+    with pytest.raises(UsageError, match=match):
+        run_coupling(f, all_good_classification(f), m, pin, v0=v0, k_c=k_c)
 
 
 def test_exact_influence_independent_vars():

@@ -13,6 +13,7 @@ from ksat import (
     enumerate_solutions,
     generate_random_kcnf,
 )
+from ksat.formula import assignment_to_mask, bit_positions
 from ksat.marginals import (
     DEFAULT_CAP,
     check_local_uniformity,
@@ -187,6 +188,16 @@ def assert_raises_as(error, call):
         assert str(info.value).startswith(detail)
 
 
+def closest_from_pinning(f, x, v, want, reference, cap=DEFAULT_CAP):
+    """closest_solution on the pinning x and the reference tuple, as masks,
+    with its (component, values) masks read back as var -> bit."""
+    hit = closest_solution(f, *pin_masks(x), v, want, assignment_to_mask(reference), cap)
+    if hit is None:
+        return None
+    comp, vals = hit
+    return {b + 1: (vals >> b) & 1 for b in bit_positions(comp)}
+
+
 def closest_oracle(f, x, v, want, reference):
     """closest_solution by brute force over v's component, on a pinning
     with a satisfying extension."""
@@ -218,7 +229,7 @@ def test_exact_marginal_error_kinds(case, cap_vars, want, data):
     calls = (
         (lambda: exact_marginal(f, x, v, cap=cap), lambda: oracle_marginal(f, x, v)),
         (
-            lambda: closest_solution(f, x, v, want, reference, cap),
+            lambda: closest_from_pinning(f, x, v, want, reference, cap),
             lambda: closest_oracle(f, x, v, want, reference),
         ),
     )
@@ -239,9 +250,9 @@ def test_closest_solution_matches_brute_force(case, want, data):
     reference = data.draw(st.tuples(*[st.integers(0, 1)] * f.n))
     error = expected_error(f, x, DEFAULT_CAP.bit_length() - 1)
     if error is not None:
-        assert_raises_as(error, lambda: closest_solution(f, x, v, want, reference))
+        assert_raises_as(error, lambda: closest_from_pinning(f, x, v, want, reference))
     else:
-        assert closest_solution(f, x, v, want, reference) == closest_oracle(f, x, v, want, reference)
+        assert closest_from_pinning(f, x, v, want, reference) == closest_oracle(f, x, v, want, reference)
 
 
 @settings(max_examples=200, deadline=None)
@@ -408,3 +419,23 @@ def test_bad_variable_marginals_positive_under_all_marked_pinnings():
         for v in sorted(cl.v_bad):
             p = exact_marginal(f, x, v)
             assert 0 < p < 1, (x, v, p)
+
+
+def test_local_uniformity_flags_a_forced_variable():
+    # x1 = 0 in every solution: mu_1(1) = 0, so max(p, 1 - p) = 1 > bound
+    f = Formula.from_ints(1, [[-1]])
+    rep = check_local_uniformity(f, Marking(frozenset(), 0, 0, True), s=4, trials=5, seed=1)
+    assert rep.worst == 1
+    assert rep.violations and all(p == 0 for _, _, p in rep.violations)
+    assert not rep.ok
+
+
+def test_local_uniformity_flags_an_or_clause_marginal_just_over_the_bound():
+    # (x1 or x2): each variable is 1 in 2 of the 3 solutions, and
+    # 2/3 > (1/2) e^(1/4) = 0.642
+    f = Formula.from_ints(2, [[1, 2]])
+    rep = check_local_uniformity(f, Marking(frozenset(), 0, 0, True), s=4, trials=5, seed=1)
+    assert rep.bound == pytest.approx(0.642, abs=1e-3)
+    assert rep.worst == Fraction(2, 3)
+    assert len(rep.violations) == 5
+    assert not rep.ok

@@ -137,6 +137,24 @@ def test_validate_path_flags_corruption():
     assert rep.endpoint_mismatch == ("start",)
 
 
+def test_validate_path_rejects_a_wrong_end():
+    f = Formula.from_ints(2, [[1, 2]])
+    p = SolutionPath(((1, 0), (1, 1)), (1,), ("marked-update",))
+    assert validate_path(f, p, d_bound=1, sigma=(1, 0), sigma_prime=(1, 1)).ok
+    rep = validate_path(f, p, d_bound=1, sigma=(1, 0), sigma_prime=(0, 1))
+    assert rep.endpoint_mismatch == ("end",)
+    assert not rep.ok
+
+
+def test_validate_path_rejects_a_step_one_over_the_bound():
+    f = Formula.from_ints(3, [[1, 2, 3]])
+    p = SolutionPath(((1, 0, 0), (0, 1, 1)), (3,), ("marked-update",))
+    assert validate_path(f, p, d_bound=3).ok
+    rep = validate_path(f, p, d_bound=2)
+    assert rep.oversize_steps == ((0, 3),)
+    assert not rep.ok
+
+
 def test_random_path_no_bad_vars_reduces_to_bounded_shape():
     f = generate_random_kcnf(9, 7, 4, seed=77)
     sols = enumerate_solutions(f)

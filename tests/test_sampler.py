@@ -207,6 +207,24 @@ def test_chain_uniformity_pairs_on_independent_vars():
         assert abs(c.frequency - 0.25) < 0.05
 
 
+def test_chain_uniformity_flags_a_forced_marked_variable():
+    # x1 = 1 in every solution and x2 is free: the cell x1 = 1 has
+    # frequency 1 > (1/2) e^(1/4) + 3 sigma, every x2 cell about 1/2
+    f = Formula.from_ints(2, [[1]])
+    cfg = SamplerConfig(theta=0.5, t_max=5, seed=3)
+    trials, z = 200, 3.0
+    rep = check_chain_uniformity(
+        f, trivial_marking({1, 2}), cfg, trials=trials, n_subsets=6, subset_sizes=(1,), s=4, z=z
+    )
+    assert {(c.subset, c.pattern) for c in rep.violations} == {((1,), (1,))}
+    assert {c.subset for c in rep.cells} == {(1,), (2,)}
+    for c in rep.cells:
+        sigma = math.sqrt(max(c.frequency * (1 - c.frequency), 1e-12) / trials)
+        assert c.bound == 0.5 * math.exp(1 / 4)
+        assert c.slack == pytest.approx(c.bound + z * sigma - c.frequency, abs=1e-12)
+    assert not rep.ok
+
+
 def test_invalid_configs_rejected():
     f = Formula.from_ints(2, [[1, 2]])
     m = trivial_marking({1})
