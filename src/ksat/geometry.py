@@ -289,7 +289,7 @@ def _nae_search(f: Formula, cap: int):
             )
         bit = 1 << (v - 1)
         dom |= bit
-        val = val | bit if b else val & ~bit
+        val = (val | bit) if b else (val & ~bit)
         if all(clause_ok(c) for c in occ[v]):
             v, b = v + 1, 0
         else:

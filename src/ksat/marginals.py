@@ -343,14 +343,12 @@ def sample_conditional(f: Formula, x: Mapping, targets, seed, cap: int = DEFAULT
     _check_partial(f, x)
     rng = as_rng(seed)
     targets = sorted(set(targets))
-    targets_mask = 0
     for v in targets:
         if not 1 <= v <= f.n:
             raise UsageError(f"target variable {v} out of range [1, {f.n}]")
         if v in x:
             raise UsageError(f"target variable {v} is pinned by the conditioning")
-        targets_mask |= 1 << (v - 1)
-    bits = draw_exec(exec_store(f)(*pin_masks(x), targets_mask, cap), rng, 0)
+    bits = draw_exec(exec_store(f)(*pin_masks(x), var_mask(targets), cap), rng, 0)
     return {v: (bits >> (v - 1)) & 1 for v in targets}
 
 

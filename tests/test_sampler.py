@@ -237,6 +237,16 @@ def test_invalid_configs_rejected():
         run_block_dynamics(f, uncertified, SamplerConfig(theta=1.0, t_max=1, seed=1))
 
 
+def test_estimate_tv_halfwidth_is_the_binomial_95_percent_interval():
+    # two solutions with frequencies 1/2 +- tv: the widest cell's
+    # half-width is 1.96 sqrt((1/4 - tv^2) / runs)
+    runs = 400
+    est = estimate_tv(Formula(1, ()), trivial_marking({1}), SamplerConfig(1.0, 1, seed=4), runs)
+    assert 0 < est.tv < 0.1
+    expected = 1.96 * math.sqrt((0.25 - est.tv**2) / runs)
+    assert est.max_cell_halfwidth == pytest.approx(expected, rel=1e-9)
+
+
 @pytest.mark.parametrize("runs", [0, -3])
 def test_estimate_tv_rejects_runs_below_one(runs):
     f = Formula.from_ints(2, [[1, 2]])
