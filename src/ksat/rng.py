@@ -8,6 +8,17 @@ bit-reproducible from its seed. The derivations below (rejection sampling,
 partial Fisher-Yates, 53-bit floats) are part of the package contract and
 must not be swapped for stdlib conveniences like ``randrange`` or
 ``sample``, whose internals are not guaranteed stable.
+
+A generator's output is a stream of 32-bit words, and ``getrandbits`` reads
+it in two ways that let a caller read ahead in bulk and replay draws
+exactly (``sampler.estimate_tv`` does):
+
+- ``getrandbits(32 * w).to_bytes(4 * w, "little")``, viewed as little-endian
+  32-bit words, is the stream's next w words in order;
+- ``getrandbits(k)`` for 1 <= k <= 32 reads one word and keeps its top k
+  bits, ``word >> (32 - k)``.
+
+``tests/test_rng.py`` pins both.
 """
 
 from __future__ import annotations

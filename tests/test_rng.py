@@ -1,5 +1,6 @@
 """The documented random derivations against reference copies of them."""
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,3 +25,20 @@ def test_sample_without_replacement_matches_list_fisher_yates(n, data, seed):
     assert sample_without_replacement(got_rng, n, k) == list_fisher_yates(want_rng, n, k)
     # both consumed the same bits
     assert got_rng.getrandbits(64) == want_rng.getrandbits(64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2**64 - 1),
+    st.integers(1, 700),
+    st.lists(st.integers(1, 32), max_size=40),
+)
+def test_bulk_words_replay_getrandbits(seed, w, widths):
+    """The two stream facts the lockstep sampler reads words by: a bulk
+    getrandbits(32 * w), as little-endian bytes, is the next w words in
+    order, and getrandbits(k <= 32) is the top k bits of the next word."""
+    bulk, single = make_rng(seed), make_rng(seed)
+    words = np.frombuffer(bulk.getrandbits(32 * w).to_bytes(4 * w, "little"), "<u4")
+    assert words.tolist() == [single.getrandbits(32) for _ in range(w)]
+    got = [bulk.getrandbits(k) for k in widths]
+    assert got == [single.getrandbits(32) >> (32 - k) for k in widths]

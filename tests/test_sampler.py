@@ -6,14 +6,19 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from ksat import Formula, UsageError, enumerate_solutions, generate_random_kcnf, is_satisfying
+from ksat import sampler
 from ksat.errors import DomainError
-from ksat.marginals import exec_store, sample_conditional
+from ksat.formula import _solution_codes
+from ksat.marginals import DEFAULT_CAP, exec_store, sample_conditional
 from ksat.marking import Marking, find_marking
-from ksat.rng import make_rng
+from ksat.rng import make_rng, spawn_seed
 from ksat.sampler import (
+    _MAX_REJECTS,
     ChainTrace,
     SamplerConfig,
+    TvEstimate,
     _Chain,
+    _Lockstep,
     _run_full,
     _run_marked_chain,
     check_chain_uniformity,
@@ -247,6 +252,13 @@ def test_estimate_tv_halfwidth_is_the_binomial_95_percent_interval():
     assert est.max_cell_halfwidth == pytest.approx(expected, rel=1e-9)
 
 
+def test_estimate_tv_rejects_an_unsatisfiable_formula():
+    f = Formula.from_ints(2, [[1], [-1, 2], [-2]])
+    cfg = SamplerConfig(theta=0.5, t_max=1, seed=1)
+    with pytest.raises(DomainError, match="no solutions to compare against"):
+        estimate_tv(f, trivial_marking({1, 2}), cfg, runs=5)
+
+
 @pytest.mark.parametrize("runs", [0, -3])
 def test_estimate_tv_rejects_runs_below_one(runs):
     f = Formula.from_ints(2, [[1, 2]])
@@ -331,3 +343,174 @@ def test_step_and_extension_plans_are_always_feasible(chain_case, theta, with_in
     accepted = next(i for i, p in enumerate(plans) if p is not None)
     assert all(p is not None for p in plans[accepted:])
     assert len(plans) - accepted == t_max + 2
+
+
+# ---------------------------------------------- lockstep estimate_tv
+
+
+def scalar_estimate_tv(f, m, cfg, runs):
+    """estimate_tv as a loop of scalar chains: the reference the lockstep
+    chains must match. Returns (TvEstimate, each run's final assignment)."""
+    sols = enumerate_solutions(f)
+    if not sols:
+        raise DomainError("formula has no solutions to compare against")
+    chain = _Chain(f, m, cfg)
+    master = make_rng(cfg.seed)
+    counts = Counter()
+    finals = []
+    max_comp = 0
+    for _ in range(runs):
+        a, trace = _run_full(chain, make_rng(spawn_seed(master)))
+        counts[a] += 1
+        finals.append(a)
+        max_comp = max(max_comp, trace.max_component)
+    p = 1.0 / len(sols)
+    tv = 0.5 * sum(abs(counts.get(s, 0) / runs - p) for s in sols)
+    halfwidth = max(
+        1.96 * math.sqrt(max(c / runs * (1 - c / runs), 0.0) / runs) for c in counts.values()
+    )
+    return TvEstimate(tv, runs, len(sols), halfwidth, max_comp), finals
+
+
+def lockstep_finals(f, m, cfg, runs):
+    """Each run's final assignment from the lockstep chains, or None when
+    some run fails."""
+    codes = _solution_codes(f)
+    master = make_rng(cfg.seed)
+    seeds = [spawn_seed(master) for _ in range(runs)]
+    idx = _Lockstep(_Chain(f, m, cfg), codes).run(seeds)
+    return None if idx is None else [enumerate_solutions(f)[i] for i in idx.tolist()]
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (DomainError, UsageError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(
+    certified_chains(),
+    st.sampled_from([1.0, 0.5, 0.3]),
+    st.sampled_from([None, "solution", "bits"]),
+    st.integers(0, 25),
+    st.integers(1, 40),
+    st.sampled_from([4, 16, DEFAULT_CAP]),
+    st.integers(0, 2**32),
+)
+def test_lockstep_estimate_tv_matches_scalar_chains(chain_case, theta, init_from, t_max, runs, cap, seed):
+    """The lockstep chains give every run's final assignment, the
+    TvEstimate and any error of a loop of scalar chains, without init, from
+    a solution's marked values, or from arbitrary bits, which may be
+    infeasible. Small caps make CapExceededError common."""
+    f, m = chain_case
+    sols = enumerate_solutions(f)
+    init = None
+    if init_from == "solution" and sols:
+        sol = sols[seed % len(sols)]
+        init = {v: sol[v - 1] for v in m.marked}
+    elif init_from == "bits":
+        init = {v: seed >> i & 1 for i, v in enumerate(sorted(m.marked))}
+    cfg = SamplerConfig(theta=theta, t_max=t_max, seed=seed, cap=cap, init=init)
+    want = outcome(scalar_estimate_tv, f, m, cfg, runs)
+    got = outcome(estimate_tv, f, m, cfg, runs)
+    if isinstance(want, tuple) and isinstance(want[0], type):
+        assert got == want
+        return
+    est, finals = want
+    assert got == est
+    assert lockstep_finals(f, m, cfg, runs) == finals
+
+
+@pytest.mark.parametrize("knobs", [{}, {"_WINDOW": 1}, {"_TABLE_ENTRIES": 0}])
+def test_lockstep_chunks_match_scalar_chains(monkeypatch, knobs):
+    """Runs split over chunks of 7 give the scalar loop's estimate, field by
+    field, and every run's final assignment. So do chains whose rejected
+    draws all go on word by word (a one-word look-ahead window) and chains
+    whose tables start over at every new key."""
+    monkeypatch.setattr(sampler, "_CHUNK_RUNS", 7)
+    for name, value in knobs.items():
+        monkeypatch.setattr(sampler, name, value)
+    f = generate_random_kcnf(9, 9, 4, seed=12)
+    m = find_marking(f, 1, 1, seed=1)
+    assert m.certified and len(m.marked) >= 3
+    for theta, t_max in [(0.3, 40), (1.0, 1)]:
+        cfg = SamplerConfig(theta=theta, t_max=t_max, seed=31)
+        want, finals = scalar_estimate_tv(f, m, cfg, 30)
+        got = estimate_tv(f, m, cfg, 30)
+        for name in ("tv", "runs", "n_solutions", "max_cell_halfwidth", "max_component"):
+            assert getattr(got, name) == getattr(want, name), name
+        assert lockstep_finals(f, m, cfg, 30) == finals
+
+
+def test_lockstep_refills_the_rows_of_a_long_chain():
+    """A chain reading more words than a row holds refills it in stream
+    order: t_max far past _MAX_WORDS words still matches the scalar chain."""
+    f = generate_random_kcnf(8, 8, 3, seed=71)
+    m = find_marking(f, 1, 1, seed=5)
+    assert m.certified
+    cfg = SamplerConfig(theta=0.4, t_max=3000, seed=8)
+    want, finals = scalar_estimate_tv(f, m, cfg, 5)
+    assert estimate_tv(f, m, cfg, 5) == want
+    assert lockstep_finals(f, m, cfg, 5) == finals
+
+
+def init_attempts(seed, n_marked, limit):
+    """Fair-bit attempts the random init of a chain seeded with seed makes
+    when only the all-ones marked assignment is feasible, or None past
+    limit."""
+    rng = make_rng(seed)
+    for attempt in range(1, limit + 1):
+        if all([rng.getrandbits(1) for _ in range(n_marked)]):
+            return attempt
+    return None
+
+
+def test_random_init_gives_up_after_max_rejects_plus_one_attempts():
+    """Only the all-ones assignment of the 6 marked variables is feasible,
+    so an init succeeds with probability 1/64 per attempt. A first run seed
+    whose first feasible draw is attempt 101 = _MAX_REJECTS + 1 succeeds,
+    with 100 retries; one that needs more raises DomainError. The lockstep
+    estimate_tv agrees with the scalar chains on both."""
+    f = Formula.from_ints(8, [[1], [2], [3], [4], [5], [6], [7, 8], [-7, -8]])
+    m = trivial_marking(range(1, 7))
+    found = {}
+    master = 0
+    while len(found) < 2:
+        seed = make_rng(master).getrandbits(63)  # spawn_seed of the first run
+        attempts = init_attempts(seed, 6, _MAX_REJECTS + 1)
+        if attempts == _MAX_REJECTS + 1:
+            found.setdefault("last", (master, seed))
+        elif attempts is None:
+            found.setdefault("over", (master, seed))
+        master += 1
+    master, seed = found["last"]
+    a, trace = run_block_dynamics(f, m, SamplerConfig(theta=0.5, t_max=3, seed=seed))
+    assert trace.init_retries == _MAX_REJECTS
+    assert is_satisfying(f, a)
+    cfg = SamplerConfig(theta=0.5, t_max=3, seed=master)
+    assert estimate_tv(f, m, cfg, 3) == scalar_estimate_tv(f, m, cfg, 3)[0]
+
+    master, seed = found["over"]
+    with pytest.raises(DomainError, match="no feasible initial marked assignment"):
+        run_block_dynamics(f, m, SamplerConfig(theta=0.5, t_max=3, seed=seed))
+    cfg = SamplerConfig(theta=0.5, t_max=3, seed=master)
+    assert outcome(estimate_tv, f, m, cfg, 3) == outcome(scalar_estimate_tv, f, m, cfg, 3)
+    assert outcome(estimate_tv, f, m, cfg, 3)[0] is DomainError
+
+
+@pytest.mark.parametrize("value", ["0", "1", 2, -1, None, 0.5])
+def test_init_values_other_than_bits_are_rejected(value):
+    """init values are read as bits: anything but 0, 1, False or True is a
+    UsageError in both chains, rather than a pin to 1 by truthiness."""
+    f = Formula.from_ints(3, [[1, 2, 3]])
+    m = trivial_marking({1, 2})
+    cfg = SamplerConfig(theta=1.0, t_max=2, seed=1, init={1: value, 2: 0})
+    with pytest.raises(UsageError, match="init value for 1 must be 0/1"):
+        run_block_dynamics(f, m, cfg)
+    with pytest.raises(UsageError, match="init value for 1 must be 0/1"):
+        estimate_tv(f, m, cfg, 10)
+    for ok in (0, 1, False, True):
+        a, _ = run_block_dynamics(f, m, SamplerConfig(1.0, 0, seed=1, init={1: ok, 2: 1}))
+        assert a[:2] == (int(ok), 1)
