@@ -488,6 +488,9 @@ def _pipeline_cell(spec_json: str, instance, seed: int) -> dict:
     spec = json.loads(spec_json)
     record = {"instance": instance, "seed": seed}
     try:
+        for key in ("n", "m", "k", "seed"):
+            if not _is_int(instance[key]):
+                raise UsageError(f"'{key}' must be an integer, got {json.dumps(instance[key])}")
         f = generate_random_kcnf(
             instance["n"], instance["m"], instance["k"], seed=instance["seed"]
         )

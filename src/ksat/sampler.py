@@ -21,12 +21,15 @@ of its chains in lockstep as numpy arrays over runs (``_Lockstep``), in
 chunks of runs: each run keeps its own generator, whose words are read
 ahead in bulk and consumed in the order the scalar chain consumes them, so
 every run ends where its scalar chain ends and the estimate is the same,
-bit for bit.
+bit for bit. A run's state is one assignment mask (variable v at bit
+v - 1); each step's and the extension's draw tables (``_Table``) output
+their target bits in that layout, and ``estimate_tv`` turns each chunk's
+final masks into solution codes to count them. A chunk's seeds are drawn
+when the chunk starts, so memory is bounded in runs.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -64,7 +67,6 @@ class ChainTrace:
     step_component_hist: list = field(default_factory=list)
     extension_max_component: int = 0
     init_retries: int = 0
-    final: tuple | None = None  # the returned satisfying assignment
 
     @property
     def max_step_component(self) -> int:
@@ -193,9 +195,7 @@ def _run_full(chain: _Chain, rng):
     bits = draw_exec(ext, rng, xbits)
     if not satisfies_mask(chain.f, bits):
         raise AssertionError("block dynamics produced a non-satisfying assignment")
-    assignment = mask_to_assignment(bits, chain.f.n)
-    trace.final = assignment
-    return assignment, trace
+    return mask_to_assignment(bits, chain.f.n), trace
 
 
 def run_block_dynamics(f: Formula, m: Marking, cfg: SamplerConfig):
@@ -223,29 +223,33 @@ def estimate_tv(f: Formula, m: Marking, cfg: SamplerConfig, runs: int) -> TvEsti
 
     The chains run in lockstep (``_Lockstep``), _CHUNK_RUNS at a time, and
     give the TvEstimate the scalar chain ``_run_full`` gives run by run, bit
-    for bit. A chunk in which some run fails is replayed by ``_run_full``,
-    which raises that run's error."""
+    for bit. A chunk in which some run fails, or ends on no solution, is
+    replayed by ``_run_full``, which raises that run's error."""
     if runs < 1:
         raise UsageError("runs must be >= 1")
-    codes = _solution_codes(f)
+    codes = _solution_codes(f).astype(np.int64)
     if not len(codes):
         raise DomainError("formula has no solutions to compare against")
     chain = _Chain(f, m, cfg)
     master = make_rng(cfg.seed)
-    seeds = [spawn_seed(master) for _ in range(runs)]
-    lock = _Lockstep(chain, codes)
+    lock = _Lockstep(chain)
     counts = np.zeros(len(codes), np.int64)
     for lo in range(0, runs, _CHUNK_RUNS):
-        chunk = seeds[lo:lo + _CHUNK_RUNS]
+        # seeds are spawned chunk by chunk, in the scalar loop's order
+        chunk = [spawn_seed(master) for _ in range(min(_CHUNK_RUNS, runs - lo))]
         try:
-            sol_idx = lock.run(chunk)
+            final = lock.run(chunk)
         except DomainError:  # a schedule over the cap, say
-            sol_idx = None
-        if sol_idx is None:
-            for seed in chunk:
-                _run_full(chain, make_rng(seed))
-            raise AssertionError("lockstep chains failed where the scalar chains did not")
-        counts += np.bincount(sol_idx, minlength=len(codes))
+            final = None
+        if final is not None:
+            # variable v moves from mask bit v - 1 to code bit n - v
+            code = sum(((final >> (v - 1)) & 1) << (f.n - v) for v in range(1, f.n + 1))
+            if np.isin(code, codes).all():
+                counts += np.bincount(codes.searchsorted(code), minlength=len(codes))
+                continue
+        for seed in chunk:
+            _run_full(chain, make_rng(seed))
+        raise AssertionError("lockstep chains failed where the scalar chains did not")
     counts = counts.tolist()
     p = 1.0 / len(codes)
     tv = 0.5 * sum(abs(c / runs - p) for c in counts)
@@ -299,15 +303,6 @@ class _Words:
         self.win = sliding_window_view(self.buf, _WINDOW)
         self.lanes = np.arange(len(rngs), dtype=np.int64) * _WINDOW
 
-    def ensure(self, k: int) -> None:
-        """Refill every row with fewer than k words left."""
-        if self.slack >= k:
-            return
-        want = k + 2 * _WINDOW  # so that the next check comes some draws later
-        for r in (self.end - self.pos < want).nonzero()[0].tolist():
-            self._refill(r, want)
-        self.slack = int((self.end - self.pos).min())
-
     def _refill(self, r: int, want: int) -> None:
         """Move row r's unread words to its start and append fresh ones:
         a quarter of the row, or more to reach want."""
@@ -321,22 +316,18 @@ class _Words:
         self.pos[r] = start
         self.end[r] = start + kept + fresh
 
-    def fair_bits(self, sub, bits) -> np.ndarray:
-        """Per run in the index array sub, one fair bit a word for each of
-        the masks bits in turn, as the sum of the masks drawn 1."""
-        k = len(bits)
-        self.ensure(k)
-        self.slack -= k
-        at = self.pos[sub]
-        self.pos[sub] = at + k
-        return ((sliding_window_view(self.buf, k)[at] >> 31) * bits).sum(axis=1)
-
     def below(self, limit, shift, act=1) -> np.ndarray:
         """Per run, rand_below's rejection draw on 32 - shift bits: the top
         bits of its first next word under limit = count << shift. limit and
         shift are ints or arrays over runs; a run whose act is 0 reads no
         word and must have limit _NO_LIMIT."""
-        self.ensure(1 + _WINDOW)
+        if self.slack < 1 + _WINDOW:
+            # refill the rows short of one draw's words, with some draws' more
+            # so that the next check comes some draws later
+            want = 1 + 3 * _WINDOW
+            for r in (self.end - self.pos < want).nonzero()[0].tolist():
+                self._refill(r, want)
+            self.slack = int((self.end - self.pos).min())
         self.slack -= 1 + _WINDOW
         w = self.buf[self.pos]
         self.pos += act
@@ -375,67 +366,58 @@ def _stream_bytes(rng, words: int) -> bytes:
     return rng.getrandbits(32 * words).to_bytes(4 * words, "little")
 
 
-def _grown(arr, used: int, need: int):
-    """arr, or a copy of its first used rows with room for at least need
-    rows, twice as many as arr had."""
-    if need <= len(arr):
-        return arr
-    out = np.empty((max(need, 2 * len(arr)),) + arr.shape[1:], arr.dtype)
-    out[:used] = arr[:used]
-    return out
-
-
 class _Table:
     """Draw tables of the schedules a lockstep batch meets, one row per key.
 
-    build(key) gives a key's schedule (an ExecPlan) and its base output
-    bits, or raises InfeasiblePinningError, which leaves the row
-    infeasible. A row holds its schedule's draws as slots, in draw order:
-    slot j is (limit, shift, offset, act) for a draw of count c on w bits,
-    with shift = 32 - w, limit = c << shift (a word is accepted when it is
-    under the limit), the offset in pats of the c output patterns (each
-    solution's target bits, through out_bit) and act = 1. Rows share the
-    patterns of draws on the same solutions and targets, and a free target
-    is a slot of count 2 and width 1 on the patterns (0, its bit). Draws of
-    count 1 read no word, so they fold into the row's fixed bits with the
-    base. Rows with fewer slots than the widest are padded with slots of
-    act 0 that accept any word and output nothing. Rows are kept in build
-    order; keys holds the keys sorted, and order the row of each. The table
-    starts over once its rows and patterns pass _TABLE_ENTRIES, so memory
-    stays bounded.
+    build(key) gives a key's schedule (an ExecPlan), or raises
+    InfeasiblePinningError, which leaves the row infeasible. A draw outputs
+    the schedule's target bits as a mask (variable v at bit v - 1), which
+    the caller ORs into the bits it keeps. A row holds its schedule's draws
+    as slots, in draw order: slot j is (limit, shift, offset, act) for a
+    draw of count c on w bits, with shift = 32 - w, limit = c << shift (a
+    word is accepted when it is under the limit), the offset in pats of the
+    c output patterns (each solution's target bits) and act = 1. A free
+    target is a slot of count 2 and width 1 on the patterns (0, its bit).
+    Draws of count 1 read no word, so they fold into the row's fixed bits.
+    Rows with fewer slots than the widest are padded with slots of act 0
+    that accept any word and output nothing. The table starts over once its
+    rows and patterns pass _TABLE_ENTRIES, so memory stays bounded.
+
+    When nearly every step meets a new key, a miss stays cheap: rows share
+    the patterns of draws on the same solutions and targets; rows stay in
+    build order, so a new key goes into the sorted keys and their rows
+    (order) without moving any row; and the row and pattern arrays grow in
+    place (ndarray.resize), where np.append would copy them at every miss.
     """
 
     _PAD = (_NO_LIMIT, 32, 0, 0)
 
-    def __init__(self, build, out_bit):
+    def __init__(self, build, targets):
         self.build = build
-        self.out_bit = out_bit
+        self.free_at = {gb: 1 + 2 * i for i, gb in enumerate(targets)}
         self.max_comp = 0  # largest residual component of any schedule built
         self._clear()
 
     def _clear(self) -> None:
         self.keys = np.array([_NO_KEY])
         self.order = np.zeros(1, np.int64)
-        # row arrays and pats grow by doubling: n_rows and n_pats are in use
-        self.n_rows = 0
-        self.fixed = np.zeros(16, np.int64)
-        self.feasible = np.zeros(16, bool)
-        self.comp = np.zeros(16, np.int64)
+        self.fixed = np.zeros(0, np.int64)
+        self.feasible = np.zeros(0, bool)
+        self.comp = np.zeros(0, np.int64)
         self.slots = []
-        # the padding slots' pattern, then (0, out bit) for each free target
-        self.free_at = {gb: 1 + 2 * i for i, gb in enumerate(self.out_bit)}
-        self.pats = np.array([0] + [b for ob in self.out_bit.values() for b in (0, ob)], np.int64)
-        self.n_pats = len(self.pats)
+        # the padding slots' pattern, then (0, bit) for each free target
+        self.pats = np.array([0] + [b for gb in self.free_at for b in (0, gb)], np.int64)
         # (id(sols), pairs) -> (sols, offset of the draw's patterns); holding
         # sols keeps its id from being reused
         self.pat_at = {}
 
     def lookup(self, keys) -> np.ndarray:
-        """Row of each key, building the rows of new keys."""
+        """Row of each key, building the rows of new keys. Resizes or
+        replaces the row arrays when it builds."""
         i = self.keys.searchsorted(keys)
         miss = self.keys[i] != keys
         if np.count_nonzero(miss):
-            if self.n_rows + self.n_pats > _TABLE_ENTRIES:
+            if len(self.fixed) + len(self.pats) > _TABLE_ENTRIES:
                 self._clear()
                 miss = slice(None)
             self._insert(np.unique(keys[miss]).tolist())
@@ -444,54 +426,42 @@ class _Table:
 
     def _insert(self, new_keys) -> None:
         rows = []
-        pats = []
-        size = self.n_pats
         for key in new_keys:
             try:
-                plan, fixed = self.build(key)
+                plan = self.build(key)
             except InfeasiblePinningError:
                 rows.append((0, False, 0, ()))
                 continue
             self.max_comp = max(self.max_comp, plan.max_comp_vars)
+            fixed = 0
             slots = []
             for sols, count, width, pairs in plan.draws:
                 if count == 1:
                     s0 = int(sols[0])
-                    fixed |= sum(self.out_bit[gb] for lb, gb in pairs if s0 >> lb & 1)
+                    fixed |= sum(gb for lb, gb in pairs if s0 >> lb & 1)
                     continue
                 held = self.pat_at.get((id(sols), pairs))
                 if held is None:
+                    at = len(self.pats)
+                    self.pats.resize(at + count)  # zero-filled
                     local = sols.astype(np.int64)
-                    pat = np.zeros(count, np.int64)
                     for lb, gb in pairs:
-                        pat |= ((local >> lb) & 1) * self.out_bit[gb]
-                    held = self.pat_at[id(sols), pairs] = (sols, size)
-                    pats.append(pat)
-                    size += count
+                        self.pats[at:] |= ((local >> lb) & 1) * gb
+                    held = self.pat_at[id(sols), pairs] = (sols, at)
                 slots.append((count << (32 - width), 32 - width, held[1], 1))
             for gb in plan.free_bits:
                 slots.append((_NO_LIMIT, 31, self.free_at[gb], 1))
             rows.append((fixed, True, plan.max_comp_vars, slots))
-        if pats:
-            self.pats = _grown(self.pats, self.n_pats, size)
-            self.pats[self.n_pats:size] = np.concatenate(pats)
-            self.n_pats = size
-        old, new = self.n_rows, self.n_rows + len(rows)
-        for name, column in (("fixed", 0), ("feasible", 1), ("comp", 2)):
-            arr = _grown(getattr(self, name), old, new)
-            arr[old:new] = [r[column] for r in rows]
-            setattr(self, name, arr)
-        pad = np.array(self._PAD, np.int64)
-        for j in range(max(len(self.slots), *(len(r[3]) for r in rows))):
+        old, new = len(self.fixed), len(self.fixed) + len(rows)
+        *columns, slots = zip(*rows)
+        for name, values in zip(("fixed", "feasible", "comp"), columns):
+            getattr(self, name).resize(new)
+            getattr(self, name)[old:] = values
+        for j in range(max(len(self.slots), *map(len, slots))):
             if j == len(self.slots):
-                self.slots.append(np.tile(pad, (old, 1)))
-            arr = self.slots[j] = _grown(self.slots[j], old, new)
-            arr[old:new] = np.fromiter(
-                itertools.chain.from_iterable(r[3][j] if j < len(r[3]) else self._PAD for r in rows),
-                np.int64,
-                4 * len(rows),
-            ).reshape(-1, 4)
-        self.n_rows = new
+                self.slots.append(np.full((old, 4), self._PAD, np.int64))
+            self.slots[j].resize((new, 4))
+            self.slots[j][old:] = [row[j] if j < len(row) else self._PAD for row in slots]
         # new_keys ascend and none is in keys, so each goes in at its place
         at = self.keys.searchsorted(new_keys)
         self.keys = np.insert(self.keys, at, new_keys)
@@ -511,25 +481,23 @@ class _Lockstep:
     """estimate_tv's chains on one (formula, marking, config), run
     together as numpy arrays over runs, one chunk of runs at a time.
 
-    A run's marked state is an int64 mask, variable v at bit v - 1. Each
-    step draws the block by partial Fisher-Yates over the marked positions,
+    A run's state is an int64 mask, variable v at bit v - 1. Each step
+    draws the block by partial Fisher-Yates over the marked positions,
     looks up the row of the step's schedule in ``steps``, keyed by
     (block << n) | (kept values), and draws it; the extension reads
-    ``ext``, keyed by the marked state, whose output bits are solution codes
-    (variable v at bit n - v, as ``_solution_codes``). Every run reads the
-    words its scalar chain reads, in the same order.
+    ``ext``, keyed by the marked state. Every run reads the words its
+    scalar chain reads, in the same order.
     """
 
-    def __init__(self, chain: _Chain, codes: np.ndarray):
+    def __init__(self, chain: _Chain):
         self.chain = chain
         n, marked = chain.f.n, chain.marked
         self.nm = len(marked)
         self.vbits = np.array([1 << (v - 1) for v in marked], np.int64)
-        self.steps = _Table(self._step_plan, {1 << (v - 1): 1 << (v - 1) for v in marked})
-        unmarked = sorted(set(range(1, n + 1)) - set(marked))
-        self.ext = _Table(self._ext_plan, {1 << (v - 1): 1 << (n - v) for v in unmarked})
+        self.steps = _Table(self._step_plan, self.vbits.tolist())
+        unmarked = [1 << v for v in range(n) if chain.unmarked_mask >> v & 1]
+        self.ext = _Table(chain.extension, unmarked)
         self.max_ext_comp = 0
-        self.codes = np.append(codes.astype(np.int64), _NO_KEY)
         # (span, limit, shift) of each block draw, as rand_below(span)
         self.spans = []
         for i in range(chain.block):
@@ -545,28 +513,18 @@ class _Lockstep:
             self.init = _init_marked(chain, None, ChainTrace())
 
     def _step_plan(self, key: int):
-        n = self.chain.f.n
-        block, kept = key >> n, key & ((1 << n) - 1)
         chain = self.chain
-        return chain.store(chain.marked_mask & ~block, kept, block, chain.cfg.cap), 0
-
-    def _ext_plan(self, xbits: int):
-        n = self.chain.f.n
-        base = sum(1 << (n - v) for v in self.chain.marked if xbits >> (v - 1) & 1)
-        return self.chain.extension(xbits), base
+        block, kept = key >> chain.f.n, key & chain.marked_mask
+        return chain.store(chain.marked_mask & ~block, kept, block, chain.cfg.cap)
 
     def run(self, seeds) -> np.ndarray | None:
-        """Index in the solution codes of each run's final assignment, or
-        None when some run fails: its random init finds no feasible
-        pinning, or its final assignment is no solution."""
+        """Each run's final assignment as a mask, or None when some run
+        finds no feasible init or ends on a marked state with no extension."""
         runs = len(seeds)
         words = _Words([make_rng(s) for s in seeds], self.width)
-        if self.init is not None:
-            x = np.full(runs, self.init, np.int64)
-        else:
-            x = self._random_init(words, runs)
-            if x is None:
-                return None
+        x = np.full(runs, self.init or 0, np.int64)
+        if self.init is None and not self._random_init(words, x):
+            return None
         pool0 = np.tile(np.arange(self.nm, dtype=np.int64), (runs, 1))
         lanes = np.arange(runs, dtype=np.int64) * self.nm
         for _ in range(self.chain.cfg.t_max):
@@ -578,25 +536,24 @@ class _Lockstep:
         if not self.ext.feasible[i].all():
             return None
         self.max_ext_comp = max(self.max_ext_comp, int(self.ext.comp[i].max()))
-        final = self.ext.draw(i, words)
-        idx = np.searchsorted(self.codes, final)
-        if np.count_nonzero(self.codes[idx] != final):
-            return None
-        return idx
+        return x | self.ext.draw(i, words)
 
-    def _random_init(self, words: _Words, runs: int):
-        """_init_marked's fair-bit draws, redrawn for the runs whose pinning
-        is infeasible, at most _MAX_REJECTS + 1 times."""
-        x = np.zeros(runs, np.int64)
-        todo = np.arange(runs)
+    def _random_init(self, words: _Words, x) -> bool:
+        """_init_marked's fair-bit draws into x, redrawn for the runs whose
+        pinning is infeasible, at most _MAX_REJECTS + 1 times; whether every
+        run found a feasible pinning."""
+        todo = np.ones(len(x), bool)
         for _ in range(_MAX_REJECTS + 1):
-            xbits = words.fair_bits(todo, self.vbits)
-            x[todo] = xbits
-            rows = self.ext.lookup(xbits)
-            todo = todo[~self.ext.feasible[rows]]
-            if not len(todo):
-                return x
-        return None
+            draw = np.zeros(len(x), np.int64)
+            for bit in self.vbits:
+                # runs already feasible read no word
+                draw |= words.below(_NO_LIMIT, 31, todo) * bit
+            x[todo] = draw[todo]
+            rows = self.ext.lookup(x)  # before reading feasible, which it can replace
+            todo = ~self.ext.feasible[rows]
+            if not todo.any():
+                return True
+        return False
 
     def _block(self, words: _Words, pool0, lanes) -> np.ndarray:
         """The block mask of each run: partial Fisher-Yates over the marked
@@ -663,6 +620,10 @@ def check_chain_uniformity(
         raise UsageError("trials must be >= 1")
     if s is None:
         s = max((len(c) for c in f.clauses), default=1)
+    if s <= 0:
+        raise UsageError(f"uniformity parameter s must be positive, got {s}")
+    if not subset_sizes or min(subset_sizes) < 0:
+        raise UsageError(f"subset_sizes must be non-empty and >= 0, got {subset_sizes!r}")
     chain = _Chain(f, m, cfg)
     master = make_rng(cfg.seed)
     samples = []

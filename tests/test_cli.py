@@ -390,6 +390,10 @@ def run_spec(capsys, tmp_path, spec):
         {"n": 0, "m": 0, "k": 0, "seed": 0},
         {"n": 10, "m": 5, "k": 3},
         {"n": 10, "m": -3, "k": 3, "seed": 1},
+        {"n": 10.5, "m": 5, "k": 3, "seed": 1},
+        {"n": 1e3, "m": 5, "k": 3, "seed": 1},
+        {"n": 10, "m": 5, "k": True, "seed": 1},
+        {"n": 10, "m": 5, "k": 3, "seed": 1.5},
     ],
 )
 def test_pipeline_cell_records_a_refused_instance(capsys, tmp_path, instance):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from ksat import Formula, UsageError, enumerate_solutions, generate_random_kcnf, is_satisfying
 from ksat import sampler
 from ksat.errors import DomainError
-from ksat.formula import _solution_codes
+from ksat.formula import mask_to_assignment
 from ksat.marginals import DEFAULT_CAP, exec_store, sample_conditional
 from ksat.marking import Marking, find_marking
 from ksat.rng import make_rng, spawn_seed
@@ -275,6 +275,23 @@ def test_chain_uniformity_rejects_trials_below_one(trials):
         check_chain_uniformity(f, trivial_marking({1, 2}), cfg, trials=trials)
 
 
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        ({"s": 0}, "s must be positive"),
+        ({"s": -1}, "s must be positive"),
+        ({"subset_sizes": ()}, "subset_sizes must be non-empty"),
+        ({"subset_sizes": (1, -1)}, "subset_sizes must be non-empty and >= 0"),
+    ],
+)
+def test_chain_uniformity_rejects_bad_parameters(kwargs, match):
+    """s must be positive and subset_sizes a non-empty list of sizes >= 0."""
+    f = Formula.from_ints(3, [[1, 2, 3]])
+    cfg = SamplerConfig(theta=0.5, t_max=1, seed=1)
+    with pytest.raises(UsageError, match=match):
+        check_chain_uniformity(f, trivial_marking({1, 2}), cfg, trials=5, **kwargs)
+
+
 def test_default_t_max_positive():
     assert default_t_max(0.3, 20) >= 1
 
@@ -375,11 +392,10 @@ def scalar_estimate_tv(f, m, cfg, runs):
 def lockstep_finals(f, m, cfg, runs):
     """Each run's final assignment from the lockstep chains, or None when
     some run fails."""
-    codes = _solution_codes(f)
     master = make_rng(cfg.seed)
     seeds = [spawn_seed(master) for _ in range(runs)]
-    idx = _Lockstep(_Chain(f, m, cfg), codes).run(seeds)
-    return None if idx is None else [enumerate_solutions(f)[i] for i in idx.tolist()]
+    final = _Lockstep(_Chain(f, m, cfg)).run(seeds)
+    return None if final is None else [mask_to_assignment(x, f.n) for x in final.tolist()]
 
 
 def outcome(fn, *args):
@@ -442,6 +458,32 @@ def test_lockstep_chunks_match_scalar_chains(monkeypatch, knobs):
         for name in ("tv", "runs", "n_solutions", "max_cell_halfwidth", "max_component"):
             assert getattr(got, name) == getattr(want, name), name
         assert lockstep_finals(f, m, cfg, 30) == finals
+
+
+def test_estimate_tv_spawns_each_chunks_seeds_when_it_starts(monkeypatch):
+    """Seeds are drawn chunk by chunk, so memory is bounded in runs: while
+    chunk c runs, at most 7 (c + 1) seeds have been drawn, and the estimate
+    is the scalar loop's."""
+    monkeypatch.setattr(sampler, "_CHUNK_RUNS", 7)
+    drawn = []
+    seen = []
+
+    def counting_spawn_seed(master):
+        drawn.append(None)
+        return spawn_seed(master)
+
+    def recording_run(self, seeds):
+        seen.append(len(drawn))
+        return run(self, seeds)
+
+    run = _Lockstep.run
+    monkeypatch.setattr(sampler, "spawn_seed", counting_spawn_seed)
+    monkeypatch.setattr(_Lockstep, "run", recording_run)
+    f = generate_random_kcnf(9, 9, 4, seed=12)
+    m = find_marking(f, 1, 1, seed=1)
+    cfg = SamplerConfig(theta=0.3, t_max=5, seed=31)
+    assert estimate_tv(f, m, cfg, 30) == scalar_estimate_tv(f, m, cfg, 30)[0]
+    assert seen == [7, 14, 21, 28, 30]
 
 
 def test_lockstep_refills_the_rows_of_a_long_chain():
