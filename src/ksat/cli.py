@@ -67,6 +67,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _positive_int(text: str) -> int:
+    """The type of --cap and --jobs: an int of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 _CAP_HELP = "max assignment evaluations, per enumerated component or for the whole formula"
 
 
@@ -117,7 +125,7 @@ def _build_parser():
     sp.add_argument("--tmax", type=int, help="steps (default from theta and n)")
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--runs", type=int, default=1)
-    sp.add_argument("--cap", type=int, default=DEFAULT_CAP, help=_CAP_HELP)
+    sp.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP, help=_CAP_HELP)
     sp.set_defaults(func=_cmd_sample)
 
     sp = add("path", "build a solution path between two assignments")
@@ -126,20 +134,20 @@ def _build_parser():
     sp.add_argument("--sigma", required=True, help="assignment file (bitstring)")
     sp.add_argument("--sigma2", required=True, help="assignment file (bitstring)")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--cap", type=int, default=DEFAULT_CAP, help=_CAP_HELP)
+    sp.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP, help=_CAP_HELP)
     sp.set_defaults(func=_cmd_path)
 
     sp = add("loose", "per-variable flip distances from an assignment")
     _common_formula_flags(sp)
     sp.add_argument("--sigma", required=True, help="assignment file (bitstring)")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--cap", type=int, default=DEFAULT_CAP, help=_CAP_HELP)
+    sp.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP, help=_CAP_HELP)
     sp.set_defaults(func=_cmd_loose)
 
     sp = add("solgraph", "component structure of the Hamming solution graph")
     sp.add_argument("--dimacs", required=True)
     sp.add_argument("--D", type=int, required=True, dest="d")
-    sp.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP, help=_CAP_HELP)
+    sp.add_argument("--cap", type=_positive_int, default=DEFAULT_ENUM_CAP, help=_CAP_HELP)
     sp.set_defaults(func=_cmd_solgraph)
 
     sp = add("influence", "exact influence matrix plus coupling estimates")
@@ -149,12 +157,12 @@ def _build_parser():
     sp.add_argument("--kc", type=int, help="reveal cutoff (default from k_u, zeta)")
     sp.add_argument("--trials", type=int, default=1000)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--cap", type=int, default=DEFAULT_CAP, help=_CAP_HELP)
+    sp.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP, help=_CAP_HELP)
     sp.set_defaults(func=_cmd_influence)
 
     sp = add("flippable", "NAE witness or the list of frozen variables")
     sp.add_argument("--dimacs", required=True)
-    sp.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP, help=_CAP_HELP)
+    sp.add_argument("--cap", type=_positive_int, default=DEFAULT_ENUM_CAP, help=_CAP_HELP)
     sp.set_defaults(func=_cmd_flippable)
 
     sp = add("verify", "check an assignment against a formula")
@@ -164,7 +172,7 @@ def _build_parser():
 
     sp = add("pipeline", "gen/classify/mark/sample/path/loose over a sweep")
     sp.add_argument("--spec", required=True, help="JSON run specification")
-    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--jobs", type=_positive_int, default=1)
     sp.set_defaults(func=_cmd_pipeline)
 
     return p

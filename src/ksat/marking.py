@@ -63,6 +63,8 @@ def find_marking(
     """
     if k_m < 0 or k_u < 0:
         raise UsageError("quotas must be nonnegative")
+    if max_resamples < 0:
+        raise UsageError(f"max_resamples must be >= 0, got {max_resamples}")
     if p_mark is None:
         p_mark = k_m / (k_m + k_u) if k_m + k_u else 0.5
     if not 0.0 <= p_mark <= 1.0:

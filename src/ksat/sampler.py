@@ -102,12 +102,7 @@ class _Chain:
         self.marked = sorted(m.marked)
         if not self.marked:
             raise UsageError("marking is empty")
-        block = cfg.block_size(len(self.marked))
-        if not 1 <= block <= len(self.marked):
-            raise UsageError(
-                f"block size {block} outside [1, {len(self.marked)}]"
-            )
-        self.block = block
+        self.block = cfg.block_size(len(self.marked))
         self.cfg = cfg
         self.marked_mask = var_mask(self.marked)
         self.unmarked_mask = ((1 << f.n) - 1) & ~self.marked_mask
@@ -369,27 +364,24 @@ def _stream_bytes(rng, words: int) -> bytes:
 class _Table:
     """Draw tables of the schedules a lockstep batch meets, one row per key.
 
-    build(key) gives a key's schedule (an ExecPlan), or raises
-    InfeasiblePinningError, which leaves the row infeasible. A draw outputs
-    the schedule's target bits as a mask (variable v at bit v - 1), which
-    the caller ORs into the bits it keeps. A row holds its schedule's draws
-    as slots, in draw order: slot j is (limit, shift, offset, act) for a
-    draw of count c on w bits, with shift = 32 - w, limit = c << shift (a
-    word is accepted when it is under the limit), the offset in pats of the
-    c output patterns (each solution's target bits) and act = 1. A free
-    target is a slot of count 2 and width 1 on the patterns (0, its bit).
-    Draws of count 1 read no word, so they fold into the row's fixed bits.
-    Rows with fewer slots than the widest are padded with slots of act 0
-    that accept any word and output nothing. The table starts over once its
-    rows and patterns pass _TABLE_ENTRIES, so memory stays bounded.
+    build(key) gives a key's schedule (an ExecPlan) or raises
+    InfeasiblePinningError, for an infeasible row. A draw outputs the
+    schedule's target bits as a mask (variable v at bit v - 1) that the
+    caller ORs into the bits it keeps.
 
-    When nearly every step meets a new key, a miss stays cheap: rows share
-    the patterns of draws on the same solutions and targets; rows stay in
-    build order, so a new key goes into the sorted keys and their rows
-    (order) without moving any row; and the row and pattern arrays grow in
-    place (ndarray.resize), where np.append would copy them at every miss.
+    rows is one int64 matrix, row r for the r-th sorted key: columns FIXED
+    (the bits of the count-1 draws, which read no word), FEASIBLE (1 or 0)
+    and COMP (the largest residual component), then a slot of four columns
+    per other draw, in draw order. A draw of count c on w bits is (limit,
+    shift, offset, act) = (c << shift, 32 - w, the offset in pats of its c
+    output patterns, 1) and accepts a word under the limit. A free target is
+    a slot of count 2 and width 1 on the patterns (0, its bit). Short rows
+    end in _PAD slots, which read no word and output nothing. Rows share the
+    patterns of draws on the same solutions and targets. The table starts
+    over past _TABLE_ENTRIES rows and patterns, so memory stays bounded.
     """
 
+    FIXED, FEASIBLE, COMP = range(3)
     _PAD = (_NO_LIMIT, 32, 0, 0)
 
     def __init__(self, build, targets):
@@ -400,80 +392,73 @@ class _Table:
 
     def _clear(self) -> None:
         self.keys = np.array([_NO_KEY])
-        self.order = np.zeros(1, np.int64)
-        self.fixed = np.zeros(0, np.int64)
-        self.feasible = np.zeros(0, bool)
-        self.comp = np.zeros(0, np.int64)
-        self.slots = []
+        self.rows = np.zeros((0, 3), np.int64)
         # the padding slots' pattern, then (0, bit) for each free target
         self.pats = np.array([0] + [b for gb in self.free_at for b in (0, gb)], np.int64)
-        # (id(sols), pairs) -> (sols, offset of the draw's patterns); holding
-        # sols keeps its id from being reused
+        # (id(sols), pairs) -> (sols, offset); holding sols keeps its id unique
         self.pat_at = {}
 
     def lookup(self, keys) -> np.ndarray:
-        """Row of each key, building the rows of new keys. Resizes or
-        replaces the row arrays when it builds."""
+        """Row of each key, building new keys' rows (which replaces rows)."""
         i = self.keys.searchsorted(keys)
         miss = self.keys[i] != keys
         if np.count_nonzero(miss):
-            if len(self.fixed) + len(self.pats) > _TABLE_ENTRIES:
+            if len(self.rows) + len(self.pats) > _TABLE_ENTRIES:
                 self._clear()
                 miss = slice(None)
             self._insert(np.unique(keys[miss]).tolist())
             i = self.keys.searchsorted(keys)
-        return self.order[i]
+        return i
 
     def _insert(self, new_keys) -> None:
         rows = []
+        pats = []
+        n_pats = len(self.pats)
         for key in new_keys:
             try:
                 plan = self.build(key)
             except InfeasiblePinningError:
-                rows.append((0, False, 0, ()))
+                rows.append([0, 0, 0])
                 continue
             self.max_comp = max(self.max_comp, plan.max_comp_vars)
-            fixed = 0
-            slots = []
+            row = [0, 1, plan.max_comp_vars]
             for sols, count, width, pairs in plan.draws:
                 if count == 1:
                     s0 = int(sols[0])
-                    fixed |= sum(gb for lb, gb in pairs if s0 >> lb & 1)
+                    row[self.FIXED] |= sum(gb for lb, gb in pairs if s0 >> lb & 1)
                     continue
                 held = self.pat_at.get((id(sols), pairs))
                 if held is None:
-                    at = len(self.pats)
-                    self.pats.resize(at + count)  # zero-filled
                     local = sols.astype(np.int64)
+                    pat = np.zeros(count, np.int64)
                     for lb, gb in pairs:
-                        self.pats[at:] |= ((local >> lb) & 1) * gb
-                    held = self.pat_at[id(sols), pairs] = (sols, at)
-                slots.append((count << (32 - width), 32 - width, held[1], 1))
+                        pat |= ((local >> lb) & 1) * gb
+                    pats.append(pat)
+                    held = self.pat_at[id(sols), pairs] = (sols, n_pats)
+                    n_pats += count
+                row += (count << (32 - width), 32 - width, held[1], 1)
             for gb in plan.free_bits:
-                slots.append((_NO_LIMIT, 31, self.free_at[gb], 1))
-            rows.append((fixed, True, plan.max_comp_vars, slots))
-        old, new = len(self.fixed), len(self.fixed) + len(rows)
-        *columns, slots = zip(*rows)
-        for name, values in zip(("fixed", "feasible", "comp"), columns):
-            getattr(self, name).resize(new)
-            getattr(self, name)[old:] = values
-        for j in range(max(len(self.slots), *map(len, slots))):
-            if j == len(self.slots):
-                self.slots.append(np.full((old, 4), self._PAD, np.int64))
-            self.slots[j].resize((new, 4))
-            self.slots[j][old:] = [row[j] if j < len(row) else self._PAD for row in slots]
+                row += (_NO_LIMIT, 31, self.free_at[gb], 1)
+            rows.append(row)
+        width = max(self.rows.shape[1], *map(len, rows))
+        if width > self.rows.shape[1]:
+            pad = np.tile(self._PAD, (len(self.rows), (width - self.rows.shape[1]) // 4))
+            self.rows = np.hstack([self.rows, pad])
+        for row in rows:
+            row += self._PAD * ((width - len(row)) // 4)
         # new_keys ascend and none is in keys, so each goes in at its place
         at = self.keys.searchsorted(new_keys)
         self.keys = np.insert(self.keys, at, new_keys)
-        self.order = np.insert(self.order, at, np.arange(old, new))
+        self.rows = np.insert(self.rows, at, rows, axis=0)
+        self.pats = np.concatenate([self.pats, *pats])
 
     def draw(self, rows, words: _Words) -> np.ndarray:
         """Output bits of one draw of each run's row's schedule."""
-        out = self.fixed[rows]
-        for slots in self.slots:
-            s = slots[rows]
-            idx = words.below(s[:, 0], s[:, 1], s[:, 3])
-            out |= self.pats[s[:, 2] + idx]
+        r = self.rows[rows]
+        out = r[:, self.FIXED]
+        for j in range(3, r.shape[1], 4):
+            idx = words.below(r[:, j], r[:, j + 1], r[:, j + 3])
+            out |= self.pats[r[:, j + 2] + idx]
         return out
 
 
@@ -533,9 +518,9 @@ class _Lockstep:
             i = self.steps.lookup((block << self.chain.f.n) | kept)
             x = kept | self.steps.draw(i, words)
         i = self.ext.lookup(x)
-        if not self.ext.feasible[i].all():
+        if not self.ext.rows[i, _Table.FEASIBLE].all():
             return None
-        self.max_ext_comp = max(self.max_ext_comp, int(self.ext.comp[i].max()))
+        self.max_ext_comp = max(self.max_ext_comp, int(self.ext.rows[i, _Table.COMP].max()))
         return x | self.ext.draw(i, words)
 
     def _random_init(self, words: _Words, x) -> bool:
@@ -549,8 +534,8 @@ class _Lockstep:
                 # runs already feasible read no word
                 draw |= words.below(_NO_LIMIT, 31, todo) * bit
             x[todo] = draw[todo]
-            rows = self.ext.lookup(x)  # before reading feasible, which it can replace
-            todo = ~self.ext.feasible[rows]
+            i = self.ext.lookup(x)  # before reading rows, which it can replace
+            todo = self.ext.rows[i, _Table.FEASIBLE] == 0
             if not todo.any():
                 return True
         return False

@@ -571,3 +571,101 @@ def test_sample_runs_below_one(capsys, dimacs_file, tmp_path):
     (record,) = json.loads(out)["records"]
     assert "runs must be >= 1" in record["sample"]["error"]
     assert "path" not in record and "loose" not in record
+
+
+CAP_COMMANDS = [
+    ["sample", "--seed", "1", "--tmax", "3"],
+    ["path", "--sigma", "A", "--sigma2", "B"],
+    ["loose", "--sigma", "A"],
+    ["solgraph", "--D", "1"],
+    ["influence", "--v0", "1", "--trials", "5"],
+    ["flippable"],
+]
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+@pytest.mark.parametrize("command", CAP_COMMANDS, ids=lambda command: command[0])
+def test_cap_below_one_is_a_usage_error(capsys, dimacs_file, command, cap):
+    """No enumeration fits a budget below one evaluation, so --cap < 1 is a
+    bad flag on every command that takes it, not a CapExceededError."""
+    paths = {
+        "F": dimacs_file("f.cnf", "p cnf 4 2\n1 2 -3 0\n-1 3 4 0\n"),
+        "A": dimacs_file("a", "1110"),
+        "B": dimacs_file("b", "0101"),
+    }
+    argv = [paths.get(arg, arg) for arg in command] + ["--dimacs", paths["F"], "--cap", cap]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "usage"
+    assert "--cap" in error["message"]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_pipeline_jobs_below_one_is_a_usage_error(capsys, tmp_path, jobs):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"instances": [{"n": 10, "m": 5, "k": 3, "seed": 1}]}))
+    code, out, err = run(capsys, "pipeline", "--spec", str(spec_path), "--jobs", jobs)
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "usage"
+    assert "--jobs" in error["message"]
+
+
+def test_mark_negative_max_resamples_is_a_usage_error(capsys, dimacs_file):
+    f = dimacs_file("f.cnf", "p cnf 4 2\n1 2 -3 0\n-1 3 4 0\n")
+    code, out, err = run(capsys, "mark", "--dimacs", f, "--max-resamples", "-5")
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "usage"
+    assert "max_resamples must be >= 0" in error["message"]
+
+
+def test_influence_with_a_pin_file_matches_the_exact_matrix(capsys, dimacs_file):
+    """--pin conditions the influence matrix: the payload's pinning, order
+    and matrix are exact_influence_matrix's under the pin file's pinning."""
+    import argparse
+
+    from ksat import cli
+    from ksat.coupling import exact_influence_matrix
+    from ksat.formula import emit_dimacs, enumerate_solutions, generate_random_kcnf
+
+    f = generate_random_kcnf(8, 6, 3, seed=5)
+    args = argparse.Namespace(k=3, zeta=0.3, delta=None)
+    _, m = cli._marking_for_sampling(f, args, seed=0)
+    v0, *rest = sorted(m.marked)
+    assert rest
+    pinned = rest[-1]
+    pin = {pinned: enumerate_solutions(f)[0][pinned - 1]}
+    path = dimacs_file("f.cnf", emit_dimacs(f))
+    pin_path = dimacs_file("pin.json", json.dumps({str(pinned): pin[pinned]}))
+    code, out, err = run(
+        capsys,
+        "influence", "--dimacs", path, "--k", "3", "--v0", str(v0), "--pin", pin_path,
+        "--trials", "20",
+    )
+    assert code == 0, err
+    payload = json.loads(out)
+    want = exact_influence_matrix(f, m, pin).to_json()
+    assert payload["pinning"] == want["pinning"] == {str(pinned): pin[pinned]}
+    assert payload["order"] == want["order"]
+    assert pinned not in payload["order"]
+    assert payload["matrix"] == want["matrix"]
+
+
+@pytest.mark.parametrize("text", ["not json", "[1, 2]", '{"x": 1}'])
+def test_influence_malformed_pin_file_is_a_usage_error(capsys, dimacs_file, text):
+    f = dimacs_file("f.cnf", "p cnf 3 1\n1 2 3 0\n")
+    pin = dimacs_file("pin.json", text)
+    code, out, err = run(
+        capsys,
+        "influence", "--dimacs", f, "--k", "3", "--v0", "1", "--pin", pin, "--trials", "20",
+    )
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "usage"
+    assert "bad pin file" in error["message"]

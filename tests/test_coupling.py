@@ -249,6 +249,13 @@ def test_exact_influence_flags_frozen_rows():
     assert not inf.matrix[inf.order.index(1)].any()
 
 
+def test_exact_influence_rejects_a_pin_outside_the_marked_set():
+    f = Formula.from_ints(3, [[1, 2, 3]])
+    m = Marking(frozenset({1, 2}), 1, 1, certified=True)
+    with pytest.raises(UsageError, match="pinning domain must be a subset of the marked set"):
+        exact_influence_matrix(f, m, {1: 0, 3: 1})
+
+
 @st.composite
 def marked_pinning_cases(draw):
     """(formula on at most 10 variables, a find_marking marking, a pinning of

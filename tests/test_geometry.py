@@ -112,6 +112,19 @@ def test_looseness_report_unique_solution():
     assert {v for v, _ in rep.failures} == {1, 2}
 
 
+def test_looseness_report_records_a_cap_below_a_component():
+    """A component that needs more evaluations than the cap makes each of
+    its variables a 'cap exceeded' failure; the report raises nothing, and
+    at the component's 2^3 evaluations every variable is certified."""
+    f = Formula.from_ints(3, [[1, 2, 3]])
+    rep = looseness_report(f, trivial_marking(), None, (1, 0, 0), cap=7)
+    assert not rep.distances
+    assert [v for v, _ in rep.failures] == [1, 2, 3]
+    assert all(reason.startswith("cap exceeded: ") for _, reason in rep.failures)
+    rep = looseness_report(f, trivial_marking(), None, (1, 0, 0), cap=8)
+    assert rep.ok and rep.distances == {1: 2, 2: 1, 3: 1}
+
+
 def test_looseness_frozen_construction():
     # (x1) and (x1 v x2): x1 is frozen, x2 flips freely
     f = Formula.from_ints(2, [[1], [1, 2]])

@@ -20,6 +20,15 @@ def test_infeasible_width():
         find_marking(f, k_m=2, k_u=1, seed=0)
 
 
+def test_negative_resample_budget_is_rejected():
+    """A negative budget is a usage error, not a budget of 0 that returns an
+    uncertified marking; a budget of 0 is still accepted."""
+    f = Formula.from_ints(3, [[1, 2, 3]])
+    with pytest.raises(UsageError, match="max_resamples must be >= 0, got -5"):
+        find_marking(f, k_m=2, k_u=1, seed=4, max_resamples=-5)
+    find_marking(f, k_m=2, k_u=1, seed=4, max_resamples=0)
+
+
 def test_empty_formula_trivially_certified():
     f = Formula(4, ())
     m = find_marking(f, k_m=1, k_u=1, seed=7)

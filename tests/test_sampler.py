@@ -1,4 +1,5 @@
 import math
+import sys
 from collections import Counter
 
 import pytest
@@ -484,6 +485,34 @@ def test_estimate_tv_spawns_each_chunks_seeds_when_it_starts(monkeypatch):
     cfg = SamplerConfig(theta=0.3, t_max=5, seed=31)
     assert estimate_tv(f, m, cfg, 30) == scalar_estimate_tv(f, m, cfg, 30)[0]
     assert seen == [7, 14, 21, 28, 30]
+
+
+@pytest.mark.parametrize("hook", ["profile", "trace"])
+def test_estimate_tv_under_a_profile_or_trace_hook(hook):
+    """cProfile, debuggers and coverage tools run code under sys.setprofile
+    or sys.settrace, where ndarray.resize's reference check fails, so the
+    lockstep tables must grow without it. Under either hook the estimate is
+    the untraced one, and the hook set before is restored."""
+    get, set_hook = getattr(sys, f"get{hook}"), getattr(sys, f"set{hook}")
+    f = generate_random_kcnf(9, 9, 4, seed=12)
+    m = find_marking(f, 1, 1, seed=1)
+    cfg = SamplerConfig(theta=0.3, t_max=40, seed=31)
+    want = estimate_tv(f, m, cfg, 30)
+    calls = []
+
+    def record(frame, event, arg):
+        calls.append(event)
+        return record
+
+    before = get()
+    set_hook(record)
+    try:
+        got = estimate_tv(f, m, cfg, 30)
+    finally:
+        set_hook(before)
+    assert get() is before
+    assert calls
+    assert got == want
 
 
 def test_lockstep_refills_the_rows_of_a_long_chain():
