@@ -8,7 +8,6 @@ from .errors import (
     InfeasiblePinningError,
     KsatError,
     RegimeError,
-    UnsatisfiableError,
     UsageError,
 )
 from .formula import (
@@ -55,7 +54,6 @@ __all__ = [
     "InfeasiblePinningError",
     "KsatError",
     "RegimeError",
-    "UnsatisfiableError",
     "UsageError",
     "Formula",
     "Literal",

@@ -75,29 +75,27 @@ def classify(f: Formula, delta: int, zeta: float, k: int) -> Classification:
     if k < 1:
         raise UsageError(f"nominal width k must be >= 1, got {k}")
     thresh = _bad_threshold(zeta, k)
-    v_bad = high_degree_vars(f, delta)
+    clause_vars = f._clause_var_masks
+    bad = var_mask(high_degree_vars(f, delta))
     while True:
-        c_bad = {
-            cid
-            for cid in range(f.m)
-            if sum(1 for lit in f.clauses[cid] if lit.var in v_bad) >= thresh
-        }
-        grown = set(v_bad)
-        for cid in c_bad:
-            grown.update(f.clause_vars(cid))
-        if grown == v_bad:
+        bad_clauses = sum(
+            1 << cid for cid, vs in enumerate(clause_vars) if (vs & bad).bit_count() >= thresh
+        )
+        grown = bad | _ball_union(clause_vars, bad_clauses)
+        if grown == bad:
             break
-        v_bad = grown
+        bad = grown
 
-    all_vars = frozenset(range(1, f.n + 1))
+    v_bad = frozenset(b + 1 for b in bit_positions(bad))
+    c_bad = frozenset(bit_positions(bad_clauses))
     cl = Classification(
         delta=delta,
         zeta=zeta,
         k=k,
-        v_bad=frozenset(v_bad),
-        v_good=all_vars - v_bad,
-        c_bad=frozenset(c_bad),
-        c_good=frozenset(range(f.m)) - frozenset(c_bad),
+        v_bad=v_bad,
+        v_good=frozenset(range(1, f.n + 1)) - v_bad,
+        c_bad=c_bad,
+        c_good=frozenset(range(f.m)) - c_bad,
         bad_components=(),
     )
     return replace(cl, bad_components=bad_components(cl, f))

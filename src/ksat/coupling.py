@@ -201,12 +201,13 @@ def run_coupling(
             break
         bit = pick & -pick
         u = bit.bit_length()
-        # rand_float's draw, compared as an integer: r <= ones/total exactly
+        # rand_float's draw, compared as an integer: r < ones/total exactly,
+        # so P(X_u = 1) = ceil(p 2^53) / 2^53, exact at p = 0 and p = 1
         rbits = rng.getrandbits(53)
         ones, total = marginal_counts(f, dom, xval, u, cap)
-        xu = 1 if rbits * total <= ones << 53 else 0
+        xu = 1 if rbits * total < ones << 53 else 0
         ones, total = marginal_counts(f, dom, yval, u, cap)
-        yu = 1 if rbits * total <= ones << 53 else 0
+        yu = 1 if rbits * total < ones << 53 else 0
         dom |= bit
         if xu:
             xval |= bit

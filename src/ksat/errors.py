@@ -32,7 +32,3 @@ class CapExceededError(DomainError):
 class RegimeError(DomainError):
     """A step that is guaranteed under the analysis preconditions failed,
     indicating parameters outside the supported regime."""
-
-
-class UnsatisfiableError(DomainError):
-    """The formula (or a required subformula) has no satisfying assignment."""

@@ -51,6 +51,10 @@ class Formula:
     Invariants (checked on construction): every clause nonempty, no clause
     repeats a variable, every variable index in [1, n]. Repeated clauses are
     allowed; variable degree counts occurrences with multiplicity.
+
+    The bitmasks below are the one view of clause-variable incidence: per
+    clause its (pos, neg) literal masks and variable mask, per variable the
+    mask of the clause ids holding it. degree and clause_vars read them.
     """
 
     n: int
@@ -81,24 +85,11 @@ class Formula:
     def m(self) -> int:
         return len(self.clauses)
 
-    @cached_property
-    def occ(self) -> tuple:
-        """Per-variable tuple of (clause id, position) occurrences."""
-        occ = [[] for _ in range(self.n + 1)]
-        for cid, clause in enumerate(self.clauses):
-            for pos, lit in enumerate(clause):
-                occ[lit.var].append((cid, pos))
-        return tuple(tuple(entries) for entries in occ)
-
     def degree(self, v: int) -> int:
-        return len(self.occ[v])
+        return self._var_clause_masks[v].bit_count()
 
     def clause_vars(self, cid: int) -> frozenset:
-        return self._clause_var_sets[cid]
-
-    @cached_property
-    def _clause_var_sets(self) -> tuple:
-        return tuple(frozenset(lit.var for lit in clause) for clause in self.clauses)
+        return frozenset(b + 1 for b in bit_positions(self._clause_var_masks[cid]))
 
     @cached_property
     def _clause_masks(self) -> tuple:
@@ -124,20 +115,18 @@ class Formula:
     def _var_clause_masks(self) -> tuple:
         """Per-variable mask of the clause ids containing it, bit cid for
         clause cid (index 0 unused)."""
-        return tuple(sum({1 << cid for cid, _ in entries}) for entries in self.occ)
+        masks = [0] * (self.n + 1)
+        for cid, clause in enumerate(self.clauses):
+            for lit in clause:
+                masks[lit.var] |= 1 << cid
+        return tuple(masks)
 
     @cached_property
     def _clause_ball1(self) -> tuple:
         """Per clause, the mask of clause ids sharing a variable with it,
         itself included: its closed neighbourhood in the clause graph."""
-        by_var = self._var_clause_masks
-        balls = []
-        for clause in self.clauses:
-            near = 0
-            for lit in clause:
-                near |= by_var[lit.var]
-            balls.append(near)
-        return tuple(balls)
+        # vs << 1 has bit v for variable v, the index into _var_clause_masks
+        return tuple(_ball_union(self._var_clause_masks, vs << 1) for vs in self._clause_var_masks)
 
     @cached_property
     def _clause_ball2(self) -> tuple:
@@ -240,10 +229,8 @@ def connected_component(f: Formula, v: int):
     clauses = f._var_clause_masks[v]
     if clauses:
         clauses = next(g for g in mask_groups(f._clause_ball1, (1 << f.m) - 1) if g & clauses)
-    seen_vars = {v}
-    for cid in bit_positions(clauses):
-        seen_vars |= f.clause_vars(cid)
-    return seen_vars, set(bit_positions(clauses))
+    variables = 1 << (v - 1) | _ball_union(f._clause_var_masks, clauses)
+    return {b + 1 for b in bit_positions(variables)}, set(bit_positions(clauses))
 
 
 def clause_graph_components(
@@ -274,13 +261,13 @@ def clause_graph_components(
         else:
             base, var_filter = classification.c_bad, classification.v_bad
         base_mask = sum(1 << cid for cid in base)
+        # variable masks shifted left by one: bit v indexes _var_clause_masks[v]
+        keep = var_mask(var_filter) << 1
         by_var = f._var_clause_masks
-        balls = {}
-        for cid in base:
-            ball = 1 << cid
-            for v in f.clause_vars(cid) & var_filter:
-                ball |= by_var[v] & base_mask
-            balls[cid] = ball
+        balls = {
+            cid: 1 << cid | _ball_union(by_var, f._clause_var_masks[cid] << 1 & keep) & base_mask
+            for cid in base
+        }
     else:
         raise UsageError(f"unknown adjacency mode {adjacency!r}")
 

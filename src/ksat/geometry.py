@@ -308,13 +308,14 @@ def extract_two_tree(f: Formula, b, root: int, target: int):
         raise UsageError("candidate clause set is not connected in the line graph")
     if not 1 <= target <= len(b):
         raise UsageError(f"target must lie in [1, {len(b)}], got {target}")
-    widths = [len(f.clause_vars(c)) for c in b]
-    degs = [f.degree(v) for c in b for v in f.clause_vars(c)]
+    allowed = sum(1 << c for c in b)
+    width = max(f._clause_var_masks[c].bit_count() for c in b)
+    deg = max(f.degree(i + 1) for i in bit_positions(_ball_union(f._clause_var_masks, allowed)))
     # up to this size the greedy provably cannot stall; beyond it, stalls
     # are a legitimate "no such 2-tree found" outcome
-    guaranteed = len(b) // (max(widths) * max(degs))
+    guaranteed = len(b) // (width * deg)
 
-    tree = _grow_two_tree(f._clause_ball1, sum(1 << c for c in b), root, target)
+    tree = _grow_two_tree(f._clause_ball1, allowed, root, target)
     size = tree.bit_count()
     if size < target:
         if size < guaranteed:
@@ -437,11 +438,13 @@ def verify_dtree_membership(f: Formula, cl, tree, b: int = 2) -> bool:
     tree = sorted(set(tree))
     if not tree:
         return False
-    for i, c1 in enumerate(tree):
-        for c2 in tree[i + 1 :]:
-            shared = f.clause_vars(c1) & f.clause_vars(c2) & cl.v_good
-            if shared:
-                return False
+    good = var_mask(cl.v_good)
+    seen = 0
+    for c in tree:
+        mine = f._clause_var_masks[c] & good
+        if mine & seen:
+            return False
+        seen |= mine
     if len(tree) == 1:
         return True
     parts = clause_graph_components(f, "shared-any-var", b, vertices=tree)
@@ -456,15 +459,15 @@ def clause_coloring(f: Formula, cl, clause_ids):
     vertex_color = {
         c: ("green" if c in cl.c_good else "blue") for c in clause_ids
     }
+    masks = f._clause_var_masks
+    good = var_mask(cl.v_good)
     edges = []
     edge_color = {}
     for i, a in enumerate(clause_ids):
         for c in clause_ids[i + 1 :]:
-            shared = f.clause_vars(a) & f.clause_vars(c)
+            shared = masks[a] & masks[c]
             if not shared:
                 continue
             edges.append((a, c))
-            edge_color[frozenset((a, c))] = (
-                "green" if shared & cl.v_good else "blue"
-            )
+            edge_color[frozenset((a, c))] = "green" if shared & good else "blue"
     return clause_ids, edges, vertex_color, edge_color

@@ -83,8 +83,9 @@ def decompose(clause_masks, dom: int, val: int) -> tuple:
     empty. Otherwise falsified is None and groups holds one (vars_mask,
     clauses) pair per connected component of the unsatisfied clauses: the
     component's free variables as a bitmask and, per clause, its
-    (free_pos, free_neg) masks. Groups and their clauses come in no fixed
-    order. val must lie inside dom.
+    (free_pos, free_neg) masks. Groups come in ascending order of their
+    lowest variable, the order every caller draws or walks them in; their
+    clauses come in no fixed order. val must lie inside dom.
     """
     groups = []
     false_lits = dom & ~val
@@ -106,6 +107,7 @@ def decompose(clause_masks, dom: int, val: int) -> tuple:
                 clauses += gclauses
                 del groups[i]
         groups.append((mask, clauses))
+    groups.sort(key=lambda g: g[0] & -g[0])
     return None, groups
 
 
@@ -148,8 +150,7 @@ class _Plan(NamedTuple):
 def plan_for(f: Formula, dom_mask: int, val_mask: int) -> _Plan:
     """Residual decomposition of f under the pinning (dom, val), uncached."""
     falsified, groups = decompose(f._clause_masks, dom_mask, val_mask & dom_mask)
-    comps = sorted((_Component(*g) for g in groups), key=lambda c: c.mask & -c.mask)
-    return _Plan(falsified, tuple(comps))
+    return _Plan(falsified, tuple(_Component(*g) for g in groups))
 
 
 def exact_marginal(f: Formula, x: Mapping, v: int, cap: int = DEFAULT_CAP) -> Fraction:
@@ -248,22 +249,19 @@ def build_exec(
         raise InfeasiblePinningError(f"pinning falsifies clause {falsified}")
     clause_vars_mask = 0
     max_comp_vars = 0
-    hit = []
+    draws = []
     for mask, clauses in groups:
         clause_vars_mask |= mask
         max_comp_vars = max(max_comp_vars, mask.bit_count())
-        if mask & targets_mask:
-            hit.append((mask & -mask, mask, clauses))
-    hit.sort()
-    draws = []
-    for low, mask, clauses in hit:
+        if not mask & targets_mask:
+            continue
         _check_cap("component", mask.bit_count(), cap)
         sols = solutions(component_key(mask, clauses))
         count = len(sols)
         if count == 0:
             raise InfeasiblePinningError(
-                f"component containing variable {low.bit_length()} is unsatisfiable "
-                "under the pinning"
+                f"component containing variable {(mask & -mask).bit_length()} is "
+                "unsatisfiable under the pinning"
             )
         pairs = []
         rest = mask & targets_mask

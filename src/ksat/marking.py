@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import UsageError
-from .formula import Formula
+from .formula import Formula, bit_positions, var_mask
 from .rng import as_rng, rand_float
 
 
@@ -69,50 +69,49 @@ def find_marking(
         p_mark = k_m / (k_m + k_u) if k_m + k_u else 0.5
     if not 0.0 <= p_mark <= 1.0:
         raise UsageError(f"p_mark must lie in [0, 1], got {p_mark}")
-    eligible_set = set(range(1, f.n + 1)) if eligible is None else set(eligible)
-    for cid in range(f.m):
-        vs = f.clause_vars(cid)
-        if len(vs) < k_m + k_u:
+    if eligible is None:
+        eligible = (1 << f.n) - 1
+    else:  # variables outside the formula are never marked
+        eligible = var_mask(v for v in eligible if 1 <= v <= f.n)
+    for cid, vs in enumerate(f._clause_var_masks):
+        if vs.bit_count() < k_m + k_u:
             raise UsageError(
-                f"clause {cid} has width {len(vs)} < k_m + k_u = {k_m + k_u}"
+                f"clause {cid} has width {vs.bit_count()} < k_m + k_u = {k_m + k_u}"
             )
-        if len(vs & eligible_set) < k_m:
+        if (vs & eligible).bit_count() < k_m:
             raise UsageError(
-                f"clause {cid} has only {len(vs & eligible_set)} eligible "
+                f"clause {cid} has only {(vs & eligible).bit_count()} eligible "
                 f"variables, needs k_m = {k_m}"
             )
 
     rng = as_rng(seed)
-    marked = {v for v in range(1, f.n + 1) if v in eligible_set and rand_float(rng) < p_mark}
+    marked = sum(1 << b for b in bit_positions(eligible) if rand_float(rng) < p_mark)
 
     budget = max_resamples
     while True:
         violating = _violations(f, marked, k_m, k_u)
-        if not violating:
-            return Marking(frozenset(marked), k_m, k_u, certified=True)
-        if budget <= 0:
-            return Marking(frozenset(marked), k_m, k_u, certified=False)
+        if not violating or budget <= 0:
+            return Marking(
+                frozenset(b + 1 for b in bit_positions(marked)), k_m, k_u, not violating
+            )
         budget -= 1
-        cid = violating[0]
-        for v in sorted(f.clause_vars(cid)):
-            if v not in eligible_set:
-                continue
+        for b in bit_positions(f._clause_var_masks[violating[0]] & eligible):
             if rand_float(rng) < p_mark:
-                marked.add(v)
+                marked |= 1 << b
             else:
-                marked.discard(v)
+                marked &= ~(1 << b)
 
 
 def verify_marking(f: Formula, m: Marking) -> list:
     """Clause ids violating the (k_m, k_u) quotas; empty iff valid."""
-    return _violations(f, m.marked, m.k_m, m.k_u)
+    return _violations(f, var_mask(m.marked), m.k_m, m.k_u)
 
 
-def _violations(f: Formula, marked, k_m: int, k_u: int) -> list:
+def _violations(f: Formula, marked: int, k_m: int, k_u: int) -> list:
+    """Clause ids violating the quotas under the marked variable mask."""
     out = []
-    for cid in range(f.m):
-        vs = f.clause_vars(cid)
-        n_marked = len(vs & marked)
-        if n_marked < k_m or len(vs) - n_marked < k_u:
+    for cid, vs in enumerate(f._clause_var_masks):
+        n_marked = (vs & marked).bit_count()
+        if n_marked < k_m or vs.bit_count() - n_marked < k_u:
             out.append(cid)
     return out

@@ -99,7 +99,7 @@ def _switch_components(f, builder, dom, dest, stage):
     falsified, groups = decompose(f._clause_masks, dom, dest & dom)
     if falsified is not None:
         raise AssertionError("pinning taken from a solution falsifies a clause")
-    comps = sorted((mask for mask, _ in groups), key=lambda mask: mask & -mask) or [0]
+    comps = [mask for mask, _ in groups] or [0]
     comps[0] |= ((1 << f.n) - 1) & ~dom & ~sum(comps)
     for mask in comps:
         nxt = builder.current & ~mask | dest & mask

@@ -10,7 +10,7 @@ from __future__ import annotations
 from ksat.classify import Classification
 from ksat.coupling import CouplingTrace
 from ksat.errors import InfeasiblePinningError, UsageError
-from ksat.formula import Formula, clause_graph_components, is_satisfying
+from ksat.formula import Formula, bit_positions, clause_graph_components, is_satisfying
 from ksat.marginals import DEFAULT_CAP, exact_marginal, sample_conditional
 from ksat.marking import Marking
 from ksat.rng import as_rng, rand_float
@@ -121,14 +121,14 @@ def run_coupling(
         r = rand_float(rng)
         px = exact_marginal(f, x, u, cap=cap)
         py = exact_marginal(f, y, u, cap=cap)
-        x[u] = 1 if r <= px else 0
-        y[u] = 1 if r <= py else 0
+        x[u] = 1 if r < px else 0
+        y[u] = 1 if r < py else 0
         v_set.add(u)
         records.append((u, r, x[u], y[u]))
         if x[u] != y[u]:
             v_failed.add(u)
             e_failed.add(cid)
-        for c2 in [c for c, _ in f.occ[u]]:
+        for c2 in bit_positions(f._var_clause_masks[u]):
             if c2 in e_unsat and _satisfied_by(f, x, c2) and _satisfied_by(f, y, c2):
                 e_unsat.discard(c2)
         apply_failure_rules()

@@ -1,4 +1,5 @@
 import itertools
+import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -108,6 +109,26 @@ def test_no_open_good_variable_at_v0_is_out_of_regime():
     for seed in range(6):
         with pytest.raises(RegimeError):
             run_coupling(f, cl, m, {}, v0=1, k_c=1, seed=seed)
+
+
+class _ZeroDraws(random.Random):
+    """A generator whose 53-bit draws are all 0, the one value that makes
+    r = 0 fall on a zero marginal."""
+
+    def getrandbits(self, k):
+        return 0 if k == 53 else super().getrandbits(k)
+
+
+def test_reveal_keeps_a_value_of_probability_zero_out():
+    """X's pinning x1 = 0 forces x2 = 0 through (1 v -2): the reveal of 2
+    must keep X_2 = 0 even on the draw r = 0, while under Y's pinning
+    (x1 = 1, 2 free) P(Y_2 = 1) = 1/2, so r = 0 gives Y_2 = 1."""
+    f = Formula.from_ints(2, [[1, -2]])
+    cl = all_good_classification(f)
+    m = Marking(frozenset({1}), 1, 1, certified=True)
+    tr = run_coupling(f, cl, m, {}, v0=1, k_c=1, seed=_ZeroDraws(0))
+    assert tr.r_records == ((2, 0.0, 0, 1),)
+    assert tr.x == (0, 0) and tr.y == (1, 1)
 
 
 def test_repeated_run_reads_every_schedule_from_the_store():
