@@ -10,6 +10,16 @@ The final extension draws the coupled region once with shared randomness
 and the failed regions independently, so each output is an exact
 conditional sample.
 
+A run's course up to the extension is fixed by its reveal outcomes, so
+runs walk a reveal tree, kept in a third bounded per-formula store beside
+exec_store and keyed by (classification, marking, pinning items, v0, k_c,
+cap). The reveal and failure rules build each node the first time a run
+reaches it: the variable it reveals with both marginals as integer
+thresholds, or a leaf with the final sets, the trace's frozensets and the
+extension's schedules, checked once against the path's guarantees. A run
+draws ``getrandbits(53)`` per node, makes the extension's draws at its
+leaf, and checks only its own outputs.
+
 ``exact_influence_matrix`` reads entry (u, v) off ``marginal_counts``, the
 reveal's conditional marginals, under the pinning with u = 0 and u = 1, so
 one cap, in assignment evaluations per residual component, bounds both.
@@ -18,11 +28,14 @@ one cap, in assignment evaluations per residual component, bounds both.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
+from . import marginals
 from .classify import Classification
 from .errors import InfeasiblePinningError, RegimeError, UsageError
 from .formula import (
@@ -31,9 +44,9 @@ from .formula import (
     _check_partial,
     assignment_to_mask,
     bit_positions,
-    is_satisfying,
     mask_groups,
     mask_to_assignment,
+    satisfies_mask,
     var_mask,
 )
 from .marginals import (
@@ -76,8 +89,10 @@ class CouplingTrace:
         )
 
 
-def _var_set(mask: int) -> frozenset:
-    return frozenset(b + 1 for b in bit_positions(mask))
+def _check_marking(f: Formula, m: Marking) -> None:
+    out = [v for v in m.marked if not 1 <= v <= f.n]
+    if out:
+        raise UsageError(f"marked variable {min(out)} out of range [1, {f.n}]")
 
 
 def _bad_clause_components(f: Formula, cl: Classification) -> list:
@@ -89,6 +104,41 @@ def _bad_clause_components(f: Formula, cl: Classification) -> list:
         return []
     groups = mask_groups(f._clause_ball1, sum(1 << cid for cid in cl.c_bad))
     return [(_ball_union(f._clause_var_masks, cids), cids) for cids in groups]
+
+
+class _Tree:
+    """A reveal tree: its root, None until a run plants it, and the masks
+    and parameters its node builds read."""
+
+    __slots__ = ("root", "good", "bad", "lam", "v0", "k_c", "cap")
+
+    def __init__(self, *key):  # the store's key, which the tree does not keep
+        self.root = None
+
+
+# A reveal of u, picked by clause cid: X_u = 1 iff rbits * x_total < x_ones
+# (X's count of solutions with u = 1, shifted left by 53), and likewise for
+# Y. kids[X_u + Y_u] is the subtree after that outcome, None until a run
+# takes it; state is the walk before the reveal, as _grow unpacks it: masks
+# with variable v at bit v-1 and clause cid at bit cid, so scanning a clause
+# mask from its lowest bit visits clauses in ascending id order, and X's and
+# Y's values as masks over their shared domain dom, the revealed set V.
+_Node = namedtuple("_Node", "u cid x_ones x_total y_ones y_total kids state")
+# The end of a reveal path: the revealed values, the coupled region, the
+# extension's schedules (None where nothing is drawn) and the trace's sets.
+_Leaf = namedtuple("_Leaf", "xval yval v_coupled shared x_failed y_failed sets")
+
+
+def _reveal_store(f: Formula):
+    """f's store of reveal trees, store(cl, m, pinning items, v0, k_c, cap):
+    an lru_cache of marginals._STORE_ENTRIES entries, each an empty tree
+    that runs fill. Like exec_store it lives in f.__dict__ and holds no
+    reference to f, so it dies with f."""
+    store = f.__dict__.get("_reveal_store")
+    if store is None:
+        store = lru_cache(maxsize=marginals._STORE_ENTRIES)(_Tree)
+        f.__dict__["_reveal_store"] = store
+    return store
 
 
 def run_coupling(
@@ -103,10 +153,9 @@ def run_coupling(
 ) -> CouplingTrace:
     """One run of the coupling under the pinning, with X(v0)=0, Y(v0)=1.
 
-    Variable sets are int masks with variable v at bit v-1 and clause sets
-    masks with clause cid at bit cid; scanning a clause mask from its lowest
-    bit visits the clauses in ascending id order. X and Y are value masks
-    over their shared domain `dom`, the revealed set V.
+    The run walks its reveal tree, planting it first if it is new: one
+    53-bit draw per node, then the extension's draws at the leaf, the
+    shared one and then X's and Y's on the failed region.
     """
     if v0 not in m.marked:
         raise UsageError(f"v0={v0} is not a marked variable")
@@ -116,144 +165,155 @@ def run_coupling(
         raise UsageError("pinning domain must be a subset of the marked set")
     if k_c < 1:
         raise UsageError(f"k_c must be >= 1, got {k_c}")
+    _check_partial(f, lambda_pin)
+    tree = _reveal_store(f)(cl, m, tuple(lambda_pin.items()), v0, k_c, cap)
+    node = tree.root or _plant(f, cl, m, lambda_pin, tree, v0, k_c, cap)
+    rng = as_rng(seed)
+    grb = rng.getrandbits
+    records = []
+    while type(node) is _Node:
+        # rand_float's draw, compared as an integer: r < ones/total exactly,
+        # so P(X_u = 1) = ceil(p 2^53) / 2^53, exact at p = 0 and p = 1
+        rbits = grb(53)
+        xu = 1 if rbits * node.x_total < node.x_ones else 0
+        yu = 1 if rbits * node.y_total < node.y_ones else 0
+        records.append((node.u, rbits / 9007199254740992.0, xu, yu))
+        node = node.kids[xu + yu] or _grow(f, tree, node, xu, yu)
+
+    shared = draw_exec(node.shared, rng, 0) if node.shared else 0
+    x = node.xval | shared
+    y = node.yval | shared
+    if node.x_failed:
+        x |= draw_exec(node.x_failed, rng, 0)
+        y |= draw_exec(node.y_failed, rng, 0)
+    _verify_outputs(f, node.v_coupled, x, y)
+    return CouplingTrace(
+        *node.sets, mask_to_assignment(x, f.n), mask_to_assignment(y, f.n), tuple(records), v0
+    )
+
+
+def _plant(f, cl, m, lambda_pin, tree, v0, k_c, cap):
+    """Check the run's start and build the tree's root."""
+    _check_marking(f, m)
     p0 = exact_marginal(f, lambda_pin, v0, cap=cap)  # raises if pinning infeasible
     if p0 == 0 or p0 == 1:
         raise InfeasiblePinningError(
             f"pinning forces variable {v0}; both branches must be feasible"
         )
-    rng = as_rng(seed)
-    clause_masks = f._clause_masks
-    clause_vars = f._clause_var_masks
-    good = var_mask(cl.v_good)
-    bad = var_mask(cl.v_bad)
-
     lam, lam_val = pin_masks(lambda_pin)
     bit0 = 1 << (v0 - 1)
     dom = lam | bit0
     xval = lam_val
     yval = lam_val | bit0
-    v_failed = bit0
-    e_failed = e_dagger = e_ddagger = 0
-    records = []
-    bad_comps = _bad_clause_components(f, cl)
-
     e_unsat = 0
-    for cid, (pos, neg) in enumerate(clause_masks):
+    for cid, (pos, neg) in enumerate(f._clause_masks):
         if not (pos & xval or neg & dom & ~xval) or not (pos & yval or neg & dom & ~yval):
             e_unsat |= 1 << cid
-    # the reveal loop starts at v0's unsatisfied clauses; with no open good
+    # the reveal starts at v0's unsatisfied clauses; with no open good
     # variable in any of them and an open bad one left, no failure rule runs
     # and that bad variable would end up coupled across unequal residuals
+    good = var_mask(cl.v_good)
     open_at_v0 = [
-        clause_vars[cid] & ~dom for cid in bit_positions(e_unsat & f._var_clause_masks[v0])
+        f._clause_var_masks[cid] & ~dom
+        for cid in bit_positions(e_unsat & f._var_clause_masks[v0])
     ]
     if any(open_at_v0) and not any(vs & good for vs in open_at_v0):
         raise RegimeError(
             f"no open good variable in the unsatisfied clauses of variable {v0}"
         )
+    tree.good, tree.bad, tree.lam = good, var_mask(cl.v_bad), lam
+    tree.v0, tree.k_c, tree.cap = v0, k_c, cap
+    state = (dom, xval, yval, bit0, 0, 0, 0, e_unsat, _bad_clause_components(f, cl))
+    tree.root = _advance(f, tree, state)
+    return tree.root
 
-    def apply_failure_rules():
-        # iterated to fixpoint: each rule can enable the next
-        nonlocal v_failed, e_failed, e_dagger, e_ddagger, bad_comps
-        unsat = bit_positions(e_unsat)
-        # unsatisfied clause with k_c revealed unpinned variables: the rest
-        # fail (">=" rather than "==" so k_c = 1 cannot be skipped); this
-        # rule reads only V and the unsatisfied set, so one pass serves the
-        # whole fixpoint
-        revealed = dom & ~lam
+
+def _grow(f, tree, node, xu, yu):
+    """Build and attach node's child for the outcome (xu, yu): record the
+    reveal, then apply the failure rules, iterated to fixpoint since each
+    rule can enable the next."""
+    dom, xval, yval, v_failed, e_failed, e_dagger, e_ddagger, e_unsat, bad_comps = node.state
+    clause_vars = f._clause_var_masks
+    bit = 1 << (node.u - 1)
+    dom |= bit
+    xval |= bit * xu
+    yval |= bit * yu
+    if xu != yu:
+        v_failed |= bit
+        e_failed |= 1 << node.cid
+    for c2 in bit_positions(f._var_clause_masks[node.u] & e_unsat):
+        pos, neg = f._clause_masks[c2]
+        if (pos & xval or neg & dom & ~xval) and (pos & yval or neg & dom & ~yval):
+            e_unsat ^= 1 << c2
+
+    unsat = bit_positions(e_unsat)
+    # unsatisfied clause with k_c revealed unpinned variables: the rest fail
+    # (">=" rather than "==" so k_c = 1 cannot be skipped); this rule reads
+    # only V and the unsatisfied set, so one pass serves the whole fixpoint
+    revealed = dom & ~tree.lam
+    for cid in unsat:
+        vs = clause_vars[cid]
+        if (vs & revealed).bit_count() >= tree.k_c:
+            v_failed |= vs & ~dom
+            e_failed |= 1 << cid
+    good, bad = tree.good, tree.bad
+    while True:
+        grown = v_failed
+        # unsatisfied clause touching the failure set with no good variable
+        # left to couple but undetermined bad variables
         for cid in unsat:
             vs = clause_vars[cid]
-            if (vs & revealed).bit_count() >= k_c:
-                v_failed |= vs & ~dom
-                e_failed |= 1 << cid
-        while True:
-            grown = v_failed
-            # unsatisfied clause touching the failure set with no good
-            # variable left to couple but undetermined bad variables
-            for cid in unsat:
-                vs = clause_vars[cid]
-                if (
-                    vs & v_failed
-                    and vs & bad & ~v_failed
-                    and not vs & good & ~dom & ~v_failed
-                ):
-                    v_failed |= vs & bad
-                    e_dagger |= 1 << cid
-            # bad components touching a failed variable fail wholesale
-            if bad_comps:
-                for comp_vars, comp_clauses in bad_comps:
-                    if comp_vars & v_failed:
-                        v_failed |= comp_vars
-                        e_ddagger |= comp_clauses
-                bad_comps = [c for c in bad_comps if not c[0] & v_failed]
-            if v_failed == grown:
-                return
-
-    while True:
-        pick = 0
-        for cid in bit_positions(e_unsat):
-            vs = clause_vars[cid]
-            if vs & v_failed:
-                pick = vs & good & ~dom & ~v_failed
-                if pick:
-                    break
-        if not pick:
+            if vs & v_failed and vs & bad & ~v_failed and not vs & good & ~dom & ~v_failed:
+                v_failed |= vs & bad
+                e_dagger |= 1 << cid
+        # bad components touching a failed variable fail wholesale
+        if bad_comps:
+            for comp_vars, comp_clauses in bad_comps:
+                if comp_vars & v_failed:
+                    v_failed |= comp_vars
+                    e_ddagger |= comp_clauses
+            bad_comps = [c for c in bad_comps if not c[0] & v_failed]
+        if v_failed == grown:
             break
-        bit = pick & -pick
-        u = bit.bit_length()
-        # rand_float's draw, compared as an integer: r < ones/total exactly,
-        # so P(X_u = 1) = ceil(p 2^53) / 2^53, exact at p = 0 and p = 1
-        rbits = rng.getrandbits(53)
-        ones, total = marginal_counts(f, dom, xval, u, cap)
-        xu = 1 if rbits * total < ones << 53 else 0
-        ones, total = marginal_counts(f, dom, yval, u, cap)
-        yu = 1 if rbits * total < ones << 53 else 0
-        dom |= bit
-        if xu:
-            xval |= bit
-        if yu:
-            yval |= bit
-        records.append((u, rbits / 9007199254740992.0, xu, yu))
-        if xu != yu:
-            v_failed |= bit
-            e_failed |= 1 << cid
-        for c2 in bit_positions(f._var_clause_masks[u] & e_unsat):
-            pos, neg = clause_masks[c2]
-            if (pos & xval or neg & dom & ~xval) and (pos & yval or neg & dom & ~yval):
-                e_unsat ^= 1 << c2
-        apply_failure_rules()
+    state = (dom, xval, yval, v_failed, e_failed, e_dagger, e_ddagger, e_unsat, bad_comps)
+    child = node.kids[xu + yu] = _advance(f, tree, state)
+    return child
+
+
+def _advance(f, tree, state):
+    """The node revealing the lowest open good variable of the first
+    unsatisfied clause, in ascending id order, that touches the failure
+    set, or the leaf when there is none."""
+    dom, xval, yval, v_failed, e_failed, e_dagger, e_ddagger, e_unsat, _ = state
+    for cid in bit_positions(e_unsat):
+        vs = f._clause_var_masks[cid]
+        pick = vs & tree.good & ~dom & ~v_failed if vs & v_failed else 0
+        if pick:
+            u = (pick & -pick).bit_length()
+            x_ones, x_total = marginal_counts(f, dom, xval, u, tree.cap)
+            y_ones, y_total = marginal_counts(f, dom, yval, u, tree.cap)
+            return _Node(u, cid, x_ones << 53, x_total, y_ones << 53, y_total, [None] * 3, state)
 
     v_coupled = ((1 << f.n) - 1) & ~v_failed
-
-    # extension: one shared draw on the coupled region
+    _assert_same_coupled_residual(f, dom, xval, yval, v_failed)
+    _verify_path(
+        f, tree.good, dom, xval, yval, v_failed, v_coupled, e_failed, e_dagger, e_ddagger, tree.v0
+    )
+    # extension: one shared draw on the coupled region, then independent
+    # draws on the failed region
     store = exec_store(f)
     coupled_open = v_coupled & ~dom
-    shared = 0
-    if coupled_open:
-        shared = draw_exec(store(dom, xval, coupled_open, cap), rng, 0)
-    _assert_same_coupled_residual(f, dom, xval, yval, v_failed)
-    x = xval | shared
-    y = yval | shared
-    # independent draws on the failed regions
     failed_open = v_failed & ~dom
-    if failed_open:
-        x |= draw_exec(store(dom, xval, failed_open, cap), rng, 0)
-        y |= draw_exec(store(dom, yval, failed_open, cap), rng, 0)
-
-    trace = CouplingTrace(
-        v_set=_var_set(dom),
-        v_failed=_var_set(v_failed),
-        v_coupled=_var_set(v_coupled),
-        e_failed=frozenset(bit_positions(e_failed)),
-        e_failed_dagger=frozenset(bit_positions(e_dagger)),
-        e_failed_ddagger=frozenset(bit_positions(e_ddagger)),
-        x=mask_to_assignment(x, f.n),
-        y=mask_to_assignment(y, f.n),
-        r_records=tuple(records),
-        v0=v0,
+    sets = tuple(
+        frozenset(b + 1 for b in bit_positions(vs)) for vs in (dom, v_failed, v_coupled)
+    ) + tuple(frozenset(bit_positions(cids)) for cids in (e_failed, e_dagger, e_ddagger))
+    return _Leaf(
+        xval, yval, v_coupled,
+        store(dom, xval, coupled_open, tree.cap) if coupled_open else None,
+        store(dom, xval, failed_open, tree.cap) if failed_open else None,
+        store(dom, yval, failed_open, tree.cap) if failed_open else None,
+        sets,
     )
-    verify_coupling_trace(f, cl, trace, k_c, frozenset(lambda_pin))
-    return trace
 
 
 def _assert_same_coupled_residual(f, dom, xval, yval, v_failed):
@@ -272,21 +332,37 @@ def _assert_same_coupled_residual(f, dom, xval, yval, v_failed):
 def verify_coupling_trace(
     f: Formula, cl: Classification, trace: CouplingTrace, k_c: int, lam_dom
 ) -> None:
-    """Runtime validation of the coupling's structural guarantees."""
+    """Runtime validation of the coupling's structural guarantees: those of
+    its reveal path, which run_coupling checks once per leaf, then those of
+    its outputs, which it checks on every run."""
     v_set = var_mask(trace.v_set)
-    v_failed = var_mask(trace.v_failed)
     v_coupled = var_mask(trace.v_coupled)
-    good = var_mask(cl.v_good)
     x = assignment_to_mask(trace.x)
     y = assignment_to_mask(trace.y)
-    xs, ys = x & v_set, y & v_set
+    e_failed, e_dagger, e_ddagger = (
+        sum(1 << cid for cid in cids)
+        for cids in (trace.e_failed, trace.e_failed_dagger, trace.e_failed_ddagger)
+    )
+    _verify_path(
+        f, var_mask(cl.v_good), v_set, x & v_set, y & v_set, var_mask(trace.v_failed),
+        v_coupled, e_failed, e_dagger, e_ddagger, trace.v0,
+    )
+    _verify_outputs(f, v_coupled, x, y)
+
+
+def _verify_path(
+    f, good, v_set, xs, ys, v_failed, v_coupled, e_failed, e_dagger, e_ddagger, v0
+):
+    """The guarantees fixed by the reveal path, on masks: the revealed set
+    and its X and Y values, the failed and coupled variables and the three
+    failed clause sets."""
     unsat = [
         (cid, pos | neg)
         for cid, (pos, neg) in enumerate(f._clause_masks)
         if not (pos & xs or neg & v_set & ~xs) or not (pos & ys or neg & v_set & ~ys)
     ]
 
-    # loop exit condition: no unsatisfied clause has both a failed variable
+    # reveal exit condition: no unsatisfied clause has both a failed variable
     # and an uncoupled good variable left
     for cid, vs in unsat:
         if vs & v_failed and vs & good & ~v_set & ~v_failed:
@@ -299,14 +375,9 @@ def verify_coupling_trace(
 
     # every failed variable (except the seeded v0) sits in a failed clause;
     # failed good variables sit in a primary failed clause
-    clause_vars = f._clause_var_masks
-    covered = primary = 0
-    for cid in trace.e_failed:
-        primary |= clause_vars[cid]
-    for cid in trace.e_failed_dagger | trace.e_failed_ddagger:
-        covered |= clause_vars[cid]
-    covered |= primary
-    rest = v_failed & ~(1 << (trace.v0 - 1))
+    primary = _ball_union(f._clause_var_masks, e_failed)
+    covered = primary | _ball_union(f._clause_var_masks, e_dagger | e_ddagger)
+    rest = v_failed & ~(1 << (v0 - 1))
     stray = rest & ~covered | rest & good & ~primary
     if stray:
         low = stray & -stray
@@ -315,18 +386,19 @@ def verify_coupling_trace(
         raise AssertionError(f"failed good variable {low.bit_length()} not explained")
 
     # failed clause connectivity at distance <= 2 in the full clause graph
-    near = sum(1 << cid for cid in trace.e_failed | trace.e_failed_ddagger)
+    near = e_failed | e_ddagger
     if near & (near - 1) and len(mask_groups(f._clause_ball2, near)) > 1:
         raise AssertionError("primary failed clauses not 2-step connected")
 
-    # agreement on the coupled region
+
+def _verify_outputs(f, v_coupled, x, y):
+    """A run's own guarantees: X and Y, as masks, agree on the coupled
+    region and both satisfy f."""
     differ = (x ^ y) & v_coupled
     if differ:
         raise AssertionError(f"coupled variable {(differ & -differ).bit_length()} disagrees")
-
-    for out in (trace.x, trace.y):
-        if not is_satisfying(f, out):
-            raise AssertionError("coupling output does not satisfy the formula")
+    if not (satisfies_mask(f, x) and satisfies_mask(f, y)):
+        raise AssertionError("coupling output does not satisfy the formula")
 
 
 def r_window_violations(trace: CouplingTrace, s: float):
@@ -373,6 +445,7 @@ def exact_influence_matrix(
     frozen under the pinning) are zeroed and flagged. The maximum
     eigenvalue comes from a dense eigensolver.
     """
+    _check_marking(f, m)
     if not set(lambda_pin) <= m.marked:
         raise UsageError("pinning domain must be a subset of the marked set")
     _check_partial(f, lambda_pin)
@@ -441,6 +514,7 @@ def coupling_influence_bound(
     row sums of the influence matrix."""
     if trials < 1:
         raise UsageError("trials must be >= 1")
+    _check_marking(f, m)
     master = as_rng(seed)
     targets = sorted(m.marked - set(lambda_pin) - {v0})
     diff_counts = {v: 0 for v in targets}

@@ -10,15 +10,18 @@ must not be swapped for stdlib conveniences like ``randrange`` or
 ``sample``, whose internals are not guaranteed stable.
 
 A generator's output is a stream of 32-bit words, and ``getrandbits`` reads
-it in two ways that let a caller read ahead in bulk and replay draws
-exactly (``sampler.estimate_tv`` does):
+it in three ways that let a caller read ahead in bulk and replay draws
+exactly (``sampler.estimate_tv`` does, for the first two):
 
 - ``getrandbits(32 * w).to_bytes(4 * w, "little")``, viewed as little-endian
   32-bit words, is the stream's next w words in order;
 - ``getrandbits(k)`` for 1 <= k <= 32 reads one word and keeps its top k
-  bits, ``word >> (32 - k)``.
+  bits, ``word >> (32 - k)``;
+- ``getrandbits(53)``, the coupling's reveal draw, reads two words w0 and
+  w1: w0 gives its low 32 bits and the top 21 bits of w1, ``w1 >> 11``,
+  give its bits 32-52.
 
-``tests/test_rng.py`` pins both.
+``tests/test_rng.py`` pins all three.
 """
 
 from __future__ import annotations

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -13,21 +15,24 @@ from ksat import (
     CapExceededError,
     Formula,
     InfeasiblePinningError,
+    KsatError,
     RegimeError,
     UsageError,
     enumerate_solutions,
     generate_random_kcnf,
 )
 from ksat.classify import classify, default_delta, good_induced_formula
+from ksat import marginals
 from ksat.coupling import (
     CouplingTrace,
+    _reveal_store,
     coupling_influence_bound,
     exact_influence_matrix,
     r_window_violations,
     run_coupling,
     verify_coupling_trace,
 )
-from ksat.marginals import exact_marginal, exec_store
+from ksat.marginals import DEFAULT_CAP, exact_marginal, exec_store
 from ksat.marking import Marking, default_quotas, find_marking
 from ksat.rng import make_rng, spawn_seed
 from ksat.sampler import SamplerConfig, default_t_max, run_block_dynamics
@@ -510,3 +515,60 @@ def test_coupled_residual_check_rejects_differing_clause():
     _assert_same_coupled_residual(f, 0b01, 0b00, 0b01, 0b01)
     with pytest.raises(AssertionError, match="coupled-region clause 0 differs"):
         _assert_same_coupled_residual(f, 0b01, 0b00, 0b01, 0b00)
+
+
+@pytest.mark.parametrize("marked, bad", [({0, 1}, 0), ({1, 5}, 5)])
+def test_entry_points_reject_marked_variables_out_of_range(marked, bad):
+    f = Formula.from_ints(3, [[1, 2, 3]])
+    cl = all_good_classification(f)
+    m = Marking(frozenset(marked), 1, 1, certified=True)
+    msg = f"marked variable {bad} out of range"
+    for _ in range(2):  # the check stays on once the first run has failed
+        with pytest.raises(UsageError, match=msg):
+            run_coupling(f, cl, m, {}, v0=1, k_c=1, seed=0)
+    with pytest.raises(UsageError, match=msg):
+        coupling_influence_bound(f, cl, m, {}, v0=1, k_c=1, trials=3, seed=0)
+    with pytest.raises(UsageError, match=msg):
+        exact_influence_matrix(f, m, {})
+
+
+def _tree_nodes(node):
+    """Nodes and leaves of a reveal (sub)tree, counting what runs built."""
+    if node is None:
+        return 0
+    return 1 + sum(_tree_nodes(kid) for kid in getattr(node, "kids", ()))
+
+
+def test_reveal_store_is_bounded_and_dies_with_its_formula(monkeypatch):
+    """Once a tree is warm, further runs add no node to it; the reveal store
+    keeps at most _STORE_ENTRIES trees; and with the cycle collector off,
+    dropping the formula frees the formula and its reveal store."""
+    monkeypatch.setattr(marginals, "_STORE_ENTRIES", 5)
+    f = generate_random_kcnf(9, 10, 3, seed=7)
+    cl = all_good_classification(f, k=3)
+    m = Marking(frozenset(range(1, 10)), 1, 1, certified=True)
+    store = _reveal_store(f)
+    rng = make_rng(3)
+    for _ in range(2000):
+        run_coupling(f, cl, m, {2: 1}, v0=1, k_c=1, seed=rng.getrandbits(63))
+    tree = store(cl, m, ((2, 1),), 1, 1, DEFAULT_CAP)
+    warm = _tree_nodes(tree.root)
+    assert warm > 3
+    for _ in range(1000):
+        run_coupling(f, cl, m, {2: 1}, v0=1, k_c=1, seed=rng.getrandbits(63))
+    assert _tree_nodes(tree.root) == warm
+
+    for v0, k_c in itertools.product(range(1, 10), (1, 2)):
+        try:
+            run_coupling(f, cl, m, {}, v0=v0, k_c=k_c, seed=v0)
+        except KsatError:
+            pass
+    info = store.cache_info()
+    assert info.maxsize == 5 and info.currsize == 5 and info.misses > 5
+    refs = weakref.ref(f), weakref.ref(store)
+    gc.disable()
+    try:
+        del f, store, tree
+        assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()

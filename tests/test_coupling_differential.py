@@ -12,10 +12,10 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import coupling_reference
-from ksat import Formula, KsatError, enumerate_solutions
-from ksat.classify import classify
+from ksat import Formula, KsatError, enumerate_solutions, generate_random_kcnf
+from ksat.classify import classify, good_induced_formula
 from ksat.coupling import CouplingTrace, run_coupling
-from ksat.marking import Marking
+from ksat.marking import Marking, find_marking
 
 
 @st.composite
@@ -92,3 +92,53 @@ def test_run_coupling_matches_set_reference(with_bad, pinned):
             assert got == want
 
     check()
+
+
+def _same_outcome(got, want):
+    if isinstance(want, CouplingTrace) and isinstance(got, CouplingTrace):
+        for fld in fields(CouplingTrace):
+            assert getattr(got, fld.name) == getattr(want, fld.name), fld.name
+    else:
+        assert got == want
+
+
+def _warm_tree_runs(case, k_c, seeds):
+    """Run every seed on the case's one formula object, so each run after
+    the first walks the tree the earlier runs grew, and the set reference
+    on a fresh equal formula; the outcomes must match. Returns the traces."""
+    f, cl, m, pin, v0 = case
+    fresh = (Formula(f.n, f.clauses), cl, m, pin, v0)
+    stranded = _stranded_v0(case)
+    traces = []
+    for seed in seeds:
+        got = _outcome(run_coupling, case, k_c, seed)
+        if stranded:
+            assert isinstance(got, tuple) and got[0] == "RegimeError"
+            continue
+        _same_outcome(got, _outcome(coupling_reference.run_coupling, fresh, k_c, seed))
+        if isinstance(got, CouplingTrace):
+            traces.append(got)
+    return traces
+
+
+@pytest.mark.parametrize("with_bad", [False, True], ids=["all-good", "bad-clauses"])
+@pytest.mark.parametrize("pinned", [False, True], ids=["unpinned", "pinned"])
+def test_warm_tree_matches_set_reference(with_bad, pinned):
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(coupling_cases(with_bad, pinned), st.sampled_from([1, 2]), st.integers(0, 2**32))
+    def check(case, k_c, seed):
+        _warm_tree_runs(case, k_c, range(seed, seed + 25))
+
+    check()
+
+
+def test_warm_tree_matches_set_reference_through_both_bad_rules():
+    """A k = 5 instance with one bad clause on a five-variable bad
+    component, where runs fail clauses by both bad-variable rules."""
+    f = generate_random_kcnf(14, 10, 5, seed=55)
+    cl = classify(f, delta=5, zeta=0.45, k=5)
+    good = good_induced_formula(f, cl, force=True)
+    m = find_marking(good, 1, 1, seed=55, eligible=cl.v_good)
+    for k_c in (1, 2):
+        traces = _warm_tree_runs((f, cl, m, {}, 4), k_c, range(40))
+        assert any(tr.e_failed_dagger and tr.e_failed_ddagger for tr in traces)

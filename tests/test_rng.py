@@ -42,3 +42,15 @@ def test_bulk_words_replay_getrandbits(seed, w, widths):
     assert words.tolist() == [single.getrandbits(32) for _ in range(w)]
     got = [bulk.getrandbits(k) for k in widths]
     assert got == [single.getrandbits(32) >> (32 - k) for k in widths]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.integers(1, 40))
+def test_53_bit_draw_reads_two_words(seed, draws):
+    """The stream fact the coupling's reveal draws by: getrandbits(53) reads
+    two words, the first as its low 32 bits and the second's top 21 bits
+    (w1 >> 11) as its bits 32-52."""
+    wide, words = make_rng(seed), make_rng(seed)
+    for _ in range(draws):
+        w0, w1 = words.getrandbits(32), words.getrandbits(32)
+        assert wide.getrandbits(53) == w0 | (w1 >> 11) << 32
