@@ -377,7 +377,7 @@ def _cmd_loose(args) -> None:
 
 
 def _cmd_solgraph(args) -> None:
-    f = parse_dimacs(_read(args.dimacs))
+    f = _load_formula(args)
     _write_payload(args, solution_graph(f, args.d, cap=args.cap).to_json())
 
 
@@ -413,12 +413,12 @@ def _cmd_influence(args) -> None:
 
 
 def _cmd_flippable(args) -> None:
-    f = parse_dimacs(_read(args.dimacs))
+    f = _load_formula(args)
     _write_payload(args, check_flippable_all(f, cap=args.cap).to_json())
 
 
 def _cmd_verify(args) -> None:
-    f = parse_dimacs(_read(args.dimacs))
+    f = _load_formula(args)
     a = _load_assignment(args.assignment, f.n)
     payload = {
         "schema": "ksat/verify/v1",

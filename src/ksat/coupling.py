@@ -28,10 +28,9 @@ one cap, in assignment evaluations per residual component, bounds both.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -41,22 +40,17 @@ from .errors import InfeasiblePinningError, RegimeError, UsageError
 from .formula import (
     Formula,
     _ball_union,
-    _check_partial,
     assignment_to_mask,
     bit_positions,
+    check_pinning,
+    check_variable,
+    check_variables,
     mask_groups,
     mask_to_assignment,
     satisfies_mask,
     var_mask,
 )
-from .marginals import (
-    DEFAULT_CAP,
-    draw_exec,
-    exact_marginal,
-    exec_store,
-    marginal_counts,
-    pin_masks,
-)
+from .marginals import DEFAULT_CAP, draw_exec, exec_store, marginal_counts
 from .marking import Marking
 from .rng import as_rng, make_rng, spawn_seed
 
@@ -89,10 +83,12 @@ class CouplingTrace:
         )
 
 
-def _check_marking(f: Formula, m: Marking) -> None:
-    out = [v for v in m.marked if not 1 <= v <= f.n]
-    if out:
-        raise UsageError(f"marked variable {min(out)} out of range [1, {f.n}]")
+def _check_marking(f: Formula, m: Marking, dom: int) -> int:
+    """The marked mask of m, whose variables must be f's and hold dom."""
+    marked = check_variables(f, m.marked, "marked variable")
+    if dom & ~marked:
+        raise UsageError("pinning domain must be a subset of the marked set")
+    return marked
 
 
 def _bad_clause_components(f: Formula, cl: Classification) -> list:
@@ -130,15 +126,9 @@ _Leaf = namedtuple("_Leaf", "xval yval v_coupled shared x_failed y_failed sets")
 
 
 def _reveal_store(f: Formula):
-    """f's store of reveal trees, store(cl, m, pinning items, v0, k_c, cap):
-    an lru_cache of marginals._STORE_ENTRIES entries, each an empty tree
-    that runs fill. Like exec_store it lives in f.__dict__ and holds no
-    reference to f, so it dies with f."""
-    store = f.__dict__.get("_reveal_store")
-    if store is None:
-        store = lru_cache(maxsize=marginals._STORE_ENTRIES)(_Tree)
-        f.__dict__["_reveal_store"] = store
-    return store
+    """f's store of reveal trees, store(cl, m, pinning items, v0, k_c, cap),
+    each an empty tree that runs fill; a marginals._formula_store."""
+    return marginals._formula_store(f, "_reveal_store", _Tree)
 
 
 def run_coupling(
@@ -155,19 +145,12 @@ def run_coupling(
 
     The run walks its reveal tree, planting it first if it is new: one
     53-bit draw per node, then the extension's draws at the leaf, the
-    shared one and then X's and Y's on the failed region.
+    shared one and then X's and Y's on the failed region. The pinning is
+    checked per run, before it keys the tree, the rest when it is planted.
     """
-    if v0 not in m.marked:
-        raise UsageError(f"v0={v0} is not a marked variable")
-    if v0 in lambda_pin:
-        raise UsageError(f"v0={v0} is pinned")
-    if not set(lambda_pin) <= m.marked:
-        raise UsageError("pinning domain must be a subset of the marked set")
-    if k_c < 1:
-        raise UsageError(f"k_c must be >= 1, got {k_c}")
-    _check_partial(f, lambda_pin)
+    lam, lam_val = check_pinning(f, lambda_pin)
     tree = _reveal_store(f)(cl, m, tuple(lambda_pin.items()), v0, k_c, cap)
-    node = tree.root or _plant(f, cl, m, lambda_pin, tree, v0, k_c, cap)
+    node = tree.root or _plant(f, cl, m, lam, lam_val, tree, v0, k_c, cap)
     rng = as_rng(seed)
     grb = rng.getrandbits
     records = []
@@ -192,16 +175,22 @@ def run_coupling(
     )
 
 
-def _plant(f, cl, m, lambda_pin, tree, v0, k_c, cap):
-    """Check the run's start and build the tree's root."""
-    _check_marking(f, m)
-    p0 = exact_marginal(f, lambda_pin, v0, cap=cap)  # raises if pinning infeasible
-    if p0 == 0 or p0 == 1:
+def _plant(f, cl, m, lam, lam_val, tree, v0, k_c, cap):
+    """Check the run's start under the pinning (lam, lam_val); build the root."""
+    _check_marking(f, m, lam)
+    if v0 not in m.marked:
+        raise UsageError(f"v0={v0} is not a marked variable")
+    v0 = check_variable(f, v0, "v0")  # marked, so only a non-integer fails
+    bit0 = 1 << (v0 - 1)
+    if lam & bit0:
+        raise UsageError(f"v0={v0} is pinned")
+    if k_c < 1:
+        raise UsageError(f"k_c must be >= 1, got {k_c}")
+    ones, total = marginal_counts(f, lam, lam_val, v0, cap)  # raises if pinning infeasible
+    if ones in (0, total):
         raise InfeasiblePinningError(
             f"pinning forces variable {v0}; both branches must be feasible"
         )
-    lam, lam_val = pin_masks(lambda_pin)
-    bit0 = 1 << (v0 - 1)
     dom = lam | bit0
     xval = lam_val
     yval = lam_val | bit0
@@ -445,15 +434,12 @@ def exact_influence_matrix(
     frozen under the pinning) are zeroed and flagged. The maximum
     eigenvalue comes from a dense eigensolver.
     """
-    _check_marking(f, m)
-    if not set(lambda_pin) <= m.marked:
-        raise UsageError("pinning domain must be a subset of the marked set")
-    _check_partial(f, lambda_pin)
-    dom, val = pin_masks(lambda_pin)
+    dom, val = check_pinning(f, lambda_pin)
+    marked = _check_marking(f, m, dom)
     # an infeasible pinning raises here, also when no marked variable is free;
     # the schedule stays in the store for the first row's marginal_counts
     exec_store(f)(dom, val, ((1 << f.n) - 1) & ~dom, cap)
-    order = tuple(sorted(m.marked - set(lambda_pin)))
+    order = tuple(b + 1 for b in bit_positions(marked & ~dom))
     exact = [[Fraction(0)] * len(order) for _ in order]
     flagged = []
     for i, u in enumerate(order):
@@ -469,12 +455,8 @@ def exact_influence_matrix(
                 exact[i][j] = p0 - p1
     matrix = np.array([[float(e) for e in row] for row in exact], dtype=float)
     return InfluenceMatrix(
-        pinning=tuple(sorted(lambda_pin.items())),
-        order=order,
-        exact=tuple(tuple(row) for row in exact),
-        matrix=matrix,
-        max_eigenvalue=_max_eigenvalue(matrix),
-        flagged=tuple(flagged),
+        tuple(sorted(lambda_pin.items())), order, tuple(tuple(row) for row in exact), matrix,
+        _max_eigenvalue(matrix), tuple(flagged),
     )
 
 
@@ -514,36 +496,23 @@ def coupling_influence_bound(
     row sums of the influence matrix."""
     if trials < 1:
         raise UsageError("trials must be >= 1")
-    _check_marking(f, m)
     master = as_rng(seed)
     targets = sorted(m.marked - set(lambda_pin) - {v0})
-    diff_counts = {v: 0 for v in targets}
+    diff_counts = Counter(dict.fromkeys(targets, 0))
     totals = []
     e_sizes = []
     for _ in range(trials):
         trace = run_coupling(
             f, cl, m, lambda_pin, v0, k_c, seed=make_rng(spawn_seed(master)), cap=cap
         )
-        t = 0
-        for v in targets:
-            if trace.x[v - 1] != trace.y[v - 1]:
-                diff_counts[v] += 1
-                t += 1
-        totals.append(t)
+        differ = [v for v in targets if trace.x[v - 1] != trace.y[v - 1]]
+        diff_counts.update(differ)
+        totals.append(len(differ))
         e_sizes.append(len(trace.e_failed))
     rates = {v: c / trials for v, c in diff_counts.items()}
-    stderr = {
-        v: math.sqrt(max(r * (1 - r), 1e-12) / trials) for v, r in rates.items()
-    }
+    stderr = {v: math.sqrt(max(r * (1 - r), 1e-12) / trials) for v, r in rates.items()}
     return CouplingEstimate(
-        v0=v0,
-        trials=trials,
-        rates=rates,
-        rate_stderr=stderr,
-        total=_mean(totals),
-        total_stderr=_sem(totals),
-        e_failed_mean=_mean(e_sizes),
-        e_failed_stderr=_sem(e_sizes),
+        v0, trials, rates, stderr, _mean(totals), _sem(totals), _mean(e_sizes), _sem(e_sizes)
     )
 
 

@@ -6,11 +6,15 @@ Variables are 1-based. Assignments come in two public flavors:
 * ``PartialAssignment``: a dict mapping a subset of variables to 0/1.
 
 Internally variable sets and assignments are also handled as Python int
-bitmasks with variable v at bit v-1; the helpers at the bottom convert.
+bitmasks with variable v at bit v-1; the helpers at the bottom convert. Every
+public entry point checks its arguments once with the check_* validators
+there, which return masks; a bad input raises UsageError naming the smallest
+offender, and an integer is whatever operator.index accepts.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
@@ -66,15 +70,10 @@ class Formula:
         for cid, clause in enumerate(self.clauses):
             if not clause:
                 raise UsageError(f"clause {cid} is empty")
-            seen = set()
-            for lit in clause:
-                if not 1 <= lit.var <= self.n:
-                    raise UsageError(
-                        f"clause {cid}: variable {lit.var} out of range [1, {self.n}]"
-                    )
-                if lit.var in seen:
-                    raise UsageError(f"clause {cid}: duplicate variable {lit.var}")
-                seen.add(lit.var)
+            vs = [lit.var for lit in clause]
+            if check_variables(self, vs, f"clause {cid}: variable").bit_count() < len(vs):
+                dup = next(v for i, v in enumerate(vs) if v in vs[:i])
+                raise UsageError(f"clause {cid}: duplicate variable {dup}")
 
     @classmethod
     def from_ints(cls, n: int, clauses: Iterable[Iterable[int]]) -> "Formula":
@@ -144,7 +143,10 @@ def parse_dimacs(text) -> Formula:
     are required.
     """
     if isinstance(text, (bytes, bytearray)):
-        text = text.decode("ascii")
+        try:
+            text = text.decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise UsageError(f"DIMACS text is not ASCII: {exc}") from None
     n = m = None
     tokens: list[str] = []
     for raw in text.splitlines():
@@ -161,8 +163,6 @@ def parse_dimacs(text) -> Formula:
                 n, m = int(parts[2]), int(parts[3])
             except ValueError as exc:
                 raise UsageError(f"malformed DIMACS header: {line!r}") from exc
-            if n < 0 or m < 0:
-                raise UsageError(f"malformed DIMACS header: {line!r}")
             continue
         tokens.extend(line.split())
     if n is None:
@@ -176,14 +176,10 @@ def parse_dimacs(text) -> Formula:
         except ValueError as exc:
             raise UsageError(f"bad literal token {tok!r}") from exc
         if lit == 0:
-            if not current:
-                raise UsageError(f"empty clause at clause {len(clauses)}")
             clauses.append(current)
             current = []
-            continue
-        if not 1 <= abs(lit) <= n:
-            raise UsageError(f"literal {lit} out of range for n={n}")
-        current.append(lit)
+        else:
+            current.append(lit)
     if current:
         raise UsageError("unterminated final clause (missing 0)")
     if len(clauses) != m:
@@ -224,8 +220,7 @@ def generate_random_kcnf(n: int, m: int, k: int, seed) -> Formula:
 def connected_component(f: Formula, v: int):
     """Maximal variable set reachable from v via shared clauses, plus every
     clause touching that set. An isolated variable yields ({v}, set())."""
-    if not 1 <= v <= f.n:
-        raise UsageError(f"variable {v} out of range [1, {f.n}]")
+    v = check_variable(f, v)
     clauses = f._var_clause_masks[v]
     if clauses:
         clauses = next(g for g in mask_groups(f._clause_ball1, (1 << f.m) - 1) if g & clauses)
@@ -251,33 +246,33 @@ def clause_graph_components(
     if power < 1:
         raise UsageError(f"power must be >= 1, got {power}")
     if adjacency == "shared-any-var":
-        base = range(f.m)
+        base = (1 << f.m) - 1
         balls = f._clause_ball1
     elif adjacency in ("shared-good-var", "shared-bad-var"):
         if classification is None:
             raise UsageError(f"adjacency {adjacency!r} requires a classification")
         if adjacency == "shared-good-var":
-            base, var_filter = classification.c_good, classification.v_good
+            base_ids, var_filter = classification.c_good, classification.v_good
         else:
-            base, var_filter = classification.c_bad, classification.v_bad
-        base_mask = sum(1 << cid for cid in base)
+            base_ids, var_filter = classification.c_bad, classification.v_bad
+        base = sum(1 << cid for cid in base_ids)
         # variable masks shifted left by one: bit v indexes _var_clause_masks[v]
         keep = var_mask(var_filter) << 1
         by_var = f._var_clause_masks
         balls = {
-            cid: 1 << cid | _ball_union(by_var, f._clause_var_masks[cid] << 1 & keep) & base_mask
-            for cid in base
+            cid: 1 << cid | _ball_union(by_var, f._clause_var_masks[cid] << 1 & keep) & base
+            for cid in base_ids
         }
     else:
         raise UsageError(f"unknown adjacency mode {adjacency!r}")
 
-    vertices = set(base if vertices is None else vertices)
-    if not vertices <= set(base):
+    ids = base if vertices is None else check_clause_ids(f, vertices)
+    if ids & ~base:
         raise UsageError("vertices outside the base graph's vertex set")
-    reach = {cid: balls[cid] for cid in vertices}
+    reach = {cid: balls[cid] for cid in bit_positions(ids)}
     for _ in range(power - 1):
         reach = {cid: _ball_union(balls, near) for cid, near in reach.items()}
-    return [set(bit_positions(g)) for g in mask_groups(reach, sum(1 << cid for cid in reach))]
+    return [set(bit_positions(g)) for g in mask_groups(reach, ids)]
 
 
 def mask_groups(balls, ids: int) -> list:
@@ -357,9 +352,7 @@ def _enumerate_local(nvars: int, clauses) -> np.ndarray:
 
 
 def is_satisfying(f: Formula, a: Assignment) -> bool:
-    if len(a) != f.n:
-        raise UsageError(f"assignment length {len(a)} != n={f.n}")
-    return satisfies_mask(f, assignment_to_mask(a))
+    return satisfies_mask(f, check_assignment(f, a))
 
 
 def satisfies_mask(f: Formula, mask: int) -> bool:
@@ -407,9 +400,71 @@ def bit_positions(mask: int) -> list:
     return out
 
 
-def _check_partial(f: Formula, x: PartialAssignment) -> None:
-    for v, val in x.items():
-        if not 1 <= v <= f.n:
-            raise UsageError(f"assigned variable {v} out of range [1, {f.n}]")
-        if val not in (0, 1):
-            raise UsageError(f"assignment value for {v} must be 0/1, got {val!r}")
+def check_variable(f: Formula, v, what: str = "variable") -> int:
+    """v as an int, if it is a variable of f."""
+    return _index_mask((v,), 1, f.n, what).bit_length()
+
+
+def check_variables(f: Formula, vs, what: str = "variable") -> int:
+    """Mask of vs, if its members are variables of f."""
+    return _index_mask(vs, 1, f.n, what)
+
+
+def check_clause_ids(f: Formula, ids) -> int:
+    """Mask of ids, bit cid for clause cid, if its members are f's clause ids."""
+    return _index_mask(ids, 0, f.m - 1, "clause id")
+
+
+def check_assignment(f: Formula, a, what: str = "assignment", solution: bool = False) -> int:
+    """Mask of a, if it holds n values 0/1 and, with solution, satisfies f."""
+    if len(a) != f.n:
+        raise UsageError(f"{what} has length {len(a)}, expected {f.n}")
+    mask = _bits_mask(enumerate(a, 1), what)
+    if solution and not satisfies_mask(f, mask):
+        raise UsageError(f"{what} does not satisfy the formula")
+    return mask
+
+
+def check_pinning(f: Formula, x: PartialAssignment, what: str = "pinned") -> tuple:
+    """(domain mask, value mask) of x, if it maps variables of f to 0/1."""
+    if not x:  # the common empty pinning, at the cost of one test
+        return 0, 0
+    return _index_mask(x, 1, f.n, what + " variable"), _bits_mask(x.items(), what)
+
+
+def _index_mask(items, lo: int, hi: int, what: str) -> int:
+    """Mask of the integers items, bit i - lo for item i, if all lie in
+    [lo, hi]; a non-integer is named first, then the smallest outlier."""
+    mask = 0
+    out = None
+    for x in items:
+        try:
+            i = operator.index(x)
+        except TypeError:
+            raise UsageError(f"{what} {x!r} is not an integer") from None
+        if lo <= i <= hi:
+            mask |= 1 << (i - lo)
+        elif out is None or i < out:
+            out = i
+    if out is not None:
+        raise UsageError(f"{what} {out} out of range [{lo}, {hi}]")
+    return mask
+
+
+def _bits_mask(pairs, what: str) -> int:
+    """Mask of the (variable, value) pairs with value 1, variable v at bit
+    v-1, if every value is 0/1; the smallest variable failing is named."""
+    mask = 0
+    bad = None
+    for v, x in pairs:
+        try:
+            b = operator.index(x)
+        except TypeError:
+            b = None
+        if b == 1:
+            mask |= 1 << (operator.index(v) - 1)
+        elif b != 0 and (bad is None or operator.index(v) < bad[0]):
+            bad = operator.index(v), x
+    if bad is not None:
+        raise UsageError(f"{what} value for {bad[0]} must be 0/1, got {bad[1]!r}")
+    return mask

@@ -16,8 +16,11 @@ from .formula import (
     Formula,
     _ball_union,
     _solution_codes,
-    assignment_to_mask,
     bit_positions,
+    check_assignment,
+    check_clause_ids,
+    check_variable,
+    check_variables,
     clause_graph_components,
     is_satisfying,
     mask_groups,
@@ -50,13 +53,14 @@ def certify_loose(
     variables are never marked, so the same pinning rule covers both the
     good and bad cases.
     """
-    if not is_satisfying(f, sigma):
-        raise UsageError("sigma does not satisfy the formula")
-    if not 1 <= v <= f.n:
-        raise UsageError(f"variable {v} out of range [1, {f.n}]")
-    ref = assignment_to_mask(sigma)
-    dom = var_mask(m.marked) & ~(1 << (v - 1))
-    update = closest_solution(f, dom, ref & dom, v, 1 - sigma[v - 1], ref, cap)
+    ref, v = check_assignment(f, sigma, "sigma", solution=True), check_variable(f, v)
+    return _flip_witness(f, check_variables(f, m.marked, "marked variable"), ref, v, cap)
+
+
+def _flip_witness(f, marked: int, ref: int, v: int, cap: int):
+    """certify_loose on masks: the marked variables and sigma."""
+    dom = marked & ~(1 << (v - 1))
+    update = closest_solution(f, dom, ref & dom, v, (ref >> (v - 1) & 1) ^ 1, ref, cap)
     if update is None:
         return None
     comp, vals = update
@@ -94,12 +98,14 @@ def looseness_report(
     f: Formula, m: Marking, cl, sigma, cap: int = DEFAULT_CAP
 ) -> LoosenessReport:
     """certify_loose for every variable; failures recorded, never raised."""
+    ref = check_assignment(f, sigma, "sigma", solution=True)
+    marked = check_variables(f, m.marked, "marked variable")
     distances = {}
     witnesses = {}
     failures = []
     for v in range(1, f.n + 1):
         try:
-            w = certify_loose(f, m, cl, sigma, v, cap=cap)
+            w = _flip_witness(f, marked, ref, v, cap)
         except CapExceededError as exc:
             failures.append((v, f"cap exceeded: {exc}"))
             continue
@@ -301,14 +307,13 @@ def extract_two_tree(f: Formula, b, root: int, target: int):
     """Greedy 2-tree inside clause set b: repeatedly add the lowest-id
     clause of b at line-graph distance exactly 2 from the current set."""
     b = set(b)
+    allowed = check_clause_ids(f, b)
     if root not in b:
         raise UsageError(f"root clause {root} not in the candidate set")
-    parts = clause_graph_components(f, "shared-any-var", 1, vertices=b)
-    if len(parts) != 1:
+    if len(mask_groups(f._clause_ball1, allowed)) != 1:
         raise UsageError("candidate clause set is not connected in the line graph")
     if not 1 <= target <= len(b):
         raise UsageError(f"target must lie in [1, {len(b)}], got {target}")
-    allowed = sum(1 << c for c in b)
     width = max(f._clause_var_masks[c].bit_count() for c in b)
     deg = max(f.degree(i + 1) for i in bit_positions(_ball_union(f._clause_var_masks, allowed)))
     # up to this size the greedy provably cannot stall; beyond it, stalls
@@ -435,20 +440,18 @@ def verify_dtree_membership(f: Formula, cl, tree, b: int = 2) -> bool:
     no two clauses of the set share a good variable, and the set is
     connected when clauses within distance b in the clause graph are
     adjacent."""
-    tree = sorted(set(tree))
-    if not tree:
+    ids = check_clause_ids(f, tree)
+    if not ids:
         return False
     good = var_mask(cl.v_good)
     seen = 0
-    for c in tree:
+    for c in bit_positions(ids):
         mine = f._clause_var_masks[c] & good
         if mine & seen:
             return False
         seen |= mine
-    if len(tree) == 1:
-        return True
-    parts = clause_graph_components(f, "shared-any-var", b, vertices=tree)
-    return len(parts) == 1
+    return ids.bit_count() == 1 or len(clause_graph_components(
+        f, "shared-any-var", b, vertices=bit_positions(ids))) == 1
 
 
 def clause_coloring(f: Formula, cl, clause_ids):

@@ -15,12 +15,9 @@ falsified clause first, then the components by ascending lowest variable,
 the first over the cap or without solutions. Both of those take the pinning
 as masks (dom, val), and closest_solution answers in masks too, v's
 component and its new values, so a caller steps with
-``cur & ~comp | vals``. Each formula holds two bounded
-``functools.lru_cache`` stores in its ``__dict__``, which every caller
-reads: its component solutions keyed by the component's canonical form
-(``solution_store``) and its schedules keyed by (dom, val, targets, cap)
-(``exec_store``). So memory stays flat however many pinnings a run meets,
-every cache dies with its formula, and the module holds no mutable state.
+``cur & ~comp | vals``. Every caller reads the formula's stores of its
+component solutions (``solution_store``) and its schedules (``exec_store``),
+both made by ``_formula_store``, so the module holds no mutable state.
 ``plan_for`` is an uncached, read-only view over ``decompose`` for the bench
 scripts and the acceptance filters; nothing in the package calls it.
 
@@ -42,19 +39,14 @@ import numpy as np
 
 from .errors import InfeasiblePinningError, UsageError
 from .formula import (
-    Formula, _ball_union, _check_cap, _check_partial, _enumerate_local, bit_positions, mask_groups,
-    var_mask,
+    Formula, _ball_union, _check_cap, _enumerate_local, bit_positions, check_clause_ids,
+    check_pinning, check_variable, check_variables, mask_groups,
 )
 from .rng import as_rng, rand_below, rand_bit
 
 DEFAULT_CAP = 1 << 22  # assignment evaluations allowed per component
 
 _STORE_ENTRIES = 1 << 14  # entries per store of a formula
-
-
-def pin_masks(x: Mapping) -> tuple:
-    """(domain mask, value mask) of a partial assignment, bit v-1 for var v."""
-    return var_mask(x), var_mask(v for v, b in x.items() if b)
 
 
 class _Component(NamedTuple):
@@ -161,12 +153,11 @@ def exact_marginal(f: Formula, x: Mapping, v: int, cap: int = DEFAULT_CAP) -> Fr
     covers falsified clauses and empty components alike, CapExceededError a
     component too large to enumerate.
     """
-    _check_partial(f, x)
-    if not 1 <= v <= f.n:
-        raise UsageError(f"variable {v} out of range [1, {f.n}]")
-    if v in x:
+    dom, val = check_pinning(f, x)
+    v = check_variable(f, v)
+    if dom >> (v - 1) & 1:
         raise UsageError(f"variable {v} is pinned by the conditioning")
-    return Fraction(*marginal_counts(f, *pin_masks(x), v, cap))
+    return Fraction(*marginal_counts(f, dom, val, v, cap))
 
 
 def marginal_counts(f: Formula, dom: int, val: int, v: int, cap: int = DEFAULT_CAP) -> tuple:
@@ -215,7 +206,7 @@ def _free_draw(f: Formula, dom: int, val: int, v: int, cap: int):
     return None
 
 
-class ExecPlan:
+class ExecPlan(NamedTuple):
     """Pre-decoded draw schedule for one (pinning, targets) pair.
 
     draws: per component intersecting the targets (ascending min variable),
@@ -224,12 +215,9 @@ class ExecPlan:
     ascending. max_comp_vars: the largest component of the whole residual.
     """
 
-    __slots__ = ("draws", "free_bits", "max_comp_vars")
-
-    def __init__(self, draws, free_bits, max_comp_vars):
-        self.draws = draws
-        self.free_bits = free_bits
-        self.max_comp_vars = max_comp_vars
+    draws: tuple
+    free_bits: tuple
+    max_comp_vars: int
 
 
 def build_exec(
@@ -279,29 +267,31 @@ def build_exec(
     return ExecPlan(tuple(draws), tuple(free_bits), max_comp_vars)
 
 
-def solution_store(f: Formula):
-    """f's store of component solutions, store(component_key): an lru_cache
-    of _STORE_ENTRIES entries over _enumerate_local, which it calls as a
-    module global, giving the satisfying local masks in ascending order. It
-    lives in f.__dict__, as cached_property keeps f._clause_masks, and holds
-    no reference to f, so it dies with f."""
-    store = f.__dict__.get("_solution_store")
+def _formula_store(f: Formula, name: str, func):
+    """f's store `name`: an lru_cache of _STORE_ENTRIES entries over func, kept in
+    f.__dict__ as cached_property keeps f._clause_masks. func holds no reference to
+    f, so the store is bounded however many keys it meets, and dies with f."""
+    store = f.__dict__.get(name)
     if store is None:
-        store = lru_cache(maxsize=_STORE_ENTRIES)(lambda key: _enumerate_local(*key))
-        f.__dict__["_solution_store"] = store
+        store = f.__dict__[name] = lru_cache(maxsize=_STORE_ENTRIES)(func)
     return store
+
+
+def solution_store(f: Formula):
+    """f's store of component solutions, store(component_key): the
+    satisfying local masks in ascending order, from _enumerate_local, which
+    it calls as a module global."""
+    return _formula_store(f, "_solution_store", _component_solutions)
+
+
+def _component_solutions(key):
+    return _enumerate_local(*key)
 
 
 def exec_store(f: Formula):
-    """f's store of draw schedules, store(dom, val, targets_mask, cap): an
-    lru_cache of _STORE_ENTRIES entries over build_exec on f's clause masks
-    and solution store, which keeps no errors. Like the solution store it
-    lives in f.__dict__ and dies with f."""
-    store = f.__dict__.get("_exec_store")
-    if store is None:
-        build = partial(build_exec, f._clause_masks, solution_store(f))
-        store = f.__dict__["_exec_store"] = lru_cache(maxsize=_STORE_ENTRIES)(build)
-    return store
+    """f's store of draw schedules, store(dom, val, targets_mask, cap), by build_exec."""
+    build = partial(build_exec, f._clause_masks, solution_store(f))
+    return _formula_store(f, "_exec_store", build)
 
 
 def draw_exec(e: ExecPlan, rng, bits: int) -> int:
@@ -338,16 +328,13 @@ def sample_conditional(f: Formula, x: Mapping, targets, seed, cap: int = DEFAULT
     uniform component solution is drawn and projected onto the targets;
     target variables in no residual clause get independent fair bits.
     """
-    _check_partial(f, x)
+    dom, val = check_pinning(f, x)
     rng = as_rng(seed)
-    targets = sorted(set(targets))
-    for v in targets:
-        if not 1 <= v <= f.n:
-            raise UsageError(f"target variable {v} out of range [1, {f.n}]")
-        if v in x:
-            raise UsageError(f"target variable {v} is pinned by the conditioning")
-    bits = draw_exec(exec_store(f)(*pin_masks(x), var_mask(targets), cap), rng, 0)
-    return {v: (bits >> (v - 1)) & 1 for v in targets}
+    targets = check_variables(f, targets, "target variable")
+    if pinned := bit_positions(targets & dom):
+        raise UsageError(f"target variable {pinned[0] + 1} is pinned by the conditioning")
+    bits = draw_exec(exec_store(f)(dom, val, targets, cap), rng, 0)
+    return {b + 1: (bits >> b) & 1 for b in bit_positions(targets)}
 
 
 @dataclass(frozen=True)
@@ -383,8 +370,8 @@ def check_local_uniformity(
         raise UsageError(f"uniformity parameter s must be positive, got {s}")
     if trials < 1:
         raise UsageError("trials must be >= 1")
+    marked = [b + 1 for b in bit_positions(check_variables(f, marking.marked, "marked variable"))]
     rng = as_rng(seed)
-    marked = sorted(marking.marked)
     bound = 0.5 * math.exp(1.0 / s)
     worst = Fraction(0)
     violations = []
@@ -409,7 +396,7 @@ def check_local_uniformity(
 def tree_excess(f: Formula, clause_ids) -> int:
     """Edges - vertices + components of the incidence graph of the given
     clauses and their variables. Zero means the component is a hypertree."""
-    ids = sum(1 << cid for cid in set(clause_ids))
+    ids = check_clause_ids(f, clause_ids)
     edges = sum(len(f.clauses[cid]) for cid in bit_positions(ids))
     nodes = ids.bit_count() + _ball_union(f._clause_var_masks, ids).bit_count()
     # every variable node hangs off a clause, so the components are the

@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import UsageError
-from .formula import Formula, bit_positions, var_mask
+from .formula import Formula, bit_positions, check_variables, var_mask
 from .rng import as_rng, rand_float
 
 
@@ -72,7 +72,8 @@ def find_marking(
     if eligible is None:
         eligible = (1 << f.n) - 1
     else:  # variables outside the formula are never marked
-        eligible = var_mask(v for v in eligible if 1 <= v <= f.n)
+        eligible = set(eligible)
+        eligible = var_mask(v for v in range(1, f.n + 1) if v in eligible)
     for cid, vs in enumerate(f._clause_var_masks):
         if vs.bit_count() < k_m + k_u:
             raise UsageError(
@@ -104,7 +105,7 @@ def find_marking(
 
 def verify_marking(f: Formula, m: Marking) -> list:
     """Clause ids violating the (k_m, k_u) quotas; empty iff valid."""
-    return _violations(f, var_mask(m.marked), m.k_m, m.k_u)
+    return _violations(f, check_variables(f, m.marked, "marked variable"), m.k_m, m.k_u)
 
 
 def _violations(f: Formula, marked: int, k_m: int, k_u: int) -> list:

@@ -30,8 +30,7 @@ from dataclasses import dataclass
 from .classify import Classification, good_induced_formula
 from .errors import RegimeError, UsageError
 from .formula import (
-    Formula, assignment_to_mask, bit_positions, hamming, is_satisfying, mask_to_assignment,
-    satisfies_mask, var_mask,
+    Formula, bit_positions, check_assignment, mask_to_assignment, satisfies_mask, var_mask,
 )
 from .marginals import DEFAULT_CAP, closest_solution, decompose, sample_conditional
 from .marking import Marking, verify_marking
@@ -108,19 +107,16 @@ def _switch_components(f, builder, dom, dest, stage):
         builder.push(nxt, stage)
 
 
-def _check_inputs(f, g, m, sigma, sigma_prime):
-    """Endpoints that satisfy f, and a certified marking within its quotas
-    on g."""
-    for name, a in (("sigma", sigma), ("sigma_prime", sigma_prime)):
-        if len(a) != f.n:
-            raise UsageError(f"{name} has length {len(a)}, expected {f.n}")
-        if not is_satisfying(f, a):
-            raise UsageError(f"{name} does not satisfy the formula")
+def _check_inputs(f, g, m, sigma, sigma_prime) -> tuple:
+    """The endpoints as masks, after checking them against f and m against g."""
+    start = check_assignment(f, sigma, "sigma", solution=True)
+    dest = check_assignment(f, sigma_prime, "sigma_prime", solution=True)
     if not m.certified:
         raise UsageError("marking is not certified")
     bad = verify_marking(g, m)
     if bad:
         raise UsageError(f"marking violates its quotas on clauses {bad}")
+    return start, dest
 
 
 def find_path_bounded(
@@ -131,8 +127,7 @@ def find_path_bounded(
     cap: int = DEFAULT_CAP,
 ) -> SolutionPath:
     """Two-stage marked-variable walk from sigma to sigma_prime."""
-    _check_inputs(f, f, m, sigma, sigma_prime)
-    start, dest = assignment_to_mask(sigma), assignment_to_mask(sigma_prime)
+    start, dest = _check_inputs(f, f, m, sigma, sigma_prime)
     return _marked_walk(f, m, start, dest, 0, cap).build(f.n)
 
 
@@ -185,10 +180,9 @@ def find_path_random(
     """Route both endpoints through a uniform good-CNF solution, then walk
     the bad components between the endpoint bad assignments."""
     good = good_induced_formula(f, cl, force=True)
-    _check_inputs(f, good, m, sigma, sigma_prime)
+    start, dest = _check_inputs(f, good, m, sigma, sigma_prime)
     if not m.marked <= cl.v_good:
         raise UsageError("marking must sit inside the good variables")
-    start, dest = assignment_to_mask(sigma), assignment_to_mask(sigma_prime)
     rng = as_rng(seed)
     psi = sample_conditional(good, {}, sorted(cl.v_good), rng, cap=cap)
     good_mask = var_mask(psi)
@@ -250,22 +244,21 @@ def validate_path(
 ) -> PathReport:
     """Check every entry satisfies, every step distance is recorded correctly
     and at most d_bound, and (when given) the endpoints match."""
-    non_sat = tuple(
-        i for i, a in enumerate(p.entries) if not is_satisfying(f, a)
-    )
+    masks = [check_assignment(f, a, "path entry") for a in p.entries]
+    non_sat = tuple(i for i, a in enumerate(masks) if not satisfies_mask(f, a))
     oversize = []
     mismatch = []
-    for i in range(len(p.entries) - 1):
-        d = hamming(p.entries[i], p.entries[i + 1])
+    for i, (a, b) in enumerate(zip(masks, masks[1:])):
+        d = (a ^ b).bit_count()
         if i < len(p.step_distances) and d != p.step_distances[i]:
             mismatch.append((i, p.step_distances[i], d))
         if d > d_bound:
             oversize.append((i, d))
     endpoint = ()
-    if sigma is not None and p.entries[0] != tuple(sigma):
-        endpoint += ("start",)
-    if sigma_prime is not None and p.entries[-1] != tuple(sigma_prime):
-        endpoint += ("end",)
+    for tag, end, name, want in (("start", masks[:1], "sigma", sigma),
+                                 ("end", masks[-1:], "sigma_prime", sigma_prime)):
+        if want is not None and end != [check_assignment(f, want, name)]:
+            endpoint += (tag,)
     return PathReport(
         non_satisfying=non_sat,
         oversize_steps=tuple(oversize),

@@ -39,7 +39,10 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, InfeasiblePinningError, UsageError
-from .formula import Formula, _solution_codes, mask_to_assignment, satisfies_mask, var_mask
+from .formula import (
+    Formula, _solution_codes, bit_positions, check_pinning, check_variables, mask_to_assignment,
+    satisfies_mask, var_mask,
+)
 from .marginals import DEFAULT_CAP, draw_exec, exec_store
 from .marking import Marking
 from .rng import as_rng, make_rng, rand_below, rand_bit, spawn_seed, subsample
@@ -99,12 +102,12 @@ class _Chain:
         if not m.certified:
             raise UsageError("marking is not certified")
         self.f = f
-        self.marked = sorted(m.marked)
+        self.marked_mask = check_variables(f, m.marked, "marked variable")
+        self.marked = [b + 1 for b in bit_positions(self.marked_mask)]
         if not self.marked:
             raise UsageError("marking is empty")
         self.block = cfg.block_size(len(self.marked))
         self.cfg = cfg
-        self.marked_mask = var_mask(self.marked)
         self.unmarked_mask = ((1 << f.n) - 1) & ~self.marked_mask
         self.store = exec_store(f)
 
@@ -118,12 +121,9 @@ class _Chain:
 def _init_marked(chain: _Chain, rng, trace: ChainTrace) -> int:
     cfg = chain.cfg
     if cfg.init is not None:
-        if set(cfg.init) != set(chain.marked):
+        dom, xbits = check_pinning(chain.f, cfg.init, "init")
+        if dom != chain.marked_mask:
             raise UsageError("init assignment must cover exactly the marked set")
-        for v in chain.marked:
-            if cfg.init[v] not in (0, 1):
-                raise UsageError(f"init value for {v} must be 0/1, got {cfg.init[v]!r}")
-        xbits = var_mask(v for v in chain.marked if cfg.init[v])
         try:
             chain.extension(xbits)
         except InfeasiblePinningError:
@@ -611,18 +611,15 @@ def check_chain_uniformity(
         raise UsageError(f"subset_sizes must be non-empty and >= 0, got {subset_sizes!r}")
     chain = _Chain(f, m, cfg)
     master = make_rng(cfg.seed)
-    samples = []
-    for _ in range(trials):
-        rng = make_rng(spawn_seed(master))
-        trace = ChainTrace()
-        samples.append(_run_marked_chain(chain, rng, trace))
+    samples = [
+        _run_marked_chain(chain, make_rng(spawn_seed(master)), ChainTrace()) for _ in range(trials)
+    ]
 
     marked = chain.marked
     cells = []
     violations = []
     for _ in range(n_subsets):
-        size = subset_sizes[rand_below(master, len(subset_sizes))]
-        size = min(size, len(marked))
+        size = min(subset_sizes[rand_below(master, len(subset_sizes))], len(marked))
         subset = tuple(sorted(subsample(master, marked, size)))
         sub_mask = var_mask(subset)
         counts = Counter(x & sub_mask for x in samples)
@@ -631,13 +628,8 @@ def check_chain_uniformity(
             freq = c / trials
             sigma = math.sqrt(max(freq * (1 - freq), 1e-12) / trials)
             slack = bound + z * sigma - freq
-            cell = ChainUniformityCell(
-                subset=subset,
-                pattern=tuple((pattern_bits >> (v - 1)) & 1 for v in subset),
-                frequency=freq,
-                bound=bound,
-                slack=slack,
-            )
+            pattern = tuple((pattern_bits >> (v - 1)) & 1 for v in subset)
+            cell = ChainUniformityCell(subset, pattern, freq, bound, slack)
             cells.append(cell)
             if slack < 0:
                 violations.append(cell)

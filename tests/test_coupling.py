@@ -94,6 +94,33 @@ def test_marginal_laws_are_exact():
     assert tv_y <= 0.03
 
 
+def test_marginal_laws_are_exact_through_both_bad_rules():
+    """The k = 5 instance of the warm-tree differential test, on which every
+    run fails clauses by both bad-variable rules. Its 12,028 solutions are
+    too many for the joint law, so each variable's marginal under X and
+    under Y must lie within 4 binomial standard errors of its exact
+    conditional marginal."""
+    f = generate_random_kcnf(14, 10, 5, seed=55)
+    cl = classify(f, delta=5, zeta=0.45, k=5)
+    assert cl.v_bad == {1, 3, 8, 9, 10}
+    m = find_marking(good_induced_formula(f, cl, force=True), 1, 1, seed=55, eligible=cl.v_good)
+    sols = np.array(enumerate_solutions(f))
+    assert len(sols) == 12_028
+
+    runs = 20_000
+    rng = make_rng(2024)
+    xs, ys = [], []
+    for _ in range(runs):
+        tr = run_coupling(f, cl, m, {}, v0=4, k_c=1, seed=make_rng(spawn_seed(rng)))
+        assert tr.e_failed_dagger and tr.e_failed_ddagger
+        xs.append(tr.x)
+        ys.append(tr.y)
+    for side, outputs in ((0, xs), (1, ys)):
+        p = sols[sols[:, 3] == side].mean(axis=0)
+        se = np.sqrt(p * (1 - p) / runs)
+        assert (np.abs(np.mean(outputs, axis=0) - p) <= 4 * se).all(), side
+
+
 def test_coupling_with_pinning_and_infeasible_branch():
     f = Formula.from_ints(2, [[1, 2]])
     cl = all_good_classification(f)

@@ -13,13 +13,12 @@ from ksat import (
     enumerate_solutions,
     generate_random_kcnf,
 )
-from ksat.formula import assignment_to_mask, bit_positions
+from ksat.formula import assignment_to_mask, bit_positions, check_pinning
 from ksat.marginals import (
     DEFAULT_CAP,
     check_local_uniformity,
     closest_solution,
     exact_marginal,
-    pin_masks,
     plan_for,
     sample_conditional,
     tree_excess,
@@ -191,7 +190,7 @@ def assert_raises_as(error, call):
 def closest_from_pinning(f, x, v, want, reference, cap=DEFAULT_CAP):
     """closest_solution on the pinning x and the reference tuple, as masks,
     with its (component, values) masks read back as var -> bit."""
-    hit = closest_solution(f, *pin_masks(x), v, want, assignment_to_mask(reference), cap)
+    hit = closest_solution(f, *check_pinning(f, x), v, want, assignment_to_mask(reference), cap)
     if hit is None:
         return None
     comp, vals = hit
@@ -265,7 +264,7 @@ def test_plan_for_surface_read_by_bench_sweep(case, cap_vars):
     component counts."""
     f, x, _ = case
     falsified, comps = residual_oracle(f, x)
-    plan = plan_for(f, *pin_masks(x))
+    plan = plan_for(f, *check_pinning(f, x))
     if falsified is not None:
         assert not plan.ok and plan.falsified_clause == falsified and plan.comps == ()
         return
