@@ -42,8 +42,8 @@ from .formula import (
     _ball_union,
     assignment_to_mask,
     bit_positions,
+    check_integer,
     check_pinning,
-    check_variable,
     check_variables,
     mask_groups,
     mask_to_assignment,
@@ -145,10 +145,12 @@ def run_coupling(
 
     The run walks its reveal tree, planting it first if it is new: one
     53-bit draw per node, then the extension's draws at the leaf, the
-    shared one and then X's and Y's on the failed region. The pinning is
-    checked per run, before it keys the tree, the rest when it is planted.
+    shared one and then X's and Y's on the failed region. The pinning, v0,
+    k_c and cap are checked per run, before they key the tree, the rest when
+    it is planted.
     """
     lam, lam_val = check_pinning(f, lambda_pin)
+    v0, k_c, cap = check_integer(v0, "v0"), check_integer(k_c, "k_c"), check_integer(cap, "cap")
     tree = _reveal_store(f)(cl, m, tuple(lambda_pin.items()), v0, k_c, cap)
     node = tree.root or _plant(f, cl, m, lam, lam_val, tree, v0, k_c, cap)
     rng = as_rng(seed)
@@ -180,7 +182,6 @@ def _plant(f, cl, m, lam, lam_val, tree, v0, k_c, cap):
     _check_marking(f, m, lam)
     if v0 not in m.marked:
         raise UsageError(f"v0={v0} is not a marked variable")
-    v0 = check_variable(f, v0, "v0")  # marked, so only a non-integer fails
     bit0 = 1 << (v0 - 1)
     if lam & bit0:
         raise UsageError(f"v0={v0} is pinned")
@@ -497,7 +498,8 @@ def coupling_influence_bound(
     if trials < 1:
         raise UsageError("trials must be >= 1")
     master = as_rng(seed)
-    targets = sorted(m.marked - set(lambda_pin) - {v0})
+    check_pinning(f, lambda_pin)  # before set() and {v0} need them well typed
+    targets = sorted(m.marked - set(lambda_pin) - {check_integer(v0, "v0")})
     diff_counts = Counter(dict.fromkeys(targets, 0))
     totals = []
     e_sizes = []

@@ -15,9 +15,10 @@ offender, and an integer is whatever operator.index accepts.
 from __future__ import annotations
 
 import operator
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -364,6 +365,8 @@ def satisfies_mask(f: Formula, mask: int) -> bool:
 
 
 def hamming(a: Assignment, b: Assignment) -> int:
+    if not all(isinstance(x, (tuple, list, np.ndarray, Sequence)) for x in (a, b)):
+        raise UsageError("assignments must be sequences")
     if len(a) != len(b):
         raise UsageError("assignments of different lengths")
     return sum(x != y for x, y in zip(a, b))
@@ -416,7 +419,9 @@ def check_clause_ids(f: Formula, ids) -> int:
 
 
 def check_assignment(f: Formula, a, what: str = "assignment", solution: bool = False) -> int:
-    """Mask of a, if it holds n values 0/1 and, with solution, satisfies f."""
+    """Mask of a, if it is a sequence of n values 0/1 and, with solution, satisfies f."""
+    if not isinstance(a, (tuple, list, np.ndarray, Sequence)):  # concrete types test fastest
+        raise UsageError(f"{what} must be a sequence of 0/1 values, got {type(a).__name__}")
     if len(a) != f.n:
         raise UsageError(f"{what} has length {len(a)}, expected {f.n}")
     mask = _bits_mask(enumerate(a, 1), what)
@@ -427,9 +432,19 @@ def check_assignment(f: Formula, a, what: str = "assignment", solution: bool = F
 
 def check_pinning(f: Formula, x: PartialAssignment, what: str = "pinned") -> tuple:
     """(domain mask, value mask) of x, if it maps variables of f to 0/1."""
-    if not x:  # the common empty pinning, at the cost of one test
+    if x == {}:  # the common empty pinning, at the cost of one test
         return 0, 0
+    if not isinstance(x, (dict, Mapping)):
+        raise UsageError(f"{what} must be a mapping of variables to 0/1, got {type(x).__name__}")
     return _index_mask(x, 1, f.n, what + " variable"), _bits_mask(x.items(), what)
+
+
+def check_integer(x, what: str) -> int:
+    """x as an int, if operator.index accepts it."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise UsageError(f"{what} {x!r} is not an integer") from None
 
 
 def _index_mask(items, lo: int, hi: int, what: str) -> int:
@@ -438,10 +453,7 @@ def _index_mask(items, lo: int, hi: int, what: str) -> int:
     mask = 0
     out = None
     for x in items:
-        try:
-            i = operator.index(x)
-        except TypeError:
-            raise UsageError(f"{what} {x!r} is not an integer") from None
+        i = check_integer(x, what)
         if lo <= i <= hi:
             mask |= 1 << (i - lo)
         elif out is None or i < out:

@@ -156,37 +156,53 @@ def solution_graph(f: Formula, d: int, cap: int = DEFAULT_ENUM_CAP) -> SolutionG
     return SolutionGraphSummary(d, tuple(sorted(sizes.tolist(), reverse=True)), len(codes))
 
 
-# the ball search wins while the ball holds at most 1/_SPARSE_RATIO of the
-# solutions: at about 1,400 solutions of n = 11 (2 vCPUs) it took 2, 14 and
-# 42 ms at d = 1, 2, 3 (balls of 11, 66 and 231) against 16-18 ms for the flood
-_SPARSE_RATIO = 16
-# candidate codes looked up per hooking pass of the ball search
-_EDGE_CHUNK = 1 << 18
+# the ball search runs while the ball holds at most 1/_SPARSE_RATIO of the S
+# solutions: on 98 random 3- and 4-CNFs at n = 12-18 (2 vCPUs) it beat the
+# flood 1.2-34x wherever S >= 1.25 x ball, and lost by up to 2.5x below that.
+# At n = 18, S = 121,016, d = 6 (3.9 x ball) it took 39 ms to the flood's 17.6 s
+_SPARSE_RATIO = 2
+# candidate codes looked up per chunk of the ball search: 2^16 ran up to 3x
+# faster than 2^18 at n = 16-18, whose 2 MB temporaries page-fault afresh
+_EDGE_CHUNK = 1 << 16
 
 
 def _link_by_ball_search(n, codes, d):
     """Component labels of the ascending solution codes (each the lowest
     index in its component), linking each code to every code found by
-    flipping 1..d of its n bits. The edges come one bounded chunk at a
-    time and are hooked into the labels as they come (Shiloach and
-    Vishkin, J. Algorithms 1982): labels only ever merge, so a chunk's
-    edges stay joined once hooked."""
-    flips = np.array([sum(1 << b for b in c) for w in range(1, min(d, n) + 1)
-                      for c in combinations(range(n), w)], dtype=np.uint64)
+    flipping 1..d of its n bits, one weight at a time, until one component
+    is left. A rank index (Jacobson, FOCS 1989) of 3 * 2^n / 16 bytes, a
+    bitmap of the 2^n points and the count of codes before each 64-bit
+    word, gives a candidate's row. Edges come in bounded chunks and are
+    hooked into the labels as they come (Shiloach and Vishkin, J. Algorithms
+    1982): labels only ever merge, so hooked edges stay joined."""
+    bits = np.zeros(max(1, (1 << n) >> 6), dtype=np.uint64)
+    # the codes are distinct, so adding their bits sets them
+    np.add.at(bits, codes.view(np.int64) >> 6, np.uint64(1) << (codes & np.uint64(63)))
+    before = np.zeros(len(bits) + 1, dtype=np.uint32)
+    np.cumsum(_popcount(bits), out=before[1:])
     label = np.arange(len(codes))
-    rows = max(1, _EDGE_CHUNK // max(1, len(flips)))
-    for start in range(0, len(codes), rows):
-        near = (codes[start : start + rows, None] ^ flips).ravel()
-        j = np.minimum(np.searchsorted(codes, near), len(codes) - 1)
-        hit = np.nonzero(codes[j] == near)[0]
-        i, j = hit // len(flips) + start, j[hit]
-        i, j = i[i < j], j[i < j]  # each edge is found from both ends
-        while (apart := label[i] != label[j]).any():
-            i, j = i[apart], j[apart]
-            # hook the higher root of each edge to the lower, then shortcut
-            np.minimum.at(label, np.maximum(label[i], label[j]), np.minimum(label[i], label[j]))
-            while not np.array_equal(up := label[label], label):
-                label = up
+    for w in range(1, min(d, n) + 1):
+        weight = np.array([sum(1 << b for b in c) for c in combinations(range(n), w)], np.uint64)
+        for flips in np.split(weight, range(_EDGE_CHUNK, len(weight), _EDGE_CHUNK)):
+            rows = _EDGE_CHUNK // len(flips)
+            for start in range(0, len(codes), rows):
+                if not label.any():  # one component left
+                    return label
+                near = (block := codes[start : start + rows, None]) ^ flips
+                word = near.view(np.int64) >> 6
+                # a candidate's bit shifted to the top of its word is set when
+                # the code is present, and its popcount counts the codes up to it
+                top = bits[word] << (~near & np.uint64(63))
+                hit = np.flatnonzero((top.view(np.int64) < 0) & (near > block))  # i < j
+                j = (before[word.ravel()[hit]] + _popcount(top.ravel()[hit])).astype(np.intp) - 1
+                i = hit // len(flips) + start
+                while len(apart := np.flatnonzero(label[i] != label[j])):
+                    i, j = i[apart], j[apart]
+                    # hook the higher root of each edge to the lower, then shortcut
+                    li, lj = label[i], label[j]
+                    np.minimum.at(label, np.maximum(li, lj), np.minimum(li, lj))
+                    while not np.array_equal(up := label[label], label):
+                        label = up
     return label
 
 

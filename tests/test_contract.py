@@ -31,6 +31,7 @@ from ksat import (
     is_satisfying,
     looseness_report,
     run_block_dynamics,
+    run_coupling,
     sample_conditional,
     tree_excess,
     verify_marking,
@@ -111,9 +112,40 @@ def test_validators_accept_what_operator_index_accepts():
         run_block_dynamics(F, Marking(frozenset({1, 2}), 1, 1, certified=True), cfg)
 
 
+def test_validators_refuse_the_wrong_kind_of_container():
+    """An assignment is a sequence and a pinning a mapping: an int and the
+    other kind of container used to escape as TypeError or AttributeError,
+    and a mapping with keys 0..n-1 used to pass as an assignment."""
+    for bad, kind in ((5, "int"), ({0: 1, 1: 0, 2: 1}, "dict"), ({1, 0}, "set")):
+        msg = rf"^assignment must be a sequence of 0/1 values, got {kind}$"
+        with pytest.raises(UsageError, match=msg):
+            is_satisfying(F, bad)
+    for bad, kind in (([1], "list"), ([], "list"), (3, "int"), (0, "int"), ((1, 0), "tuple")):
+        msg = rf"^pinned must be a mapping of variables to 0/1, got {kind}$"
+        with pytest.raises(UsageError, match=msg):
+            exact_marginal(F, bad, 2)
+
+
+def test_run_coupling_checks_its_integers_on_every_run():
+    """v0, k_c and cap key the reveal store, so every run checks them before
+    it: an unhashable one is a UsageError, not the store's TypeError, and
+    v0 = 1.0 is refused after a run with v0 = 1 as on a fresh formula."""
+    cl = classify(F, delta=5, zeta=0.3, k=3)
+    m = Marking(frozenset({1, 2}), 1, 1, certified=True)
+    for args, what in (([[1], 2, DEFAULT_CAP], "v0"), ([1, [2], DEFAULT_CAP], "k_c"),
+                       ([1, 2, [DEFAULT_CAP]], "cap"), ([1, 2.0, DEFAULT_CAP], "k_c")):
+        with pytest.raises(UsageError, match=rf"^{what} .* is not an integer$"):
+            run_coupling(F, cl, m, {}, *args[:2], seed=0, cap=args[2])
+    fresh, warm = (Formula.from_ints(3, [[1, 2, 3]]) for _ in range(2))
+    run_coupling(warm, cl, m, {}, 1, 2, seed=0)
+    for f in (fresh, warm):
+        with pytest.raises(UsageError, match=r"^v0 1.0 is not an integer$"):
+            run_coupling(f, cl, m, {}, 1.0, 2, seed=0)
+
+
 # ----- every public callable, on generated arguments ----------------------
 
-NOT_INTS = st.sampled_from([1.5, "1", None])
+NOT_INTS = st.sampled_from([1.5, "1", None, [1]])  # [1] is unhashable too
 SEEDS = st.one_of(st.integers(0, 2**64 - 1), st.sampled_from([-1, 2**64]))
 CAPS = st.sampled_from([0, 4, 1 << 10, DEFAULT_CAP])
 
@@ -142,14 +174,20 @@ class Args:
 
     def pinning(self):
         values = st.one_of(st.integers(0, 1), st.sampled_from([2, -1, "0", None, 0.5]))
-        return self.draw(st.dictionaries(around(1, self.f.n), values, max_size=3))
+        made = st.dictionaries(around(1, self.f.n), values, max_size=3)
+        # an int or a list where the mapping belongs
+        wrong = st.one_of(st.integers(-1, 2), st.lists(around(1, self.f.n), max_size=3))
+        return self.draw(st.one_of(made, wrong))
 
     def assignment(self):
         n = self.f.n
         sols = enumerate_solutions(self.f)
         bits = st.one_of(st.integers(0, 1), st.sampled_from([2, "1"]))
         made = st.lists(bits, min_size=max(0, n - 1), max_size=n + 1).map(tuple)
-        return self.draw(st.one_of(st.sampled_from(sols), made) if sols else made)
+        # an int or a mapping where the sequence belongs
+        wrong = st.one_of(st.integers(0, 1), st.dictionaries(st.integers(0, n), bits, max_size=n))
+        return self.draw(st.one_of(st.sampled_from(sols), made, wrong) if sols
+                         else st.one_of(made, wrong))
 
     def marking(self):
         f = self.f

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import networkx as nx
 import numpy as np
@@ -181,9 +182,11 @@ def test_solution_graph_scale_clause_free():
     assert solution_graph(Formula(16, ()), 1).component_sizes == (65536,)
 
 
-@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_solution_graph_scale_sparse(d):
-    # 121,016 of 2^18 points, about 2 x 10^7 candidate lookups at d = 2
+    # 121,016 of 2^18 points, one component at every d: the ball search
+    # stops after its weight-1 pass, where a full search at d = 4 would
+    # look up about 5 x 10^8 candidates
     s = solution_graph(generate_random_kcnf(18, 12, 4, seed=3), d)
     assert s.component_sizes == (121016,)
 
@@ -254,6 +257,101 @@ def test_link_all_pairs_swar_popcount_matches_bitwise_count(seed, d, monkeypatch
     want = _link_all_pairs(codes, d)
     monkeypatch.delattr(np, "bitwise_count")
     assert np.array_equal(_link_all_pairs(codes, d), want)
+
+
+@pytest.mark.parametrize("seed", [5, 17, 29])
+@pytest.mark.parametrize("d", [1, 2, 4, 10])
+def test_link_by_ball_search_swar_popcount_matches_bitwise_count(seed, d, monkeypatch):
+    # the rank lookup counts a word's codes with _popcount too
+    from ksat.formula import _solution_codes
+    from ksat.geometry import _link_by_ball_search
+
+    codes = _solution_codes(generate_random_kcnf(10, 12, 3, seed=seed))
+    want = _link_by_ball_search(10, codes, d)
+    monkeypatch.delattr(np, "bitwise_count")
+    assert np.array_equal(_link_by_ball_search(10, codes, d), want)
+
+
+@pytest.mark.parametrize("chunk", [3, 40])
+def test_ball_search_labels_do_not_depend_on_the_chunk(chunk, monkeypatch):
+    # a chunk smaller than one weight's flips splits them as well as the rows
+    from ksat import geometry
+    from ksat.formula import _solution_codes
+
+    codes = _solution_codes(generate_random_kcnf(9, 20, 3, seed=2))  # 35, split at d = 1, 2
+    want = [geometry._link_by_ball_search(9, codes, d) for d in range(11)]
+    assert len(np.unique(want[2])) > 1
+    monkeypatch.setattr(geometry, "_EDGE_CHUNK", chunk)
+    for d in range(11):
+        assert np.array_equal(geometry._link_by_ball_search(9, codes, d), want[d])
+
+
+def _reference_popcount(x):
+    return np.unpackbits(x.view(np.uint8)).reshape(len(x), 64).sum(axis=1)
+
+
+def _reference_ball_search(n, codes, d):
+    """The ball search as it was before the rank index: every mask of
+    weight 1..d at once, found by np.searchsorted, no early stop."""
+    flips = np.array([sum(1 << b for b in c) for w in range(1, min(d, n) + 1)
+                      for c in itertools.combinations(range(n), w)], dtype=np.uint64)
+    label = np.arange(len(codes))
+    rows = max(1, (1 << 18) // max(1, len(flips)))
+    for start in range(0, len(codes), rows):
+        near = (codes[start : start + rows, None] ^ flips).ravel()
+        j = np.minimum(np.searchsorted(codes, near), len(codes) - 1)
+        hit = np.nonzero(codes[j] == near)[0]
+        i, j = hit // len(flips) + start, j[hit]
+        i, j = i[i < j], j[i < j]
+        while (apart := label[i] != label[j]).any():
+            i, j = i[apart], j[apart]
+            np.minimum.at(label, np.maximum(label[i], label[j]), np.minimum(label[i], label[j]))
+            while not np.array_equal(up := label[label], label):
+                label = up
+    return label
+
+
+def _reference_flood(codes, d):
+    """The all-pairs flood as it was before the rank index, with a popcount
+    that needs no numpy 2."""
+    from ksat.formula import mask_groups
+
+    class Balls:
+        def __getitem__(self, i):
+            near = _reference_popcount(codes ^ codes[i]) <= d
+            return int.from_bytes(np.packbits(near, bitorder="little"), "little")
+
+    label = np.empty(len(codes), dtype=np.int64)
+    for group in mask_groups(Balls(), (1 << len(codes)) - 1):
+        bits = np.frombuffer(group.to_bytes(len(codes) // 8 + 1, "little"), np.uint8)
+        label[np.unpackbits(bits, count=len(codes), bitorder="little") == 1] = (
+            (group & -group).bit_length() - 1
+        )
+    return label
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 14), st.sampled_from([3, 4]), st.data())
+def test_linkers_match_the_searchsorted_ball_search_and_the_flood(n, k, data):
+    """Both linkers give the reference labels, array for array, at every
+    d in 0..n+1, on dense formulas (alpha up to 8) with many components at
+    d = 1 and 2. The reference ball search, which never stops early, runs
+    where it looks up at most 2^20 candidates; the reference flood runs
+    everywhere."""
+    from ksat.formula import _solution_codes
+    from ksat.geometry import _link_all_pairs, _link_by_ball_search
+
+    # alpha from 1 (k = 3) or 2 (k = 4) to below the satisfiability threshold
+    m = data.draw(st.integers(n if k == 3 else 2 * n, 4 * n if k == 3 else 8 * n), "m")
+    k = min(k, n)
+    codes = _solution_codes(generate_random_kcnf(n, m, k, seed=data.draw(st.integers(0, 2**32))))
+    for d in range(n + 2):
+        want = _reference_flood(codes, d)
+        ball = sum(math.comb(n, w) for w in range(1, min(d, n) + 1))
+        if len(codes) * ball <= 1 << 20:
+            assert np.array_equal(_reference_ball_search(n, codes, d), want)
+        assert np.array_equal(_link_by_ball_search(n, codes, d), want)
+        assert np.array_equal(_link_all_pairs(codes, d), want)
 
 
 def test_flippable_or_clause():
