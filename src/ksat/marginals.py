@@ -16,8 +16,10 @@ the first over the cap or without solutions. Both of those take the pinning
 as masks (dom, val), and closest_solution answers in masks too, v's
 component and its new values, so a caller steps with
 ``cur & ~comp | vals``. Every caller reads the formula's stores of its
-component solutions (``solution_store``) and its schedules (``exec_store``),
-both made by ``_formula_store``, so the module holds no mutable state.
+component solutions (``solution_store``) and its schedules (``exec_store``;
+``open_store`` for the sampler's block steps, keyed by the clauses a step
+leaves open), all made by ``_formula_store``, so the module holds no
+mutable state.
 ``plan_for`` is an uncached, read-only view over ``decompose`` for the bench
 scripts and the acceptance filters; nothing in the package calls it.
 
@@ -292,6 +294,19 @@ def exec_store(f: Formula):
     """f's store of draw schedules, store(dom, val, targets_mask, cap), by build_exec."""
     build = partial(build_exec, f._clause_masks, solution_store(f))
     return _formula_store(f, "_exec_store", build)
+
+
+def open_store(f: Formula):
+    """f's store of schedules by open clauses, store(open_ids, targets, free,
+    cap): build_exec, pinning nothing, on the clauses of the id mask
+    open_ids cut to their variables in the mask free."""
+    build = partial(_open_exec, f._clause_masks, solution_store(f))
+    return _formula_store(f, "_open_store", build)
+
+
+def _open_exec(clause_masks, solutions, open_ids, targets, free, cap):
+    cut = [(clause_masks[c][0] & free, clause_masks[c][1] & free) for c in bit_positions(open_ids)]
+    return build_exec(cut, solutions, 0, 0, targets, cap)
 
 
 def draw_exec(e: ExecPlan, rng, bits: int) -> int:

@@ -10,10 +10,12 @@ Each step draws from the schedule ``marginals.build_exec`` builds under the
 step's pinning, with ``marginals.draw_exec``: the one draw path
 ``sample_conditional`` takes too, so a step consumes randomness exactly as
 that call would, and a chain is reproducible from (formula, marking,
-config) alone. Steps and the extension read their schedules from the
-formula's bounded store (``marginals.exec_store``), so a pinning that
-recurs, within a chain or across chains and calls on one formula, is
-built once, and memory stays flat when none does.
+config) alone. A step's law depends only on the clauses U its kept values
+X(M \\ S) leave open: it reads the schedule of S & V(U) on U from the
+formula's bounded ``marginals.open_store``, then draws S \\ V(U) bit by bit,
+ascending, as the whole pinning's schedule ends; the extension reads
+``marginals.exec_store``. A key that recurs, in a chain or across chains
+and calls on one formula, is built once; memory stays flat when none does.
 
 ``run_block_dynamics`` and ``check_chain_uniformity`` run one chain at a
 time through ``_run_full``, the scalar reference. ``estimate_tv`` runs all
@@ -43,7 +45,7 @@ from .formula import (
     Formula, _solution_codes, bit_positions, check_pinning, check_variables, mask_to_assignment,
     satisfies_mask, var_mask,
 )
-from .marginals import DEFAULT_CAP, draw_exec, exec_store
+from .marginals import DEFAULT_CAP, draw_exec, exec_store, open_store
 from .marking import Marking
 from .rng import as_rng, make_rng, rand_below, rand_bit, spawn_seed, subsample
 
@@ -110,6 +112,10 @@ class _Chain:
         self.cfg = cfg
         self.unmarked_mask = ((1 << f.n) - 1) & ~self.marked_mask
         self.store = exec_store(f)
+        self.steps = open_store(f)
+        # (clause bit, pos, neg) of each clause, cut to the marked variables
+        mm = self.marked_mask
+        self.marked_cut = [(1 << c, p & mm, q & mm) for c, (p, q) in enumerate(f._clause_masks)]
 
     def extension(self, xbits: int):
         """Schedule of the unmarked variables under the marked pinning xbits.
@@ -148,7 +154,9 @@ def _run_marked_chain(chain: _Chain, rng, trace: ChainTrace) -> int:
     marked = chain.marked
     marked_mask = chain.marked_mask
     block_size = chain.block
-    store = chain.store
+    steps = chain.steps
+    unmarked = chain.unmarked_mask
+    marked_cut = chain.marked_cut
     cap = chain.cfg.cap
     hist = trace.step_component_hist = [0] * (chain.f.n + 1)
     grb = rng.getrandbits
@@ -171,12 +179,20 @@ def _run_marked_chain(chain: _Chain, rng, trace: ChainTrace) -> int:
                 j = i + r
             pool[i], pool[j] = pool[j], pool[i]
             s_mask |= 1 << (pool[i] - 1)
-        dom = marked_mask & ~s_mask
-        # X(M) always has a satisfying extension (_init_marked checks it and
-        # every draw is exact), so its restriction to dom has one too and
-        # the step's schedule never raises InfeasiblePinningError
-        e = store(dom, xbits & dom, s_mask, cap)
+        # U (open_ids) and V(U) & M (touched); no step is infeasible, since
+        # X(M) always extends (_init_marked checks it, every draw is exact)
+        kept = xbits & ~s_mask
+        false_lits = marked_mask & ~s_mask & ~xbits
+        open_ids = touched = 0
+        for bit, pos, neg in marked_cut:
+            if not (pos & kept or neg & false_lits):
+                open_ids |= bit
+                touched |= pos | neg
+        targets = s_mask & touched
+        e = steps(open_ids, targets, unmarked | targets, cap)
         xbits = draw_exec(e, rng, xbits)
+        for b in bit_positions(s_mask & ~targets):
+            xbits = xbits | 1 << b if grb(1) else xbits & ~(1 << b)
         hist[e.max_comp_vars] += 1
         trace.steps += 1
     return xbits

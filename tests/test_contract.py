@@ -115,12 +115,14 @@ def test_validators_accept_what_operator_index_accepts():
 def test_validators_refuse_the_wrong_kind_of_container():
     """An assignment is a sequence and a pinning a mapping: an int and the
     other kind of container used to escape as TypeError or AttributeError,
-    and a mapping with keys 0..n-1 used to pass as an assignment."""
+    a numpy array as a pinning as numpy's ambiguous-truth ValueError, and a
+    mapping with keys 0..n-1 used to pass as an assignment."""
     for bad, kind in ((5, "int"), ({0: 1, 1: 0, 2: 1}, "dict"), ({1, 0}, "set")):
         msg = rf"^assignment must be a sequence of 0/1 values, got {kind}$"
         with pytest.raises(UsageError, match=msg):
             is_satisfying(F, bad)
-    for bad, kind in (([1], "list"), ([], "list"), (3, "int"), (0, "int"), ((1, 0), "tuple")):
+    for bad, kind in (([1], "list"), ([], "list"), (3, "int"), (0, "int"), ((1, 0), "tuple"),
+                      (np.array([1, 2]), "ndarray"), (np.array([]), "ndarray")):
         msg = rf"^pinned must be a mapping of variables to 0/1, got {kind}$"
         with pytest.raises(UsageError, match=msg):
             exact_marginal(F, bad, 2)
@@ -175,8 +177,9 @@ class Args:
     def pinning(self):
         values = st.one_of(st.integers(0, 1), st.sampled_from([2, -1, "0", None, 0.5]))
         made = st.dictionaries(around(1, self.f.n), values, max_size=3)
-        # an int or a list where the mapping belongs
-        wrong = st.one_of(st.integers(-1, 2), st.lists(around(1, self.f.n), max_size=3))
+        # an int, a list or a numpy array where the mapping belongs
+        seq = st.lists(around(1, self.f.n), max_size=3)
+        wrong = st.one_of(st.integers(-1, 2), seq, seq.map(np.array))
         return self.draw(st.one_of(made, wrong))
 
     def assignment(self):

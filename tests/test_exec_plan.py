@@ -13,7 +13,7 @@ from ksat import enumerate_solutions, generate_random_kcnf
 from ksat import marginals
 from ksat.classify import classify, default_delta, good_induced_formula
 from ksat.marginals import (
-    DEFAULT_CAP, draw_exec, exact_marginal, exec_store, plan_for, solution_store
+    DEFAULT_CAP, draw_exec, exact_marginal, exec_store, open_store, plan_for, solution_store
 )
 from ksat.marking import Marking, default_quotas, find_marking
 from ksat.rng import as_rng, make_rng
@@ -179,36 +179,37 @@ def _chains(f, m, seeds):
     """Run one chain per seed, and per chain take the exact marginal of each
     marked variable under its final marked pinning with that variable
     freed, as looseness checks do. Returns the outputs, the marginals, and
-    the largest sizes of the formula's solution and schedule stores seen."""
+    the largest sizes of the formula's solution, schedule and step stores
+    seen."""
     marked = sorted(m.marked)
     outputs, probs = [], []
-    most_sols = most_execs = 0
+    most = [0, 0, 0]
     for seed in seeds:
         chain = _Chain(f, m, SamplerConfig(theta=0.3, t_max=2050, seed=seed))
         a, _ = _run_full(chain, as_rng(seed))
         outputs.append(a)
         for v in marked:
             probs.append(exact_marginal(f, {u: a[u - 1] for u in marked if u != v}, v))
-        sols = solution_store(f).cache_info()
-        execs = chain.store.cache_info()
-        assert sols.currsize <= sols.maxsize and execs.currsize <= execs.maxsize
-        most_sols = max(most_sols, sols.currsize)
-        most_execs = max(most_execs, execs.currsize)
-    return outputs, probs, most_sols, most_execs
+        for i, store in enumerate((solution_store(f), chain.store, chain.steps)):
+            info = store.cache_info()
+            assert info.currsize <= info.maxsize
+            most[i] = max(most[i], info.currsize)
+    return outputs, probs, *most
 
 
 def test_caches_stay_bounded_over_many_chains(monkeypatch):
     """60 chains at n=40, m=8, k=5, theta=0.3, under bounds small enough
-    that the formula's solution and schedule stores evict: they stay inside
-    their bound, and the outputs are those under the default bound."""
+    that the formula's solution, schedule and step stores evict: they stay
+    inside their bound, and the outputs are those under the default bound."""
     f, m = _n40_instance()
     monkeypatch.setattr(marginals, "_STORE_ENTRIES", 200)
-    outputs, probs, most_sols, most_execs = _chains(f, m, range(60))
-    assert most_sols == most_execs == 200  # both filled up to the bound
+    outputs, probs, most_sols, most_execs, most_steps = _chains(f, m, range(60))
+    assert most_sols == most_execs == most_steps == 200  # all filled up to the bound
 
     monkeypatch.undo()
     f = Formula(f.n, f.clauses)  # an equal formula with default-bound stores
     assert exec_store(f).cache_info().maxsize == marginals._STORE_ENTRIES
     assert solution_store(f).cache_info().maxsize == marginals._STORE_ENTRIES
+    assert open_store(f).cache_info().maxsize == marginals._STORE_ENTRIES
     assert run_block_dynamics(f, m, SamplerConfig(theta=0.3, t_max=2050, seed=0))[0] == outputs[0]
     assert _chains(f, m, range(3))[:2] == (outputs[:3], probs[: 3 * len(m.marked)])

@@ -10,7 +10,7 @@ from ksat import Formula, UsageError, enumerate_solutions, generate_random_kcnf,
 from ksat import sampler
 from ksat.errors import DomainError
 from ksat.formula import mask_to_assignment
-from ksat.marginals import DEFAULT_CAP, exec_store, sample_conditional
+from ksat.marginals import DEFAULT_CAP, exec_store, open_store, sample_conditional
 from ksat.marking import Marking, find_marking
 from ksat.rng import make_rng, spawn_seed
 from ksat.sampler import (
@@ -47,17 +47,17 @@ def test_unique_solution_formula():
 
 def test_repeated_run_reads_every_schedule_from_the_store():
     """A second run_block_dynamics call on the same (f, m, cfg) builds no
-    schedule: each chain reads the formula's store, so the first call's
+    schedule: each chain reads the formula's stores, so the first call's
     schedules serve every step of the second, and the output repeats."""
     f = generate_random_kcnf(12, 12, 4, seed=4)
     m = find_marking(f, 1, 1, seed=3)
     assert m.certified
     cfg = SamplerConfig(theta=0.3, t_max=100, seed=9)
     first = run_block_dynamics(f, m, cfg)
-    misses = exec_store(f).cache_info().misses
-    assert misses > 1
+    misses = [store(f).cache_info().misses for store in (exec_store, open_store)]
+    assert misses[0] > 1 and misses[1] > 1
     assert run_block_dynamics(f, m, cfg) == first
-    assert exec_store(f).cache_info().misses == misses
+    assert [store(f).cache_info().misses for store in (exec_store, open_store)] == misses
 
 
 def test_empty_formula_uniform_output():
@@ -334,7 +334,7 @@ def test_step_and_extension_plans_are_always_feasible(chain_case, theta, with_in
     """A chain state X(M) always has a satisfying extension: the accepted
     initial assignment has one and every draw is exact. So once the init
     is accepted, the plan of every step and of the final extension is
-    feasible, and each step asks for exactly one plan."""
+    feasible, and each step asks its store for exactly one plan."""
     f, m = chain_case
     init = None
     if with_init:
@@ -344,14 +344,18 @@ def test_step_and_extension_plans_are_always_feasible(chain_case, theta, with_in
         init = {v: sol[v - 1] for v in m.marked}
     chain = _Chain(f, m, SamplerConfig(theta=theta, t_max=t_max, seed=seed, init=init))
     plans = []  # each schedule asked for, None where the pinning was infeasible
-    inner = chain.store
 
-    def recording_store(dom, val, targets, cap):
-        plans.append(None)
-        plans[-1] = inner(dom, val, targets, cap)
-        return plans[-1]
+    def recording(inner):
+        def store(*key):
+            plans.append(None)
+            plans[-1] = inner(*key)
+            return plans[-1]
 
-    chain.store = recording_store
+        return store
+
+    # the extension reads the pinning's store, each step its open clauses' store
+    chain.store = recording(chain.store)
+    chain.steps = recording(chain.steps)
     try:
         _run_full(chain, make_rng(seed))
     except DomainError:
