@@ -12,7 +12,7 @@ conditional sample.
 
 A run's course up to the extension is fixed by its reveal outcomes, so
 runs walk a reveal tree, kept in a third bounded per-formula store beside
-exec_store and keyed by (classification, marking, pinning items, v0, k_c,
+open_store and keyed by (classification, marking, pinning items, v0, k_c,
 cap). The reveal and failure rules build each node the first time a run
 reaches it: the variable it reveals with both marginals as integer
 thresholds, or a leaf with the final sets, the trace's frozensets and the
@@ -47,10 +47,11 @@ from .formula import (
     check_variables,
     mask_groups,
     mask_to_assignment,
+    open_clauses,
     satisfies_mask,
     var_mask,
 )
-from .marginals import DEFAULT_CAP, draw_exec, exec_store, marginal_counts
+from .marginals import DEFAULT_CAP, draw_exec, marginal_counts, schedule
 from .marking import Marking
 from .rng import as_rng, make_rng, spawn_seed
 
@@ -103,12 +104,12 @@ def _bad_clause_components(f: Formula, cl: Classification) -> list:
 
 
 class _Tree:
-    """A reveal tree: its root, None until a run plants it, and the masks
-    and parameters its node builds read."""
+    """A reveal tree: its root, None until a run plants it, the marking
+    that planted it, and the masks and parameters its node builds read."""
 
-    __slots__ = ("root", "good", "bad", "lam", "v0", "k_c", "cap")
+    __slots__ = ("root", "m", "good", "bad", "lam", "v0", "k_c", "cap")
 
-    def __init__(self, *key):  # the store's key, which the tree does not keep
+    def __init__(self, *key):  # the store's key; the tree keeps only its marking, in m
         self.root = None
 
 
@@ -146,12 +147,14 @@ def run_coupling(
     The run walks its reveal tree, planting it first if it is new: one
     53-bit draw per node, then the extension's draws at the leaf, the
     shared one and then X's and Y's on the failed region. The pinning, v0,
-    k_c and cap are checked per run, before they key the tree, the rest when
-    it is planted.
+    k_c and cap are checked per run, before they key the tree, the marking
+    unless it is the one that planted the tree, the rest when it is planted.
     """
     lam, lam_val = check_pinning(f, lambda_pin)
     v0, k_c, cap = check_integer(v0, "v0"), check_integer(k_c, "k_c"), check_integer(cap, "cap")
     tree = _reveal_store(f)(cl, m, tuple(lambda_pin.items()), v0, k_c, cap)
+    if tree.root is not None and tree.m is not m:  # an equal marking may hold 1.0 for 1
+        _check_marking(f, m, lam)
     node = tree.root or _plant(f, cl, m, lam, lam_val, tree, v0, k_c, cap)
     rng = as_rng(seed)
     grb = rng.getrandbits
@@ -195,10 +198,7 @@ def _plant(f, cl, m, lam, lam_val, tree, v0, k_c, cap):
     dom = lam | bit0
     xval = lam_val
     yval = lam_val | bit0
-    e_unsat = 0
-    for cid, (pos, neg) in enumerate(f._clause_masks):
-        if not (pos & xval or neg & dom & ~xval) or not (pos & yval or neg & dom & ~yval):
-            e_unsat |= 1 << cid
+    e_unsat = open_clauses(f, dom, xval) | open_clauses(f, dom, yval)
     # the reveal starts at v0's unsatisfied clauses; with no open good
     # variable in any of them and an open bad one left, no failure rule runs
     # and that bad variable would end up coupled across unequal residuals
@@ -211,7 +211,7 @@ def _plant(f, cl, m, lam, lam_val, tree, v0, k_c, cap):
         raise RegimeError(
             f"no open good variable in the unsatisfied clauses of variable {v0}"
         )
-    tree.good, tree.bad, tree.lam = good, var_mask(cl.v_bad), lam
+    tree.m, tree.good, tree.bad, tree.lam = m, good, var_mask(cl.v_bad), lam
     tree.v0, tree.k_c, tree.cap = v0, k_c, cap
     state = (dom, xval, yval, bit0, 0, 0, 0, e_unsat, _bad_clause_components(f, cl))
     tree.root = _advance(f, tree, state)
@@ -291,7 +291,6 @@ def _advance(f, tree, state):
     )
     # extension: one shared draw on the coupled region, then independent
     # draws on the failed region
-    store = exec_store(f)
     coupled_open = v_coupled & ~dom
     failed_open = v_failed & ~dom
     sets = tuple(
@@ -299,9 +298,9 @@ def _advance(f, tree, state):
     ) + tuple(frozenset(bit_positions(cids)) for cids in (e_failed, e_dagger, e_ddagger))
     return _Leaf(
         xval, yval, v_coupled,
-        store(dom, xval, coupled_open, tree.cap) if coupled_open else None,
-        store(dom, xval, failed_open, tree.cap) if failed_open else None,
-        store(dom, yval, failed_open, tree.cap) if failed_open else None,
+        schedule(f, dom, xval, coupled_open, tree.cap) if coupled_open else None,
+        schedule(f, dom, xval, failed_open, tree.cap) if failed_open else None,
+        schedule(f, dom, yval, failed_open, tree.cap) if failed_open else None,
         sets,
     )
 
@@ -310,10 +309,8 @@ def _assert_same_coupled_residual(f, dom, xval, yval, v_failed):
     """The residual clauses living entirely on coupled variables must agree
     under the X and Y pinnings (dom, xval) and (dom, yval), so one shared
     draw serves both."""
-    for cid, (pos, neg) in enumerate(f._clause_masks):
-        if (pos | neg) & v_failed:
-            continue
-        if bool(pos & xval or neg & dom & ~xval) != bool(pos & yval or neg & dom & ~yval):
+    for cid in bit_positions(open_clauses(f, dom, xval) ^ open_clauses(f, dom, yval)):
+        if not f._clause_var_masks[cid] & v_failed:
             raise AssertionError(
                 f"coupled-region clause {cid} differs between the two copies"
             )
@@ -347,9 +344,8 @@ def _verify_path(
     and its X and Y values, the failed and coupled variables and the three
     failed clause sets."""
     unsat = [
-        (cid, pos | neg)
-        for cid, (pos, neg) in enumerate(f._clause_masks)
-        if not (pos & xs or neg & v_set & ~xs) or not (pos & ys or neg & v_set & ~ys)
+        (cid, f._clause_var_masks[cid])
+        for cid in bit_positions(open_clauses(f, v_set, xs) | open_clauses(f, v_set, ys))
     ]
 
     # reveal exit condition: no unsatisfied clause has both a failed variable
@@ -439,7 +435,7 @@ def exact_influence_matrix(
     marked = _check_marking(f, m, dom)
     # an infeasible pinning raises here, also when no marked variable is free;
     # the schedule stays in the store for the first row's marginal_counts
-    exec_store(f)(dom, val, ((1 << f.n) - 1) & ~dom, cap)
+    schedule(f, dom, val, ((1 << f.n) - 1) & ~dom, cap)
     order = tuple(b + 1 for b in bit_positions(marked & ~dom))
     exact = [[Fraction(0)] * len(order) for _ in order]
     flagged = []

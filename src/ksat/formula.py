@@ -364,6 +364,14 @@ def satisfies_mask(f: Formula, mask: int) -> bool:
     return True
 
 
+def open_clauses(f: Formula, dom: int, val: int) -> int:
+    """Id mask, bit cid for clause cid, of the clauses no literal of the
+    pinning (dom, val) satisfies; val must lie inside dom."""
+    false_lits = dom & ~val
+    return sum(1 << cid for cid, (pos, neg) in enumerate(f._clause_masks)
+               if not (pos & val or neg & false_lits))
+
+
 def hamming(a: Assignment, b: Assignment) -> int:
     if not all(isinstance(x, (tuple, list, np.ndarray, Sequence)) for x in (a, b)):
         raise UsageError("assignments must be sequences")

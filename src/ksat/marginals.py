@@ -16,10 +16,10 @@ the first over the cap or without solutions. Both of those take the pinning
 as masks (dom, val), and closest_solution answers in masks too, v's
 component and its new values, so a caller steps with
 ``cur & ~comp | vals``. Every caller reads the formula's stores of its
-component solutions (``solution_store``) and its schedules (``exec_store``;
-``open_store`` for the sampler's block steps, keyed by the clauses a step
-leaves open), all made by ``_formula_store``, so the module holds no
-mutable state.
+component solutions (``solution_store``) and its schedules (``open_store``,
+keyed by the clauses a pinning leaves open: ``schedule`` finds them for a
+pinned read, the sampler's block step for itself), both made by
+``_formula_store``, so the module holds no mutable state.
 ``plan_for`` is an uncached, read-only view over ``decompose`` for the bench
 scripts and the acceptance filters; nothing in the package calls it.
 
@@ -42,7 +42,7 @@ import numpy as np
 from .errors import InfeasiblePinningError, UsageError
 from .formula import (
     Formula, _ball_union, _check_cap, _enumerate_local, bit_positions, check_clause_ids,
-    check_pinning, check_variable, check_variables, mask_groups,
+    check_pinning, check_variable, check_variables, mask_groups, open_clauses,
 )
 from .rng import as_rng, rand_below, rand_bit
 
@@ -196,12 +196,12 @@ def closest_solution(f: Formula, dom: int, val: int, v: int, want: int, ref: int
 
 
 def _free_draw(f: Formula, dom: int, val: int, v: int, cap: int):
-    """v's draw in f's stored schedule of every free variable under the
-    pinning (dom, val), with v's local bit in it, or None when v is in no
-    residual clause. One build per pinning serves every v, and the pinning
-    is checked as build_exec checks it."""
+    """v's draw in the schedule of every free variable under the pinning
+    (dom, val), with v's local bit in it, or None when v is in no residual
+    clause. One build per set of open clauses serves every v, and the
+    pinning is checked as build_exec checks it."""
     vbit = 1 << (v - 1)
-    for draw in exec_store(f)(dom, val, ((1 << f.n) - 1) & ~dom, cap).draws:
+    for draw in schedule(f, dom, val, ((1 << f.n) - 1) & ~dom, cap).draws:
         for local, gb in draw[3]:
             if gb == vbit:
                 return draw, local
@@ -290,23 +290,27 @@ def _component_solutions(key):
     return _enumerate_local(*key)
 
 
-def exec_store(f: Formula):
-    """f's store of draw schedules, store(dom, val, targets_mask, cap), by build_exec."""
-    build = partial(build_exec, f._clause_masks, solution_store(f))
-    return _formula_store(f, "_exec_store", build)
-
-
 def open_store(f: Formula):
-    """f's store of schedules by open clauses, store(open_ids, targets, free,
-    cap): build_exec, pinning nothing, on the clauses of the id mask
-    open_ids cut to their variables in the mask free."""
+    """f's store of draw schedules, store(open_ids, targets, free, cap):
+    build_exec, pinning nothing, on the clauses of the id mask open_ids cut
+    to their variables in the mask free. A clause cut to nothing is
+    falsified, and named by its id as build_exec names it."""
     build = partial(_open_exec, f._clause_masks, solution_store(f))
     return _formula_store(f, "_open_store", build)
 
 
 def _open_exec(clause_masks, solutions, open_ids, targets, free, cap):
-    cut = [(clause_masks[c][0] & free, clause_masks[c][1] & free) for c in bit_positions(open_ids)]
+    ids = bit_positions(open_ids)
+    cut = [(clause_masks[c][0] & free, clause_masks[c][1] & free) for c in ids]
+    if (0, 0) in cut:
+        raise InfeasiblePinningError(f"pinning falsifies clause {ids[cut.index((0, 0))]}")
     return build_exec(cut, solutions, 0, 0, targets, cap)
+
+
+def schedule(f: Formula, dom: int, val: int, targets: int, cap: int) -> ExecPlan:
+    """build_exec's schedule for the targets under the pinning (dom, val),
+    read from open_store by the clauses the pinning leaves open."""
+    return open_store(f)(open_clauses(f, dom, val), targets, ~dom, cap)
 
 
 def draw_exec(e: ExecPlan, rng, bits: int) -> int:
@@ -348,7 +352,7 @@ def sample_conditional(f: Formula, x: Mapping, targets, seed, cap: int = DEFAULT
     targets = check_variables(f, targets, "target variable")
     if pinned := bit_positions(targets & dom):
         raise UsageError(f"target variable {pinned[0] + 1} is pinned by the conditioning")
-    bits = draw_exec(exec_store(f)(dom, val, targets, cap), rng, 0)
+    bits = draw_exec(schedule(f, dom, val, targets, cap), rng, 0)
     return {b + 1: (bits >> b) & 1 for b in bit_positions(targets)}
 
 

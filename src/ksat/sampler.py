@@ -11,10 +11,11 @@ step's pinning, with ``marginals.draw_exec``: the one draw path
 ``sample_conditional`` takes too, so a step consumes randomness exactly as
 that call would, and a chain is reproducible from (formula, marking,
 config) alone. A step's law depends only on the clauses U its kept values
-X(M \\ S) leave open: it reads the schedule of S & V(U) on U from the
-formula's bounded ``marginals.open_store``, then draws S \\ V(U) bit by bit,
-ascending, as the whole pinning's schedule ends; the extension reads
-``marginals.exec_store``. A key that recurs, in a chain or across chains
+X(M \\ S) leave open: ``_Chain.step``, run by both chains, reads the
+schedule of S & V(U) on U from the formula's bounded
+``marginals.open_store``, and S \\ V(U) gets fair bits, ascending, as the
+whole pinning's schedule ends; the extension reads the same store through
+``marginals.schedule``. A key that recurs, in a chain or across chains
 and calls on one formula, is built once; memory stays flat when none does.
 
 ``run_block_dynamics`` and ``check_chain_uniformity`` run one chain at a
@@ -45,7 +46,7 @@ from .formula import (
     Formula, _solution_codes, bit_positions, check_pinning, check_variables, mask_to_assignment,
     satisfies_mask, var_mask,
 )
-from .marginals import DEFAULT_CAP, draw_exec, exec_store, open_store
+from .marginals import DEFAULT_CAP, draw_exec, open_store, schedule
 from .marking import Marking
 from .rng import as_rng, make_rng, rand_below, rand_bit, spawn_seed, subsample
 
@@ -111,17 +112,32 @@ class _Chain:
         self.block = cfg.block_size(len(self.marked))
         self.cfg = cfg
         self.unmarked_mask = ((1 << f.n) - 1) & ~self.marked_mask
-        self.store = exec_store(f)
         self.steps = open_store(f)
         # (clause bit, pos, neg) of each clause, cut to the marked variables
         mm = self.marked_mask
         self.marked_cut = [(1 << c, p & mm, q & mm) for c, (p, q) in enumerate(f._clause_masks)]
 
+    def step(self, s_mask: int, xbits: int):
+        """The block step on S = s_mask given X(M \\ S) from xbits: the
+        schedule of S & V(U) on the clauses U those values leave open, and
+        the mask S \\ V(U), whose fair bits follow it. No step is infeasible:
+        X(M) always extends (_init_marked checks it, every draw is exact)."""
+        kept = xbits & ~s_mask
+        false_lits = self.marked_mask & ~s_mask & ~xbits
+        open_ids = touched = 0
+        for bit, pos, neg in self.marked_cut:
+            if not (pos & kept or neg & false_lits):
+                open_ids |= bit
+                touched |= pos | neg
+        targets = s_mask & touched
+        e = self.steps(open_ids, targets, self.unmarked_mask | targets, self.cfg.cap)
+        return e, s_mask & ~targets
+
     def extension(self, xbits: int):
         """Schedule of the unmarked variables under the marked pinning xbits.
         Every residual component meets those targets, so InfeasiblePinningError
         comes exactly when xbits has no satisfying extension."""
-        return self.store(self.marked_mask, xbits, self.unmarked_mask, self.cfg.cap)
+        return schedule(self.f, self.marked_mask, xbits, self.unmarked_mask, self.cfg.cap)
 
 
 def _init_marked(chain: _Chain, rng, trace: ChainTrace) -> int:
@@ -152,12 +168,8 @@ def _run_marked_chain(chain: _Chain, rng, trace: ChainTrace) -> int:
     """X_0 .. X_{t_max} on the marked bits; returns the final bitmask."""
     xbits = _init_marked(chain, rng, trace)
     marked = chain.marked
-    marked_mask = chain.marked_mask
     block_size = chain.block
-    steps = chain.steps
-    unmarked = chain.unmarked_mask
-    marked_cut = chain.marked_cut
-    cap = chain.cfg.cap
+    step = chain.step
     hist = trace.step_component_hist = [0] * (chain.f.n + 1)
     grb = rng.getrandbits
     npool = len(marked)
@@ -179,19 +191,9 @@ def _run_marked_chain(chain: _Chain, rng, trace: ChainTrace) -> int:
                 j = i + r
             pool[i], pool[j] = pool[j], pool[i]
             s_mask |= 1 << (pool[i] - 1)
-        # U (open_ids) and V(U) & M (touched); no step is infeasible, since
-        # X(M) always extends (_init_marked checks it, every draw is exact)
-        kept = xbits & ~s_mask
-        false_lits = marked_mask & ~s_mask & ~xbits
-        open_ids = touched = 0
-        for bit, pos, neg in marked_cut:
-            if not (pos & kept or neg & false_lits):
-                open_ids |= bit
-                touched |= pos | neg
-        targets = s_mask & touched
-        e = steps(open_ids, targets, unmarked | targets, cap)
+        e, rest = step(s_mask, xbits)
         xbits = draw_exec(e, rng, xbits)
-        for b in bit_positions(s_mask & ~targets):
+        for b in bit_positions(rest):
             xbits = xbits | 1 << b if grb(1) else xbits & ~(1 << b)
         hist[e.max_comp_vars] += 1
         trace.steps += 1
@@ -515,8 +517,8 @@ class _Lockstep:
 
     def _step_plan(self, key: int):
         chain = self.chain
-        block, kept = key >> chain.f.n, key & chain.marked_mask
-        return chain.store(chain.marked_mask & ~block, kept, block, chain.cfg.cap)
+        e, rest = chain.step(key >> chain.f.n, key & chain.marked_mask)
+        return e._replace(free_bits=e.free_bits + tuple(1 << b for b in bit_positions(rest)))
 
     def run(self, seeds) -> np.ndarray | None:
         """Each run's final assignment as a mask, or None when some run

@@ -145,6 +145,22 @@ def test_run_coupling_checks_its_integers_on_every_run():
             run_coupling(f, cl, m, {}, 1.0, 2, seed=0)
 
 
+def test_run_coupling_checks_an_equal_marking_on_a_warm_tree():
+    """A marking equal to the one that planted the reveal tree, and so
+    keying it, but holding 1.0 for 1, is refused on the warm formula with
+    the UsageError a fresh formula gives."""
+    cl = classify(F, delta=5, zeta=0.3, k=3)
+    fresh, warm = (Formula.from_ints(3, [[1, 2, 3]]) for _ in range(2))
+    run_coupling(warm, cl, Marking(frozenset({1, 2}), 1, 1, certified=True), {}, 1, 2, seed=0)
+    odd = Marking(frozenset({1.0, 2}), 1, 1, certified=True)
+    errors = []
+    for f in (fresh, warm):
+        with pytest.raises(UsageError) as exc:
+            run_coupling(f, cl, odd, {}, 1, 2, seed=0)
+        errors.append(str(exc.value))
+    assert errors == ["marked variable 1.0 is not an integer"] * 2
+
+
 # ----- every public callable, on generated arguments ----------------------
 
 NOT_INTS = st.sampled_from([1.5, "1", None, [1]])  # [1] is unhashable too

@@ -32,7 +32,7 @@ from ksat.coupling import (
     run_coupling,
     verify_coupling_trace,
 )
-from ksat.marginals import DEFAULT_CAP, exact_marginal, exec_store
+from ksat.marginals import DEFAULT_CAP, exact_marginal, open_store
 from ksat.marking import Marking, default_quotas, find_marking
 from ksat.rng import make_rng, spawn_seed
 from ksat.sampler import SamplerConfig, default_t_max, run_block_dynamics
@@ -171,9 +171,9 @@ def test_repeated_run_reads_every_schedule_from_the_store():
     cl = all_good_classification(f, k=3)
     m = Marking(frozenset(range(1, 10)), 1, 1, certified=True)
     first = run_coupling(f, cl, m, {2: 1}, v0=1, k_c=1, seed=11)
-    misses = exec_store(f).cache_info().misses
+    misses = open_store(f).cache_info().misses
     assert run_coupling(f, cl, m, {2: 1}, v0=1, k_c=1, seed=11) == first
-    assert exec_store(f).cache_info().misses == misses
+    assert open_store(f).cache_info().misses == misses
 
 
 def test_structure_invariants_on_all_good_instances():

@@ -13,7 +13,7 @@ from ksat import enumerate_solutions, generate_random_kcnf
 from ksat import marginals
 from ksat.classify import classify, default_delta, good_induced_formula
 from ksat.marginals import (
-    DEFAULT_CAP, draw_exec, exact_marginal, exec_store, open_store, plan_for, solution_store
+    DEFAULT_CAP, draw_exec, exact_marginal, open_store, plan_for, schedule, solution_store
 )
 from ksat.marking import Marking, default_quotas, find_marking
 from ksat.rng import as_rng, make_rng
@@ -70,7 +70,7 @@ def test_exec_plan_matches_plan_for_and_oracle(case, seed):
     chain = _Chain(f, m, SamplerConfig(theta=1.0, t_max=1, seed=0))
     targets = marked & ~dom or chain.unmarked_mask
     try:
-        e = chain.store(dom, val, targets, DEFAULT_CAP)
+        e = schedule(f, dom, val, targets, DEFAULT_CAP)
     except InfeasiblePinningError:
         e = None
     want = reference_exec(f, dom, val, targets, DEFAULT_CAP)
@@ -104,9 +104,9 @@ def test_store_keys_on_cap():
     a cap too small for the component."""
     wide = generate_random_kcnf(12, 14, 3, seed=3)
     p = exact_marginal(wide, {}, 1)
-    hits = exec_store(wide).cache_info().hits
+    hits = open_store(wide).cache_info().hits
     assert exact_marginal(wide, {}, 1) == p
-    assert exec_store(wide).cache_info().hits == hits + 1
+    assert open_store(wide).cache_info().hits == hits + 1
     with pytest.raises(CapExceededError):
         exact_marginal(wide, {}, 1, cap=4)
 
@@ -116,10 +116,10 @@ def test_store_does_not_keep_errors():
     empty = Formula.from_ints(2, [[1], [-1]])  # component {1} has no solution
     for f, x in ((falsified, {1: 0}), (empty, {})):
         for _ in range(2):
-            misses = exec_store(f).cache_info().misses
+            misses = open_store(f).cache_info().misses
             with pytest.raises(InfeasiblePinningError):
                 exact_marginal(f, x, 2)
-            info = exec_store(f).cache_info()
+            info = open_store(f).cache_info()
             assert info.misses == misses + 1 and info.currsize == 0
 
 
@@ -129,9 +129,9 @@ def test_store_is_bounded_and_dies_with_its_formula(monkeypatch):
     nothing but the formula holds them, and they hold no reference back."""
     monkeypatch.setattr(marginals, "_STORE_ENTRIES", 5)
     f = Formula.from_ints(6, [[1, 2, 3], [-3, 4], [4, -5, 6]])
-    store = exec_store(f)
+    store = open_store(f)
     sols = solution_store(f)
-    assert exec_store(f) is store and solution_store(f) is sols
+    assert open_store(f) is store and solution_store(f) is sols
     for dom in range(1 << 6):
         for v in range(1, 7):
             if not (dom >> (v - 1)) & 1:
@@ -155,7 +155,7 @@ def test_no_cache_outlives_its_formula():
     its formula once the caller lets go of it: no cache outside the formula
     keeps it, even with the cycle collector off."""
     f = Formula.from_ints(4, [[1, 2], [-2, 3, 4]])
-    sols = exec_store(f)(0, 0, 0b1111, DEFAULT_CAP).draws[0][0]
+    sols = schedule(f, 0, 0, 0b1111, DEFAULT_CAP).draws[0][0]
     assert len(sols) == 10
     ref = weakref.ref(sols)
     gc.disable()
@@ -179,18 +179,17 @@ def _chains(f, m, seeds):
     """Run one chain per seed, and per chain take the exact marginal of each
     marked variable under its final marked pinning with that variable
     freed, as looseness checks do. Returns the outputs, the marginals, and
-    the largest sizes of the formula's solution, schedule and step stores
-    seen."""
+    the largest sizes of the formula's solution and schedule stores seen."""
     marked = sorted(m.marked)
     outputs, probs = [], []
-    most = [0, 0, 0]
+    most = [0, 0]
     for seed in seeds:
         chain = _Chain(f, m, SamplerConfig(theta=0.3, t_max=2050, seed=seed))
         a, _ = _run_full(chain, as_rng(seed))
         outputs.append(a)
         for v in marked:
             probs.append(exact_marginal(f, {u: a[u - 1] for u in marked if u != v}, v))
-        for i, store in enumerate((solution_store(f), chain.store, chain.steps)):
+        for i, store in enumerate((solution_store(f), chain.steps)):
             info = store.cache_info()
             assert info.currsize <= info.maxsize
             most[i] = max(most[i], info.currsize)
@@ -199,16 +198,15 @@ def _chains(f, m, seeds):
 
 def test_caches_stay_bounded_over_many_chains(monkeypatch):
     """60 chains at n=40, m=8, k=5, theta=0.3, under bounds small enough
-    that the formula's solution, schedule and step stores evict: they stay
-    inside their bound, and the outputs are those under the default bound."""
+    that the formula's solution and schedule stores evict: they stay inside
+    their bound, and the outputs are those under the default bound."""
     f, m = _n40_instance()
     monkeypatch.setattr(marginals, "_STORE_ENTRIES", 200)
-    outputs, probs, most_sols, most_execs, most_steps = _chains(f, m, range(60))
-    assert most_sols == most_execs == most_steps == 200  # all filled up to the bound
+    outputs, probs, most_sols, most_steps = _chains(f, m, range(60))
+    assert most_sols == most_steps == 200  # both filled up to the bound
 
     monkeypatch.undo()
     f = Formula(f.n, f.clauses)  # an equal formula with default-bound stores
-    assert exec_store(f).cache_info().maxsize == marginals._STORE_ENTRIES
     assert solution_store(f).cache_info().maxsize == marginals._STORE_ENTRIES
     assert open_store(f).cache_info().maxsize == marginals._STORE_ENTRIES
     assert run_block_dynamics(f, m, SamplerConfig(theta=0.3, t_max=2050, seed=0))[0] == outputs[0]

@@ -28,7 +28,7 @@ from ksat.geometry import (
     verify_dtree_membership,
     verify_two_tree,
 )
-from ksat.marginals import exec_store
+from ksat.marginals import open_store
 from ksat.marking import Marking, default_quotas, find_marking
 from ksat.rng import make_rng
 from ksat.sampler import SamplerConfig, run_block_dynamics
@@ -91,9 +91,9 @@ def test_looseness_report_reuses_the_chain_schedules(n, m, k, seed):
     )
     assert mk.certified and mk.marked
     sigma, _ = run_block_dynamics(f, mk, SamplerConfig(0.3, 20, seed))
-    before = exec_store(f).cache_info()
+    before = open_store(f).cache_info()
     rep = looseness_report(f, mk, cl, sigma)
-    after = exec_store(f).cache_info()
+    after = open_store(f).cache_info()
     assert rep.distances
     assert after.misses - before.misses <= len(mk.marked)
     assert after.hits - before.hits >= n - len(mk.marked)

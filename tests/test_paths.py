@@ -195,7 +195,7 @@ def test_random_path_reads_the_formulas_own_store():
     f's schedule store; a marking that breaks a quota of the good CNF is
     refused before any draw."""
     from ksat.classify import good_induced_formula
-    from ksat.marginals import exec_store
+    from ksat.marginals import open_store
     from ksat.sampler import SamplerConfig, run_block_dynamics
 
     f = generate_random_kcnf(40, 8, 4, seed=0)
@@ -207,7 +207,7 @@ def test_random_path_reads_the_formulas_own_store():
     fresh = Formula(f.n, f.clauses)
     p = find_path_random(fresh, cl, m, a, b, seed=11)
     assert p == find_path_random(f, cl, m, a, b, seed=11)
-    info = exec_store(fresh).cache_info()
+    info = open_store(fresh).cache_info()
     assert info.hits + info.misses > 0
 
     unmarked = Marking(frozenset(), 1, 1, certified=True)

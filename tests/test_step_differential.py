@@ -2,11 +2,12 @@
 
 A step redraws the block S of the marked set M given X(M \\ S). Its law
 depends only on the clauses U that X(M \\ S) leaves unsatisfied: the
-chain reads the schedule of S & V(U) on U from the formula's step store,
-then draws one fair bit per variable of S \\ V(U). Here that schedule, with
-those bits appended, must be the one ``build_exec`` gives under the whole
-pinning, and ``_run_full`` must give what the whole-pinning step loop gave,
-on n <= 40 formulas with k = 3-6."""
+chain reads the schedule of S & V(U) on U from the formula's schedule
+store, then draws one fair bit per variable of S \\ V(U). Here that
+schedule, with those bits appended, must be the one ``build_exec`` gives
+under the whole pinning, as must ``_Chain.step``'s and the lockstep
+chain's step row source, and ``_run_full`` must give what the
+whole-pinning step loop gave, on n <= 40 formulas with k = 3-6."""
 
 from dataclasses import asdict
 
@@ -18,7 +19,7 @@ from ksat.formula import bit_positions, mask_to_assignment, satisfies_mask, var_
 from ksat.marginals import build_exec, draw_exec, solution_store
 from ksat.marking import Marking
 from ksat.rng import make_rng, subsample
-from ksat.sampler import ChainTrace, SamplerConfig, _Chain, _init_marked, _run_full
+from ksat.sampler import ChainTrace, SamplerConfig, _Chain, _init_marked, _Lockstep, _run_full
 
 
 @st.composite
@@ -36,15 +37,12 @@ def marked_formulas(draw, caps):
 
 
 def _outcome(call):
-    """call()'s result, or its error: the type, with the message where the
-    two paths must agree on it (the falsified clause is named by its place
-    among the open clauses on the keyed path)."""
+    """call()'s result, or its error's type and message: both paths name a
+    falsified clause by its id."""
     try:
         return call()
-    except CapExceededError as exc:
-        return type(exc).__name__, str(exc)
     except KsatError as exc:
-        return type(exc).__name__
+        return type(exc).__name__, str(exc)
 
 
 def _as_tuple(e, extra_free=()):
@@ -77,28 +75,40 @@ def test_keyed_step_schedule_matches_the_whole_pinning(case, data):
     ))
     keyed = _outcome(lambda: _as_tuple(chain.steps(open_ids, targets, free, cap), appended))
     assert keyed == whole
-    if isinstance(keyed, tuple) and not isinstance(keyed[0], str):
+    if not isinstance(keyed[0], str):
         assert keyed[1] == appended  # the keyed schedule has no free target itself
+
+    def step():
+        e, rest = chain.step(s_mask, xbits)
+        return _as_tuple(e, (1 << b for b in bit_positions(rest)))
+
+    assert _outcome(step) == whole
+    lock = _Lockstep(chain)
+    assert _outcome(lambda: _as_tuple(lock._step_plan(s_mask << f.n | xbits & dom))) == whole
 
 
 def _whole_pinning_run(chain, rng):
     """_run_full as it was when each step read the schedule of its whole
-    pinning (dom, X(dom), S) from the formula's exec_store."""
+    pinning (dom, X(dom), S), here built uncached by build_exec."""
+    f = chain.f
     trace = ChainTrace()
     xbits = _init_marked(chain, rng, trace)
-    hist = trace.step_component_hist = [0] * (chain.f.n + 1)
+    hist = trace.step_component_hist = [0] * (f.n + 1)
     for _ in range(chain.cfg.t_max):
         s_mask = var_mask(subsample(rng, chain.marked, chain.block))
         dom = chain.marked_mask & ~s_mask
-        e = chain.store(dom, xbits & dom, s_mask, chain.cfg.cap)
+        e = build_exec(f._clause_masks, solution_store(f), dom, xbits & dom, s_mask, chain.cfg.cap)
         xbits = draw_exec(e, rng, xbits)
         hist[e.max_comp_vars] += 1
         trace.steps += 1
-    ext = chain.extension(xbits)
+    ext = build_exec(
+        f._clause_masks, solution_store(f), chain.marked_mask, xbits, chain.unmarked_mask,
+        chain.cfg.cap,
+    )
     trace.extension_max_component = ext.max_comp_vars
     bits = draw_exec(ext, rng, xbits)
-    assert satisfies_mask(chain.f, bits)
-    return mask_to_assignment(bits, chain.f.n), trace
+    assert satisfies_mask(f, bits)
+    return mask_to_assignment(bits, f.n), trace
 
 
 @settings(max_examples=200, deadline=None)
