@@ -1,6 +1,12 @@
 """Solution-space geometry: per-variable flip witnesses, the Hamming
 solution graph, NAE-based flippability, and the 2-tree / green-blue
-selectors with their independent verifiers."""
+selectors with their independent verifiers.
+
+Each formula links its solution graph once, climbing the distance ladder:
+the components at D + 1 are unions of those at D, and the ball search at
+D + 1 adds only the masks of weight D + 1, so a formula's ladder (kept in
+f.__dict__, dying with f) carries its labels up from the highest weight
+linked so far and records the component sizes at every weight on the way."""
 
 from __future__ import annotations
 
@@ -15,6 +21,7 @@ from .formula import (
     DEFAULT_ENUM_CAP,
     Formula,
     _ball_union,
+    _check_cap,
     _solution_codes,
     bit_positions,
     check_assignment,
@@ -141,19 +148,68 @@ class SolutionGraphSummary:
 
 def solution_graph(f: Formula, d: int, cap: int = DEFAULT_ENUM_CAP) -> SolutionGraphSummary:
     """Connected components of the graph on all solutions with edges at
-    Hamming distance <= d."""
+    Hamming distance <= d.
+
+    d >= n is one component, since two n-bit assignments differ in at most
+    n bits. Below that, f's _Ladder answers a d it has passed from the
+    sizes it recorded, or as one component once the graph has joined.
+    Past its top weight it carries its labels forward, linking only the
+    weights top + 1..d by ball search, one at a time, while that remaining
+    ball stays sparse; a denser d is flooded from scratch and not kept."""
     if d < 0:
         raise UsageError(f"distance threshold must be >= 0, got {d}")
-    codes = _solution_codes(f, cap=cap)
-    if not len(codes):
-        return SolutionGraphSummary(d, (), 0)
-    ball = sum(math.comb(f.n, i) for i in range(1, min(d, f.n) + 1))
-    if ball * _SPARSE_RATIO <= len(codes):
-        labels = _link_by_ball_search(f.n, codes, d)
-    else:
-        labels = _link_all_pairs(codes, d)
-    sizes = np.unique(labels, return_counts=True)[1]
-    return SolutionGraphSummary(d, tuple(sorted(sizes.tolist(), reverse=True)), len(codes))
+    _check_cap("formula", f.n, cap)
+    ladder = f.__dict__.get("_solution_ladder")
+    if ladder is None:
+        ladder = f.__dict__["_solution_ladder"] = _Ladder(_solution_codes(f, cap=cap))
+    return SolutionGraphSummary(d, ladder.sizes_at(f.n, d), len(ladder.codes))
+
+
+class _Ladder:
+    """One formula's solution graph, linked one flip weight at a time as
+    calls climb: the ascending solution codes, their rank index once a
+    weight is linked, the labels at the top weight linked (None below
+    weight 1), the component sizes at weights 1..top, and the weight at
+    which one component was left (None before). It holds no reference to
+    the formula, whose __dict__ keeps it, so it dies with the formula."""
+
+    __slots__ = ("codes", "index", "label", "sizes", "joined", "__weakref__")
+
+    def __init__(self, codes):
+        self.codes = codes
+        self.index = self.label = None
+        self.sizes = []  # sizes[w - 1]: descending component sizes at weight w
+        self.joined = 0 if len(codes) < 2 else None
+
+    def sizes_at(self, n, d):
+        """The descending component sizes at distance d."""
+        if d >= n or (self.joined is not None and d >= self.joined):
+            return (len(self.codes),) if len(self.codes) else ()
+        if not d:
+            return (1,) * len(self.codes)
+        top = len(self.sizes)
+        if d <= top:
+            return self.sizes[d - 1]
+        ball = sum(math.comb(n, w) for w in range(top + 1, d + 1))
+        if ball * _SPARSE_RATIO > len(self.codes):
+            return _component_sizes(_link_all_pairs(self.codes, d))
+        if self.index is None:
+            self.index = _rank_index(n, self.codes)
+        for w in range(top + 1, d + 1):
+            # the labels move up before the sizes: cut in between, the next
+            # call links weight w again, onto labels that already hold it
+            self.label = _link_by_ball_search(n, self.codes, w, self.index, self.label)
+            self.sizes.append(_component_sizes(self.label))
+            if len(self.sizes[-1]) == 1:
+                self.joined = w
+                break
+        return self.sizes[-1]
+
+
+def _component_sizes(label):
+    """Descending component sizes of a linker's labels."""
+    counts = np.bincount(label)
+    return tuple(np.sort(counts[counts > 0])[::-1].tolist())
 
 
 # the ball search runs while the ball holds at most 1/_SPARSE_RATIO of the S
@@ -166,22 +222,31 @@ _SPARSE_RATIO = 2
 _EDGE_CHUNK = 1 << 16
 
 
-def _link_by_ball_search(n, codes, d):
-    """Component labels of the ascending solution codes (each the lowest
-    index in its component), linking each code to every code found by
-    flipping 1..d of its n bits, one weight at a time, until one component
-    is left. A rank index (Jacobson, FOCS 1989) of 3 * 2^n / 16 bytes, a
-    bitmap of the 2^n points and the count of codes before each 64-bit
-    word, gives a candidate's row. Edges come in bounded chunks and are
-    hooked into the labels as they come (Shiloach and Vishkin, J. Algorithms
-    1982): labels only ever merge, so hooked edges stay joined."""
+def _rank_index(n, codes):
+    """A rank index (Jacobson, FOCS 1989) of the ascending codes, 3 * 2^n / 16
+    bytes: a bitmap of the 2^n points in 64-bit words and the count of codes
+    before each word."""
     bits = np.zeros(max(1, (1 << n) >> 6), dtype=np.uint64)
     # the codes are distinct, so adding their bits sets them
     np.add.at(bits, codes.view(np.int64) >> 6, np.uint64(1) << (codes & np.uint64(63)))
     before = np.zeros(len(bits) + 1, dtype=np.uint32)
     np.cumsum(_popcount(bits), out=before[1:])
-    label = np.arange(len(codes))
-    for w in range(1, min(d, n) + 1):
+    return bits, before
+
+
+def _link_by_ball_search(n, codes, d, _index=None, _label=None):
+    """Component labels of the ascending solution codes (each the lowest
+    index in its component), linking each code to every code found by
+    flipping 1..d of its n bits, one weight at a time, until one component
+    is left. The codes' _rank_index gives a candidate's row. Edges come in
+    bounded chunks and are hooked into the labels as they come (Shiloach
+    and Vishkin, J. Algorithms 1982): labels only ever merge, so hooked
+    edges stay joined. A _Ladder passes its rank index as _index and its
+    labels at d - 1 as _label, and then only weight d is linked, onto a
+    copy of them."""
+    bits, before = _rank_index(n, codes) if _index is None else _index
+    label = np.arange(len(codes)) if _label is None else _label.copy()
+    for w in range(1 if _label is None else d, min(d, n) + 1):
         weight = np.array([sum(1 << b for b in c) for c in combinations(range(n), w)], np.uint64)
         for flips in np.split(weight, range(_EDGE_CHUNK, len(weight), _EDGE_CHUNK)):
             rows = _EDGE_CHUNK // len(flips)

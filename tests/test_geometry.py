@@ -1,10 +1,13 @@
+import gc
 import itertools
 import math
+import re
+import weakref
 
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ksat import (
@@ -153,7 +156,15 @@ def test_solution_graph_d0_isolates():
     assert s.component_sizes == (1, 1, 1)
 
 
-def test_solution_graph_dn_single_component():
+def test_solution_graph_dn_single_component(monkeypatch):
+    # at d >= n every pair is joined, so no index is built and nothing linked
+    from ksat import geometry
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("d >= n needs no linking")
+
+    for name in ("_link_by_ball_search", "_link_all_pairs", "_rank_index"):
+        monkeypatch.setattr(geometry, name, refuse)
     rng = make_rng(17)
     for _ in range(5):
         f = generate_random_kcnf(9, 8, 3, seed=rng)
@@ -244,6 +255,61 @@ def test_solution_graph_matches_networkx_components(case):
     for labels in (_link_by_ball_search(f.n, codes, d), _link_all_pairs(codes, d)):
         assert link_partition(labels) == want
         assert all(labels[g[0]] == g[0] for g in want)
+
+
+@st.composite
+def kcnf_call_orders(draw):
+    """(n, m, k, seed) of a random k-CNF on at most 10 variables, as
+    kcnf_distances draws them, and 1-6 distances in 0..n+1, repeats and
+    descents allowed."""
+    n = draw(st.integers(1, 10))
+    k = draw(st.integers(1, min(n, 4)))
+    m = draw(st.integers(0, 3 * n))
+    order = draw(st.lists(st.integers(0, n + 1), min_size=1, max_size=6))
+    return n, m, k, draw(st.integers(0, 2**32)), order
+
+
+@settings(max_examples=150, deadline=None)
+@given(kcnf_call_orders())
+# 35 solutions, split at D = 1 and 2: D = 2 and 3 flood past the crossover,
+# D = 1 links by ball search, D = 10 >= n is one component
+@example((9, 20, 3, 2, [10, 2, 0, 1, 3]))
+# 115 solutions in 3 components at D = 1 and 2 at D = 2: D = 2 links weight
+# 1, then weight 2 onto the carried labels; D = 3 floods
+@example((10, 37, 4, 5, [2, 1, 0, 3]))
+def test_solution_graph_answers_do_not_depend_on_the_call_order(case):
+    """One formula asked at distances in any order answers each as networkx
+    does, and as a fresh equal formula does cold."""
+    n, m, k, seed, order = case
+    f = generate_random_kcnf(n, m, k, seed=seed)
+    sols = enumerate_solutions(f)
+    for d in order:
+        s = solution_graph(f, d)
+        assert s == solution_graph(Formula(f.n, f.clauses), d)
+        assert s.n_solutions == len(sols)
+        assert list(s.component_sizes) == sorted(map(len, hamming_partition(sols, d)), reverse=True)
+
+
+def test_warm_solution_graph_keeps_the_cold_contract():
+    """A linked formula still checks its cap and distance as a cold one does,
+    and with the cycle collector off, dropping it frees it and its ladder."""
+    f = generate_random_kcnf(9, 20, 3, seed=2)
+    cap = 2 ** (f.n - 1)
+    with pytest.raises(CapExceededError) as cold:
+        solution_graph(Formula(f.n, f.clauses), 1, cap=cap)
+    assert solution_graph(f, 1).component_sizes != (35,)
+    # no ExceptionInfo is kept for f: its traceback would hold f
+    with pytest.raises(CapExceededError, match=f"^{re.escape(str(cold.value))}$"):
+        solution_graph(f, 1, cap=cap)
+    with pytest.raises(UsageError):
+        solution_graph(f, -1)
+    refs = weakref.ref(f), weakref.ref(f.__dict__["_solution_ladder"])
+    gc.disable()
+    try:
+        del f
+        assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("seed", [5, 17, 29])
