@@ -2,11 +2,11 @@
 solution graph, NAE-based flippability, and the 2-tree / green-blue
 selectors with their independent verifiers.
 
-Each formula links its solution graph once, climbing the distance ladder:
-the components at D + 1 are unions of those at D, and the ball search at
-D + 1 adds only the masks of weight D + 1, so a formula's ladder (kept in
-f.__dict__, dying with f) carries its labels up from the highest weight
-linked so far and records the component sizes at every weight on the way."""
+Each formula enumerates its solutions for the solution graph once and links
+each distance once: its _SolutionGraphs (kept in f.__dict__, dying with f)
+holds the solution codes, the component sizes at each distance linked and
+the least distance found to leave one component, which answers every
+distance above it, since the components at D + 1 are unions of those at D."""
 
 from __future__ import annotations
 
@@ -151,65 +151,51 @@ def solution_graph(f: Formula, d: int, cap: int = DEFAULT_ENUM_CAP) -> SolutionG
     Hamming distance <= d.
 
     d >= n is one component, since two n-bit assignments differ in at most
-    n bits. Below that, f's _Ladder answers a d it has passed from the
-    sizes it recorded, or as one component once the graph has joined.
-    Past its top weight it carries its labels forward, linking only the
-    weights top + 1..d by ball search, one at a time, while that remaining
-    ball stays sparse; a denser d is flooded from scratch and not kept."""
+    n bits. Below that, f's _SolutionGraphs answers a d it has linked from
+    the sizes it recorded, and any d at or past the least distance found to
+    leave one component as one component; other d are linked once, by ball
+    search while the ball stays sparse and by the all-pairs flood past it."""
     if d < 0:
         raise UsageError(f"distance threshold must be >= 0, got {d}")
     _check_cap("formula", f.n, cap)
-    ladder = f.__dict__.get("_solution_ladder")
-    if ladder is None:
-        ladder = f.__dict__["_solution_ladder"] = _Ladder(_solution_codes(f, cap=cap))
-    return SolutionGraphSummary(d, ladder.sizes_at(f.n, d), len(ladder.codes))
+    graphs = f.__dict__.get("_solution_graphs")
+    if graphs is None:
+        graphs = f.__dict__["_solution_graphs"] = _SolutionGraphs(_solution_codes(f, cap=cap))
+    return SolutionGraphSummary(d, graphs.sizes_at(f.n, d), graphs.count)
 
 
-class _Ladder:
-    """One formula's solution graph, linked one flip weight at a time as
-    calls climb: the ascending solution codes, their rank index once a
-    weight is linked, the labels at the top weight linked (None below
-    weight 1), the component sizes at weights 1..top, and the weight at
-    which one component was left (None before). It holds no reference to
-    the formula, whose __dict__ keeps it, so it dies with the formula."""
+class _SolutionGraphs:
+    """One formula's solution graphs: the ascending solution codes (dropped
+    once no distance below the join is left to link), their count, the
+    descending component sizes at each distance linked, and the least
+    distance found to leave one component (None before). It holds no
+    reference to the formula, whose __dict__ keeps it, so it dies with it."""
 
-    __slots__ = ("codes", "index", "label", "sizes", "joined", "__weakref__")
+    __slots__ = ("codes", "count", "sizes", "joined", "__weakref__")
 
     def __init__(self, codes):
-        self.codes = codes
-        self.index = self.label = None
-        self.sizes = []  # sizes[w - 1]: descending component sizes at weight w
-        self.joined = 0 if len(codes) < 2 else None
+        self.codes, self.count, self.sizes = codes, len(codes), {}
+        self.joined = 0 if self.count < 2 else None
 
     def sizes_at(self, n, d):
         """The descending component sizes at distance d."""
         if d >= n or (self.joined is not None and d >= self.joined):
-            return (len(self.codes),) if len(self.codes) else ()
+            return (self.count,) if self.count else ()
         if not d:
-            return (1,) * len(self.codes)
-        top = len(self.sizes)
-        if d <= top:
-            return self.sizes[d - 1]
-        ball = sum(math.comb(n, w) for w in range(top + 1, d + 1))
-        if ball * _SPARSE_RATIO > len(self.codes):
-            return _component_sizes(_link_all_pairs(self.codes, d))
-        if self.index is None:
-            self.index = _rank_index(n, self.codes)
-        for w in range(top + 1, d + 1):
-            # the labels move up before the sizes: cut in between, the next
-            # call links weight w again, onto labels that already hold it
-            self.label = _link_by_ball_search(n, self.codes, w, self.index, self.label)
-            self.sizes.append(_component_sizes(self.label))
-            if len(self.sizes[-1]) == 1:
-                self.joined = w
-                break
-        return self.sizes[-1]
-
-
-def _component_sizes(label):
-    """Descending component sizes of a linker's labels."""
-    counts = np.bincount(label)
-    return tuple(np.sort(counts[counts > 0])[::-1].tolist())
+            return (1,) * self.count
+        if d not in self.sizes:
+            ball = sum(math.comb(n, w) for w in range(1, d + 1))
+            if ball * _SPARSE_RATIO <= self.count:
+                label = _link_by_ball_search(n, self.codes, d)
+            else:
+                label = _link_all_pairs(self.codes, d)
+            counts = np.bincount(label)
+            self.sizes[d] = tuple(np.sort(counts[counts > 0])[::-1].tolist())
+            if len(self.sizes[d]) == 1:
+                self.joined = d
+            if self.joined is not None and all(w in self.sizes for w in range(1, self.joined)):
+                self.codes = None
+        return self.sizes[d]
 
 
 # the ball search runs while the ball holds at most 1/_SPARSE_RATIO of the S
@@ -222,31 +208,22 @@ _SPARSE_RATIO = 2
 _EDGE_CHUNK = 1 << 16
 
 
-def _rank_index(n, codes):
-    """A rank index (Jacobson, FOCS 1989) of the ascending codes, 3 * 2^n / 16
-    bytes: a bitmap of the 2^n points in 64-bit words and the count of codes
-    before each word."""
+def _link_by_ball_search(n, codes, d):
+    """Component labels of the ascending solution codes (each the lowest
+    index in its component), linking each code to every code found by
+    flipping 1..d of its n bits, one weight at a time, until one component
+    is left. A rank index (Jacobson, FOCS 1989) of 3 * 2^n / 16 bytes, a
+    bitmap of the 2^n points and the count of codes before each 64-bit
+    word, gives a candidate's row. Edges come in bounded chunks and are
+    hooked into the labels as they come (Shiloach and Vishkin, J. Algorithms
+    1982): labels only ever merge, so hooked edges stay joined."""
     bits = np.zeros(max(1, (1 << n) >> 6), dtype=np.uint64)
     # the codes are distinct, so adding their bits sets them
     np.add.at(bits, codes.view(np.int64) >> 6, np.uint64(1) << (codes & np.uint64(63)))
     before = np.zeros(len(bits) + 1, dtype=np.uint32)
     np.cumsum(_popcount(bits), out=before[1:])
-    return bits, before
-
-
-def _link_by_ball_search(n, codes, d, _index=None, _label=None):
-    """Component labels of the ascending solution codes (each the lowest
-    index in its component), linking each code to every code found by
-    flipping 1..d of its n bits, one weight at a time, until one component
-    is left. The codes' _rank_index gives a candidate's row. Edges come in
-    bounded chunks and are hooked into the labels as they come (Shiloach
-    and Vishkin, J. Algorithms 1982): labels only ever merge, so hooked
-    edges stay joined. A _Ladder passes its rank index as _index and its
-    labels at d - 1 as _label, and then only weight d is linked, onto a
-    copy of them."""
-    bits, before = _rank_index(n, codes) if _index is None else _index
-    label = np.arange(len(codes)) if _label is None else _label.copy()
-    for w in range(1 if _label is None else d, min(d, n) + 1):
+    label = np.arange(len(codes))
+    for w in range(1, min(d, n) + 1):
         weight = np.array([sum(1 << b for b in c) for c in combinations(range(n), w)], np.uint64)
         for flips in np.split(weight, range(_EDGE_CHUNK, len(weight), _EDGE_CHUNK)):
             rows = _EDGE_CHUNK // len(flips)

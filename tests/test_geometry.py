@@ -157,13 +157,13 @@ def test_solution_graph_d0_isolates():
 
 
 def test_solution_graph_dn_single_component(monkeypatch):
-    # at d >= n every pair is joined, so no index is built and nothing linked
+    # at d >= n every pair is joined, so nothing is linked
     from ksat import geometry
 
     def refuse(*args, **kwargs):
         raise AssertionError("d >= n needs no linking")
 
-    for name in ("_link_by_ball_search", "_link_all_pairs", "_rank_index"):
+    for name in ("_link_by_ball_search", "_link_all_pairs"):
         monkeypatch.setattr(geometry, name, refuse)
     rng = make_rng(17)
     for _ in range(5):
@@ -274,8 +274,8 @@ def kcnf_call_orders(draw):
 # 35 solutions, split at D = 1 and 2: D = 2 and 3 flood past the crossover,
 # D = 1 links by ball search, D = 10 >= n is one component
 @example((9, 20, 3, 2, [10, 2, 0, 1, 3]))
-# 115 solutions in 3 components at D = 1 and 2 at D = 2: D = 2 links weight
-# 1, then weight 2 onto the carried labels; D = 3 floods
+# 115 solutions in 3 components at D = 1 and 2 at D = 2, asked above before
+# below: D = 1 and 2 link by ball search, D = 3 floods
 @example((10, 37, 4, 5, [2, 1, 0, 3]))
 def test_solution_graph_answers_do_not_depend_on_the_call_order(case):
     """One formula asked at distances in any order answers each as networkx
@@ -292,7 +292,7 @@ def test_solution_graph_answers_do_not_depend_on_the_call_order(case):
 
 def test_warm_solution_graph_keeps_the_cold_contract():
     """A linked formula still checks its cap and distance as a cold one does,
-    and with the cycle collector off, dropping it frees it and its ladder."""
+    and with the cycle collector off, dropping it frees it and its store."""
     f = generate_random_kcnf(9, 20, 3, seed=2)
     cap = 2 ** (f.n - 1)
     with pytest.raises(CapExceededError) as cold:
@@ -303,7 +303,7 @@ def test_warm_solution_graph_keeps_the_cold_contract():
         solution_graph(f, 1, cap=cap)
     with pytest.raises(UsageError):
         solution_graph(f, -1)
-    refs = weakref.ref(f), weakref.ref(f.__dict__["_solution_ladder"])
+    refs = weakref.ref(f), weakref.ref(f.__dict__["_solution_graphs"])
     gc.disable()
     try:
         del f
