@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import cache
 
 from . import __version__
 from .classify import classify, default_delta, good_induced_formula
@@ -78,6 +79,7 @@ def _positive_int(text: str) -> int:
 _CAP_HELP = "max assignment evaluations, per enumerated component or for the whole formula"
 
 
+@cache  # parse_args leaves the parser as it was, so one serves the process
 def _build_parser():
     p = _Parser(
         prog="ksat",

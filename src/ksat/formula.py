@@ -28,9 +28,9 @@ from .rng import as_rng, rand_bit, sample_without_replacement
 Assignment = tuple  # tuple[int, ...] of 0/1, length n
 PartialAssignment = Mapping  # Mapping[int, int], values in {0, 1}
 
-DEFAULT_ENUM_CAP = 1 << 26  # assignment evaluations allowed for the whole formula
+DEFAULT_ENUM_CAP = 1 << 26  # candidates an enumeration of the whole formula may cover
 
-_ENUM_CHUNK = 1 << 17  # candidate masks held at once by _enumerate_local
+_ENUM_CHUNK = 1 << 17  # candidates per chunk of _enumerate_local, rounded down to a power of two
 
 
 class Literal(NamedTuple):
@@ -305,9 +305,9 @@ def _ball_union(balls, ids: int) -> int:
 
 def enumerate_solutions(f: Formula, cap: int = DEFAULT_ENUM_CAP) -> list:
     """All satisfying assignments, in lexicographic order of the assignment
-    tuple (variable 1 most significant). Brute force over all 2^n points,
-    which cap must allow (it counts assignment evaluations); this is the
-    reference oracle for everything else in the package."""
+    tuple (variable 1 most significant). _enumerate_local covers all 2^n
+    candidates, which cap must allow; this is the reference oracle for
+    everything else in the package."""
     codes = _solution_codes(f, cap)
     shifts = np.arange(f.n - 1, -1, -1, dtype=np.uint64)
     return list(map(tuple, ((codes[:, None] >> shifts) & np.uint64(1)).tolist()))
@@ -328,8 +328,8 @@ def _solution_codes(f: Formula, cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
 
 
 def _check_cap(what: str, nvars: int, cap: int) -> None:
-    """The one enumeration budget: CapExceededError when trying all 2^nvars
-    assignments of `what` would take more than cap evaluations."""
+    """The one enumeration budget: CapExceededError when the 2^nvars
+    candidates an enumeration of `what` covers are more than cap."""
     if 1 << nvars > cap:
         msg = f"{what} on {nvars} variables needs {1 << nvars} evaluations, cap is {cap}"
         raise CapExceededError(msg, size=nvars)
@@ -338,17 +338,33 @@ def _check_cap(what: str, nvars: int, cap: int) -> None:
 def _enumerate_local(nvars: int, clauses) -> np.ndarray:
     """The masks over bits 0..nvars-1 satisfying every (pos, neg) clause,
     ascending, as uint64. pos and neg are disjoint, and a mask fails a
-    clause when it has no bit of pos and every bit of neg. Brute force in
-    chunks of _ENUM_CHUNK candidates, each filtered clause by clause."""
-    total = 1 << nvars
+    clause when it has no bit of pos and every bit of neg: the clause's
+    forbidden subcube. Per chunk of _ENUM_CHUNK candidates, a bool array of
+    ones, each clause the chunk's high bits leave open clears its subcube
+    in one assignment, so it costs the points it forbids."""
+    bits = min(nvars, _ENUM_CHUNK.bit_length() - 1)
     pieces = []
-    for start in range(0, total, _ENUM_CHUNK):
-        arr = np.arange(start, min(start + _ENUM_CHUNK, total), dtype=np.uint64)
+    for high in range(1 << (nvars - bits)):
+        good = np.ones(1 << bits, dtype=bool)
         for pos, neg in clauses:
-            arr = arr[(arr & np.uint64(pos | neg)) != np.uint64(neg)]
-            if not len(arr):
-                break
-        pieces.append(arr)
+            lits = pos | neg
+            if high & (lits >> bits) != neg >> bits:
+                continue
+            # one axis per run of chunk bits all in lits or all outside, from the
+            # highest, so at most bits axes (17 by default; numpy 1.26 allows
+            # 32): a literal run indexed by neg's bits there, a gap sliced
+            shape, index, top = [], [], bits
+            while top:
+                lit = lits >> (top - 1) & 1
+                bottom = ((~lits if lit else lits) & ((1 << top) - 1)).bit_length()
+                shape.append(1 << (top - bottom))
+                index.append(neg >> bottom & (1 << (top - bottom)) - 1 if lit else slice(None))
+                top = bottom
+            good.reshape(shape)[tuple(index)] = False
+        piece = np.flatnonzero(good).view(np.uint64)
+        if high:
+            piece += np.uint64(high << bits)
+        pieces.append(piece)
     return np.concatenate(pieces) if len(pieces) > 1 else pieces[0]
 
 

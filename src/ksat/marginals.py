@@ -2,20 +2,21 @@
 solutions.
 
 Everything here reduces to one primitive: simplify the formula under a
-pinning, split the residual into connected components (``decompose``, on
-clause bitmasks), and enumerate each component's satisfying assignments.
+pinning, split the residual, the clauses it leaves open cut to its free
+variables, into connected components (``decompose``, on clause bitmasks),
+and enumerate each component's satisfying assignments.
 
-Every exact conditional quantity is read off one draw schedule
-(``build_exec``): ``sample_conditional``, the sampler's block steps and the
-coupling's extension draw from it (``draw_exec``), while ``marginal_counts``,
-behind the coupling's reveal and the influence matrix, and
-``closest_solution``, behind paths and looseness, read v's component off the
-schedule of every free variable. So one loop applies the error rule: a
-falsified clause first, then the components by ascending lowest variable,
-the first over the cap or without solutions. Both of those take the pinning
-as masks (dom, val), and closest_solution answers in masks too, v's
-component and its new values, so a caller steps with
-``cur & ~comp | vals``. Every caller reads the formula's stores of its
+Every exact conditional quantity is read off one draw schedule on that
+residual (``build_exec``): ``sample_conditional``, the sampler's block
+steps and the coupling's extension draw from it (``draw_exec``), while
+``marginal_counts``, behind the coupling's reveal and the influence
+matrix, and ``closest_solution``, behind paths and looseness, read v's
+component off the schedule of every free variable. So one loop applies
+the error rule: a falsified clause first, then the components by
+ascending lowest variable, the first over the cap or without solutions.
+Both of those take the pinning as masks (dom, val), and closest_solution
+answers in masks too, v's component and its new values, so a caller steps
+with ``cur & ~comp | vals``. Every caller reads the formula's stores of its
 component solutions (``solution_store``) and its schedules (``open_store``,
 keyed by the clauses a pinning leaves open: ``schedule`` finds them for a
 pinned read, the sampler's block step for itself), both made by
@@ -46,7 +47,7 @@ from .formula import (
 )
 from .rng import as_rng, rand_below, rand_bit
 
-DEFAULT_CAP = 1 << 22  # assignment evaluations allowed per component
+DEFAULT_CAP = 1 << 22  # candidates an enumeration of one component may cover
 
 _STORE_ENTRIES = 1 << 14  # entries per store of a formula
 
@@ -68,25 +69,22 @@ class _Component(NamedTuple):
         return _enumerate_local(*component_key(self.mask, self.clauses))
 
 
-def decompose(clause_masks, dom: int, val: int) -> tuple:
-    """Residual of a formula, given as its (pos, neg) clause masks, under
-    the pinning (dom, val), split into components.
+def decompose(clause_masks, open_ids: int, free: int) -> tuple:
+    """The clauses of the id mask open_ids, from a formula's (pos, neg)
+    clause masks, cut to the variables of the mask free and split into
+    components: the residual of a pinning that leaves those clauses open
+    and those variables free.
 
-    Returns (falsified, groups). When some clause has every literal pinned
-    false, falsified is the id of the first such clause and groups is
-    empty. Otherwise falsified is None and groups holds one (vars_mask,
-    clauses) pair per connected component of the unsatisfied clauses: the
-    component's free variables as a bitmask and, per clause, its
+    Returns (falsified, groups): the lowest id cut to nothing and no
+    groups, or None and one (vars_mask, clauses) pair per connected
+    component, its variables as a bitmask and, per clause, its
     (free_pos, free_neg) masks. Groups come in ascending order of their
     lowest variable, the order every caller draws or walks them in; their
-    clauses come in no fixed order. val must lie inside dom.
+    clauses come in no fixed order.
     """
     groups = []
-    false_lits = dom & ~val
-    free = ~dom
-    for cid, (pos, neg) in enumerate(clause_masks):
-        if pos & val or neg & false_lits:
-            continue
+    for cid in bit_positions(open_ids):
+        pos, neg = clause_masks[cid]
         fpos = pos & free
         fneg = neg & free
         mask = fpos | fneg
@@ -143,7 +141,8 @@ class _Plan(NamedTuple):
 
 def plan_for(f: Formula, dom_mask: int, val_mask: int) -> _Plan:
     """Residual decomposition of f under the pinning (dom, val), uncached."""
-    falsified, groups = decompose(f._clause_masks, dom_mask, val_mask & dom_mask)
+    open_ids = open_clauses(f, dom_mask, val_mask & dom_mask)
+    falsified, groups = decompose(f._clause_masks, open_ids, ~dom_mask)
     return _Plan(falsified, tuple(_Component(*g) for g in groups))
 
 
@@ -209,7 +208,7 @@ def _free_draw(f: Formula, dom: int, val: int, v: int, cap: int):
 
 
 class ExecPlan(NamedTuple):
-    """Pre-decoded draw schedule for one (pinning, targets) pair.
+    """Pre-decoded draw schedule for one (open clauses, targets, free) key.
 
     draws: per component intersecting the targets (ascending min variable),
     (solutions array, count, rejection bit width, (local bit, global bit)
@@ -222,19 +221,17 @@ class ExecPlan(NamedTuple):
     max_comp_vars: int
 
 
-def build_exec(
-    clause_masks, solutions, dom: int, val: int, targets_mask: int, cap: int
-) -> ExecPlan:
-    """Draw schedule for the targets under the pinning (dom, val) of the
-    formula with these (pos, neg) clause masks, whose component solutions
+def build_exec(clause_masks, solutions, open_ids, targets, free, cap) -> ExecPlan:
+    """Draw schedule for the targets on decompose's residual (open_ids,
+    free) of a formula's (pos, neg) clause masks, whose component solutions
     `solutions(component_key)` returns.
 
     Only the components meeting the targets are enumerated, in ascending
     order of their lowest variable, each checked against the cap first.
-    InfeasiblePinningError when the pinning falsifies a clause or, at the
-    first one in that order, a component has no solutions.
+    InfeasiblePinningError when a clause is cut to nothing (decompose's
+    falsified id) or, first in that order, a component has no solutions.
     """
-    falsified, groups = decompose(clause_masks, dom, val)
+    falsified, groups = decompose(clause_masks, open_ids, free)
     if falsified is not None:
         raise InfeasiblePinningError(f"pinning falsifies clause {falsified}")
     clause_vars_mask = 0
@@ -243,7 +240,7 @@ def build_exec(
     for mask, clauses in groups:
         clause_vars_mask |= mask
         max_comp_vars = max(max_comp_vars, mask.bit_count())
-        if not mask & targets_mask:
+        if not mask & targets:
             continue
         _check_cap("component", mask.bit_count(), cap)
         sols = solutions(component_key(mask, clauses))
@@ -254,14 +251,14 @@ def build_exec(
                 "unsatisfiable under the pinning"
             )
         pairs = []
-        rest = mask & targets_mask
+        rest = mask & targets
         while rest:
             gb = rest & -rest
             pairs.append(((mask & (gb - 1)).bit_count(), gb))
             rest ^= gb
         draws.append((sols, count, (count - 1).bit_length(), tuple(pairs)))
     free_bits = []
-    rest = targets_mask & ~clause_vars_mask
+    rest = targets & ~clause_vars_mask
     while rest:
         gb = rest & -rest
         free_bits.append(gb)
@@ -292,19 +289,9 @@ def _component_solutions(key):
 
 def open_store(f: Formula):
     """f's store of draw schedules, store(open_ids, targets, free, cap):
-    build_exec, pinning nothing, on the clauses of the id mask open_ids cut
-    to their variables in the mask free. A clause cut to nothing is
-    falsified, and named by its id as build_exec names it."""
-    build = partial(_open_exec, f._clause_masks, solution_store(f))
+    build_exec on f's clauses."""
+    build = partial(build_exec, f._clause_masks, solution_store(f))
     return _formula_store(f, "_open_store", build)
-
-
-def _open_exec(clause_masks, solutions, open_ids, targets, free, cap):
-    ids = bit_positions(open_ids)
-    cut = [(clause_masks[c][0] & free, clause_masks[c][1] & free) for c in ids]
-    if (0, 0) in cut:
-        raise InfeasiblePinningError(f"pinning falsifies clause {ids[cut.index((0, 0))]}")
-    return build_exec(cut, solutions, 0, 0, targets, cap)
 
 
 def schedule(f: Formula, dom: int, val: int, targets: int, cap: int) -> ExecPlan:

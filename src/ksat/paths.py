@@ -30,7 +30,8 @@ from dataclasses import dataclass
 from .classify import Classification, good_induced_formula
 from .errors import RegimeError, UsageError
 from .formula import (
-    Formula, bit_positions, check_assignment, mask_to_assignment, satisfies_mask, var_mask,
+    Formula, bit_positions, check_assignment, mask_to_assignment, open_clauses, satisfies_mask,
+    var_mask,
 )
 from .marginals import DEFAULT_CAP, closest_solution, decompose, sample_conditional
 from .marking import Marking, verify_marking
@@ -95,7 +96,7 @@ def _switch_components(f, builder, dom, dest, stage):
     pinning on dom: one step per residual component, in ascending order of
     lowest variable. The free variables in no component move with the
     first step, or alone when there is no component."""
-    falsified, groups = decompose(f._clause_masks, dom, dest & dom)
+    falsified, groups = decompose(f._clause_masks, open_clauses(f, dom, dest & dom), ~dom)
     if falsified is not None:
         raise AssertionError("pinning taken from a solution falsifies a clause")
     comps = [mask for mask, _ in groups] or [0]

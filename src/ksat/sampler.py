@@ -6,11 +6,11 @@ pick a uniform block S of ceil(theta*|M|) marked variables and redraw X(S)
 from the exact conditional law given X(M \\ S), and finally extend to the
 unmarked variables with one exact conditional sample.
 
-Each step draws from the schedule ``marginals.build_exec`` builds under the
-step's pinning, with ``marginals.draw_exec``: the one draw path
-``sample_conditional`` takes too, so a step consumes randomness exactly as
-that call would, and a chain is reproducible from (formula, marking,
-config) alone. A step's law depends only on the clauses U its kept values
+Each step draws from the schedule ``marginals.build_exec`` builds on the
+clauses the step's pinning leaves open, with ``marginals.draw_exec``: the
+one draw path ``sample_conditional`` takes too, so a step consumes
+randomness exactly as that call would, and a chain is reproducible from
+(formula, marking, config) alone. A step's law depends only on the clauses U its kept values
 X(M \\ S) leave open: ``_Chain.step``, run by both chains, reads the
 schedule of S & V(U) on U from the formula's bounded
 ``marginals.open_store``, and S \\ V(U) gets fair bits, ascending, as the

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 jsonschema = pytest.importorskip("jsonschema")
 
+from ksat import cli
 from ksat.cli import dispatch
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "ksat" / "schemas"
@@ -201,6 +202,32 @@ def test_pipeline_records(capsys, tmp_path):
     assert len(payload["records"]) == 6
     for record in payload["records"]:
         assert "classify" in record or "error" in record
+
+
+def test_one_parser_serves_every_dispatch(capsys, tmp_path):
+    """dispatch builds its parser once per process. A bad flag, gen,
+    --version, --help and a pipeline spec, run in turn on that one parser,
+    each give the exit code, stdout and stderr a freshly built parser gives."""
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({
+        "instances": [{"n": 12, "m": 6, "k": 3, "seed": 1}],
+        "seeds": [4, 5],
+        "sample": {"theta": 0.5, "tmax": 5, "runs": 2},
+        "loose": {},
+    }))
+    argvs = [
+        ["gen", "--bogus"],
+        ["gen", "--n", "20", "--m", "30", "--k", "4", "--seed", "7"],
+        ["--version"],
+        ["--help"],
+        ["pipeline", "--spec", str(spec_path)],
+    ]
+    shared = [run(capsys, *argv) for argv in argvs]
+    assert cli._build_parser() is cli._build_parser()
+    assert [code for code, _, _ in shared] == [2, 0, 0, 0, 0]
+    for argv, want in zip(argvs, shared):
+        cli._build_parser.cache_clear()
+        assert run(capsys, *argv) == want
 
 
 def test_pipeline_empty_sweep(capsys, tmp_path):

@@ -1,12 +1,15 @@
-"""The one enumeration loop, formula._enumerate_local: across chunk
-boundaries against a pure-Python brute force, and through the two bit
-orders built on it (whole-formula codes with variable v at bit n-v, and
-component masks with the i-th lowest variable at bit i) under renaming
-variables and flipping the signs of one variable."""
+"""The one enumeration loop, formula._enumerate_local: against a
+pure-Python brute force on raw clause masks and across chunk boundaries,
+and through the two bit orders built on it (whole-formula codes with
+variable v at bit n-v, and component masks with the i-th lowest variable
+at bit i) under renaming variables and flipping the signs of one
+variable."""
 
 import itertools
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,6 +37,40 @@ def brute_marginal(f, x, v):
     if not sols:
         return None
     return Fraction(sum(s[v - 1] for s in sols), len(sols))
+
+
+@st.composite
+def raw_clause_sets(draw, max_vars):
+    """(nvars, clauses): nvars in 0..max_vars and 0-8 disjoint (pos, neg)
+    mask pairs over its bits, from the empty clause up to clauses on every
+    bit, so that dense ones put 16 or more literals inside one chunk."""
+    nvars = draw(st.integers(0, max_vars) | st.integers(max_vars - 3, max_vars))
+    full = (1 << nvars) - 1
+    lits = st.one_of(
+        st.integers(0, full),
+        st.just(full),
+        st.integers(0, max(nvars - 1, 0)).map(lambda b: full & ~(1 << b)),
+    )
+    clauses = draw(st.lists(st.tuples(lits, st.integers(0, full)), max_size=8))
+    return nvars, [(mask & signs, mask & ~signs) for mask, signs in clauses]
+
+
+# the chunk loop runs 2^nvars / _ENUM_CHUNK times, so small chunks get small formulas
+@pytest.mark.parametrize("chunk, max_vars", [(1, 11), (8, 14), (formula._ENUM_CHUNK, 20)])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_enumerate_local_matches_a_brute_force(chunk, max_vars, data):
+    """dtype, order and values of _enumerate_local against every candidate
+    filtered clause by clause: it fails a clause when it has no bit of pos
+    and every bit of neg."""
+    nvars, clauses = data.draw(raw_clause_sets(max_vars))
+    want = list(range(1 << nvars))
+    for pos, neg in clauses:
+        want = [x for x in want if x & pos or x & neg != neg]
+    with mock.patch.object(formula, "_ENUM_CHUNK", chunk):
+        got = formula._enumerate_local(nvars, clauses)
+    assert got.dtype == np.uint64
+    assert got.tolist() == want
 
 
 CHUNKED = [

@@ -4,22 +4,87 @@ A step redraws the block S of the marked set M given X(M \\ S). Its law
 depends only on the clauses U that X(M \\ S) leaves unsatisfied: the
 chain reads the schedule of S & V(U) on U from the formula's schedule
 store, then draws one fair bit per variable of S \\ V(U). Here that
-schedule, with those bits appended, must be the one ``build_exec`` gives
-under the whole pinning, as must ``_Chain.step``'s and the lockstep
-chain's step row source, and ``_run_full`` must give what the
-whole-pinning step loop gave, on n <= 40 formulas with k = 3-6."""
+schedule, with those bits appended, must be the one the reference
+``pinned_build_exec`` below gives under the whole pinning, as must
+``_Chain.step``'s and the lockstep chain's step row source, and
+``_run_full`` must give what the whole-pinning step loop gave, on n <= 40
+formulas with k = 3-6. ``plan_for``'s residual split, on the clauses a
+pinning leaves open, must be the one ``pinned_decompose`` finds by
+scanning every clause under the pinning."""
 
 from dataclasses import asdict
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ksat import CapExceededError, DomainError, KsatError, generate_random_kcnf
-from ksat.formula import bit_positions, mask_to_assignment, satisfies_mask, var_mask
-from ksat.marginals import build_exec, draw_exec, solution_store
+from ksat import (
+    CapExceededError, DomainError, InfeasiblePinningError, KsatError, generate_random_kcnf,
+)
+from ksat.formula import _check_cap, bit_positions, mask_to_assignment, satisfies_mask, var_mask
+from ksat.marginals import ExecPlan, component_key, draw_exec, plan_for, solution_store
 from ksat.marking import Marking
 from ksat.rng import make_rng, subsample
 from ksat.sampler import ChainTrace, SamplerConfig, _Chain, _init_marked, _Lockstep, _run_full
+
+
+def pinned_decompose(clause_masks, dom, val):
+    """The residual of the pinning (dom, val), val inside dom, found by
+    scanning every clause: (falsified, groups) as marginals.decompose
+    returns them, the first clause with every literal pinned false named."""
+    groups = []
+    false_lits = dom & ~val
+    free = ~dom
+    for cid, (pos, neg) in enumerate(clause_masks):
+        if pos & val or neg & false_lits:
+            continue
+        fpos = pos & free
+        fneg = neg & free
+        mask = fpos | fneg
+        if not mask:
+            return cid, []
+        clauses = [(fpos, fneg)]
+        for i in range(len(groups) - 1, -1, -1):
+            gmask, gclauses = groups[i]
+            if gmask & mask:
+                mask |= gmask
+                clauses += gclauses
+                del groups[i]
+        groups.append((mask, clauses))
+    groups.sort(key=lambda g: g[0] & -g[0])
+    return None, groups
+
+
+def pinned_build_exec(clause_masks, solutions, dom, val, targets_mask, cap):
+    """The draw schedule for the targets under the whole pinning (dom, val),
+    built from pinned_decompose's residual."""
+    falsified, groups = pinned_decompose(clause_masks, dom, val)
+    if falsified is not None:
+        raise InfeasiblePinningError(f"pinning falsifies clause {falsified}")
+    clause_vars_mask = 0
+    max_comp_vars = 0
+    draws = []
+    for mask, clauses in groups:
+        clause_vars_mask |= mask
+        max_comp_vars = max(max_comp_vars, mask.bit_count())
+        if not mask & targets_mask:
+            continue
+        _check_cap("component", mask.bit_count(), cap)
+        sols = solutions(component_key(mask, clauses))
+        count = len(sols)
+        if count == 0:
+            raise InfeasiblePinningError(
+                f"component containing variable {(mask & -mask).bit_length()} is "
+                "unsatisfiable under the pinning"
+            )
+        pairs = []
+        rest = mask & targets_mask
+        while rest:
+            gb = rest & -rest
+            pairs.append(((mask & (gb - 1)).bit_count(), gb))
+            rest ^= gb
+        draws.append((sols, count, (count - 1).bit_length(), tuple(pairs)))
+    free_bits = tuple(1 << b for b in bit_positions(targets_mask & ~clause_vars_mask))
+    return ExecPlan(tuple(draws), free_bits, max_comp_vars)
 
 
 @st.composite
@@ -71,7 +136,7 @@ def test_keyed_step_schedule_matches_the_whole_pinning(case, data):
     appended = tuple(1 << b for b in bit_positions(s_mask & ~targets))
 
     whole = _outcome(lambda: _as_tuple(
-        build_exec(f._clause_masks, solution_store(f), dom, xbits & dom, s_mask, cap)
+        pinned_build_exec(f._clause_masks, solution_store(f), dom, xbits & dom, s_mask, cap)
     ))
     keyed = _outcome(lambda: _as_tuple(chain.steps(open_ids, targets, free, cap), appended))
     assert keyed == whole
@@ -89,7 +154,7 @@ def test_keyed_step_schedule_matches_the_whole_pinning(case, data):
 
 def _whole_pinning_run(chain, rng):
     """_run_full as it was when each step read the schedule of its whole
-    pinning (dom, X(dom), S), here built uncached by build_exec."""
+    pinning (dom, X(dom), S), here built uncached by pinned_build_exec."""
     f = chain.f
     trace = ChainTrace()
     xbits = _init_marked(chain, rng, trace)
@@ -97,11 +162,13 @@ def _whole_pinning_run(chain, rng):
     for _ in range(chain.cfg.t_max):
         s_mask = var_mask(subsample(rng, chain.marked, chain.block))
         dom = chain.marked_mask & ~s_mask
-        e = build_exec(f._clause_masks, solution_store(f), dom, xbits & dom, s_mask, chain.cfg.cap)
+        e = pinned_build_exec(
+            f._clause_masks, solution_store(f), dom, xbits & dom, s_mask, chain.cfg.cap
+        )
         xbits = draw_exec(e, rng, xbits)
         hist[e.max_comp_vars] += 1
         trace.steps += 1
-    ext = build_exec(
+    ext = pinned_build_exec(
         f._clause_masks, solution_store(f), chain.marked_mask, xbits, chain.unmarked_mask,
         chain.cfg.cap,
     )
@@ -130,3 +197,21 @@ def test_run_full_matches_the_whole_pinning_step_loop(case, theta, t_max, seed):
         return a, asdict(trace)
 
     assert outcome(_run_full) == outcome(_whole_pinning_run)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 16).flatmap(lambda n: st.tuples(
+        st.just(n), st.integers(0, 3 * n), st.integers(1, min(n, 5)), st.integers(0, 2**32),
+        st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1),
+    ))
+)
+def test_plan_for_matches_the_pinned_decomposition(case):
+    """Under a random pinning, plan_for's groups (masks, clauses and their
+    order) and falsified clause id are pinned_decompose's."""
+    n, m, k, seed, dom, val = case
+    f = generate_random_kcnf(n, m, k, seed=seed)
+    plan = plan_for(f, dom, val)
+    falsified, groups = pinned_decompose(f._clause_masks, dom, val & dom)
+    assert plan.falsified_clause == falsified
+    assert [(c.mask, c.clauses) for c in plan.comps] == groups
