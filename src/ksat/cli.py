@@ -373,8 +373,8 @@ def _cmd_path(args) -> None:
 def _cmd_loose(args) -> None:
     f = _load_formula(args)
     sigma = _load_assignment(args.sigma, f.n)
-    cl, m = _marking_for_sampling(f, args, seed=args.seed)
-    rep = looseness_report(f, m, cl, sigma, cap=args.cap)
+    _, m = _marking_for_sampling(f, args, seed=args.seed)
+    rep = looseness_report(f, m, sigma, cap=args.cap)
     _write_payload(args, rep.to_json())
 
 
@@ -554,7 +554,7 @@ def _pipeline_cell(spec_json: str, instance, seed: int) -> dict:
     if "loose" in spec and isinstance(record.get("sample"), list) and record["sample"]:
         try:
             sigma = tuple(int(c) for c in record["sample"][0]["assignment"])
-            rep = looseness_report(f, m, cl, sigma)
+            rep = looseness_report(f, m, sigma)
             record["loose"] = {
                 "max_distance": rep.max_distance,
                 "n_failures": len(rep.failures),

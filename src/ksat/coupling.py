@@ -12,11 +12,12 @@ conditional sample.
 
 A run's course up to the extension is fixed by its reveal outcomes, so
 runs walk a reveal tree, kept in a third bounded per-formula store beside
-open_store and keyed by (classification, marking, pinning items, v0, k_c,
-cap). The reveal and failure rules build each node the first time a run
-reaches it: the variable it reveals with both marginals as integer
-thresholds, or a leaf with the final sets, the trace's frozensets and the
-extension's schedules, checked once against the path's guarantees. A run
+open_store and keyed by (classification, marking, the pinning's domain and
+value masks, v0, k_c, cap), so the pinning's key order does not matter. The
+reveal and failure rules build each node the first time a run reaches it:
+the variable it reveals with both marginals as integer thresholds, or a
+leaf with the final sets, the trace's frozensets and the extension's
+schedules, checked once against the path's guarantees. A run
 draws ``getrandbits(53)`` per node, makes the extension's draws at its
 leaf, and checks only its own outputs.
 
@@ -105,9 +106,10 @@ def _bad_clause_components(f: Formula, cl: Classification) -> list:
 
 class _Tree:
     """A reveal tree: its root, None until a run plants it, the marking
-    that planted it, and the masks and parameters its node builds read."""
+    that planted it, and the masks, bad-clause components and parameters
+    its node builds read."""
 
-    __slots__ = ("root", "m", "good", "bad", "lam", "v0", "k_c", "cap")
+    __slots__ = ("root", "m", "good", "bad", "bad_comps", "lam", "v0", "k_c", "cap")
 
     def __init__(self, *key):  # the store's key; the tree keeps only its marking, in m
         self.root = None
@@ -116,10 +118,12 @@ class _Tree:
 # A reveal of u, picked by clause cid: X_u = 1 iff rbits * x_total < x_ones
 # (X's count of solutions with u = 1, shifted left by 53), and likewise for
 # Y. kids[X_u + Y_u] is the subtree after that outcome, None until a run
-# takes it; state is the walk before the reveal, as _grow unpacks it: masks
-# with variable v at bit v-1 and clause cid at bit cid, so scanning a clause
-# mask from its lowest bit visits clauses in ascending id order, and X's and
-# Y's values as masks over their shared domain dom, the revealed set V.
+# takes it; state is the walk before the reveal, as _grow unpacks it, seven
+# masks (dom, xval, yval, v_failed, e_failed, e_dagger, e_ddagger): variable
+# v at bit v-1 and clause cid at bit cid, so scanning a clause mask from its
+# lowest bit visits clauses in ascending id order, and X's and Y's values
+# over their shared domain dom, the revealed set V, from which _unsat gives
+# the unsatisfied clauses.
 _Node = namedtuple("_Node", "u cid x_ones x_total y_ones y_total kids state")
 # The end of a reveal path: the revealed values, the coupled region, the
 # extension's schedules (None where nothing is drawn) and the trace's sets.
@@ -127,8 +131,10 @@ _Leaf = namedtuple("_Leaf", "xval yval v_coupled shared x_failed y_failed sets")
 
 
 def _reveal_store(f: Formula):
-    """f's store of reveal trees, store(cl, m, pinning items, v0, k_c, cap),
-    each an empty tree that runs fill; a marginals._formula_store."""
+    """f's store of reveal trees, store(cl, m, lam, lam_val, v0, k_c, cap)
+    with the pinning as its checked (domain, value) masks, so two orderings
+    of one pinning share a tree; each an empty tree that runs fill; a
+    marginals._formula_store."""
     return marginals._formula_store(f, "_reveal_store", _Tree)
 
 
@@ -152,7 +158,7 @@ def run_coupling(
     """
     lam, lam_val = check_pinning(f, lambda_pin)
     v0, k_c, cap = check_integer(v0, "v0"), check_integer(k_c, "k_c"), check_integer(cap, "cap")
-    tree = _reveal_store(f)(cl, m, tuple(lambda_pin.items()), v0, k_c, cap)
+    tree = _reveal_store(f)(cl, m, lam, lam_val, v0, k_c, cap)
     if tree.root is not None and tree.m is not m:  # an equal marking may hold 1.0 for 1
         _check_marking(f, m, lam)
     node = tree.root or _plant(f, cl, m, lam, lam_val, tree, v0, k_c, cap)
@@ -196,9 +202,7 @@ def _plant(f, cl, m, lam, lam_val, tree, v0, k_c, cap):
             f"pinning forces variable {v0}; both branches must be feasible"
         )
     dom = lam | bit0
-    xval = lam_val
-    yval = lam_val | bit0
-    e_unsat = open_clauses(f, dom, xval) | open_clauses(f, dom, yval)
+    e_unsat = _unsat(f, dom, lam_val, lam_val | bit0)
     # the reveal starts at v0's unsatisfied clauses; with no open good
     # variable in any of them and an open bad one left, no failure rule runs
     # and that bad variable would end up coupled across unequal residuals
@@ -212,17 +216,21 @@ def _plant(f, cl, m, lam, lam_val, tree, v0, k_c, cap):
             f"no open good variable in the unsatisfied clauses of variable {v0}"
         )
     tree.m, tree.good, tree.bad, tree.lam = m, good, var_mask(cl.v_bad), lam
-    tree.v0, tree.k_c, tree.cap = v0, k_c, cap
-    state = (dom, xval, yval, bit0, 0, 0, 0, e_unsat, _bad_clause_components(f, cl))
-    tree.root = _advance(f, tree, state)
+    tree.bad_comps, tree.v0, tree.k_c, tree.cap = _bad_clause_components(f, cl), v0, k_c, cap
+    tree.root = _advance(f, tree, (dom, lam_val, lam_val | bit0, bit0, 0, 0, 0), e_unsat)
     return tree.root
+
+
+def _unsat(f, dom, xval, yval):
+    """Id mask of the clauses that X's or Y's values on dom leave unsatisfied."""
+    return open_clauses(f, dom, xval) | open_clauses(f, dom, yval)
 
 
 def _grow(f, tree, node, xu, yu):
     """Build and attach node's child for the outcome (xu, yu): record the
     reveal, then apply the failure rules, iterated to fixpoint since each
     rule can enable the next."""
-    dom, xval, yval, v_failed, e_failed, e_dagger, e_ddagger, e_unsat, bad_comps = node.state
+    dom, xval, yval, v_failed, e_failed, e_dagger, e_ddagger = node.state
     clause_vars = f._clause_var_masks
     bit = 1 << (node.u - 1)
     dom |= bit
@@ -231,11 +239,7 @@ def _grow(f, tree, node, xu, yu):
     if xu != yu:
         v_failed |= bit
         e_failed |= 1 << node.cid
-    for c2 in bit_positions(f._var_clause_masks[node.u] & e_unsat):
-        pos, neg = f._clause_masks[c2]
-        if (pos & xval or neg & dom & ~xval) and (pos & yval or neg & dom & ~yval):
-            e_unsat ^= 1 << c2
-
+    e_unsat = _unsat(f, dom, xval, yval)
     unsat = bit_positions(e_unsat)
     # unsatisfied clause with k_c revealed unpinned variables: the rest fail
     # (">=" rather than "==" so k_c = 1 cannot be skipped); this rule reads
@@ -256,25 +260,24 @@ def _grow(f, tree, node, xu, yu):
             if vs & v_failed and vs & bad & ~v_failed and not vs & good & ~dom & ~v_failed:
                 v_failed |= vs & bad
                 e_dagger |= 1 << cid
-        # bad components touching a failed variable fail wholesale
-        if bad_comps:
-            for comp_vars, comp_clauses in bad_comps:
-                if comp_vars & v_failed:
-                    v_failed |= comp_vars
-                    e_ddagger |= comp_clauses
-            bad_comps = [c for c in bad_comps if not c[0] & v_failed]
+        # bad components touching a failed variable fail wholesale; one that
+        # has failed already adds nothing
+        for comp_vars, comp_clauses in tree.bad_comps:
+            if comp_vars & v_failed:
+                v_failed |= comp_vars
+                e_ddagger |= comp_clauses
         if v_failed == grown:
             break
-    state = (dom, xval, yval, v_failed, e_failed, e_dagger, e_ddagger, e_unsat, bad_comps)
-    child = node.kids[xu + yu] = _advance(f, tree, state)
+    state = (dom, xval, yval, v_failed, e_failed, e_dagger, e_ddagger)
+    child = node.kids[xu + yu] = _advance(f, tree, state, e_unsat)
     return child
 
 
-def _advance(f, tree, state):
+def _advance(f, tree, state, e_unsat):
     """The node revealing the lowest open good variable of the first
-    unsatisfied clause, in ascending id order, that touches the failure
+    clause of e_unsat, in ascending id order, that touches the failure
     set, or the leaf when there is none."""
-    dom, xval, yval, v_failed, e_failed, e_dagger, e_ddagger, e_unsat, _ = state
+    dom, xval, yval, v_failed, e_failed, e_dagger, e_ddagger = state
     for cid in bit_positions(e_unsat):
         vs = f._clause_var_masks[cid]
         pick = vs & tree.good & ~dom & ~v_failed if vs & v_failed else 0
@@ -316,9 +319,7 @@ def _assert_same_coupled_residual(f, dom, xval, yval, v_failed):
             )
 
 
-def verify_coupling_trace(
-    f: Formula, cl: Classification, trace: CouplingTrace, k_c: int, lam_dom
-) -> None:
+def verify_coupling_trace(f: Formula, cl: Classification, trace: CouplingTrace) -> None:
     """Runtime validation of the coupling's structural guarantees: those of
     its reveal path, which run_coupling checks once per leaf, then those of
     its outputs, which it checks on every run."""
@@ -343,10 +344,7 @@ def _verify_path(
     """The guarantees fixed by the reveal path, on masks: the revealed set
     and its X and Y values, the failed and coupled variables and the three
     failed clause sets."""
-    unsat = [
-        (cid, f._clause_var_masks[cid])
-        for cid in bit_positions(open_clauses(f, v_set, xs) | open_clauses(f, v_set, ys))
-    ]
+    unsat = [(cid, f._clause_var_masks[cid]) for cid in bit_positions(_unsat(f, v_set, xs, ys))]
 
     # reveal exit condition: no unsatisfied clause has both a failed variable
     # and an uncoupled good variable left

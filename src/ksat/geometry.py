@@ -45,14 +45,7 @@ class FlipWitness:
     distance: int
 
 
-def certify_loose(
-    f: Formula,
-    m: Marking,
-    cl,
-    sigma,
-    v: int,
-    cap: int = DEFAULT_CAP,
-):
+def certify_loose(f: Formula, m: Marking, sigma, v: int, cap: int = DEFAULT_CAP):
     """Minimum-distance witness flipping v from sigma, or None.
 
     The pinning holds sigma on every marked variable other than v; only the
@@ -101,9 +94,7 @@ class LoosenessReport:
         }
 
 
-def looseness_report(
-    f: Formula, m: Marking, cl, sigma, cap: int = DEFAULT_CAP
-) -> LoosenessReport:
+def looseness_report(f: Formula, m: Marking, sigma, cap: int = DEFAULT_CAP) -> LoosenessReport:
     """certify_loose for every variable; failures recorded, never raised."""
     ref = check_assignment(f, sigma, "sigma", solution=True)
     marked = check_variables(f, m.marked, "marked variable")

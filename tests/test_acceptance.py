@@ -445,14 +445,14 @@ def test_criterion_10_looseness_and_flippability():
             continue
         sigma = sample_conditional(f, {}, range(1, n + 1), seed=tried, cap=CAP)
         sigma = tuple(sigma[v] for v in range(1, n + 1))
-        rep = looseness_report(f, m, None, sigma, cap=CAP)
+        rep = looseness_report(f, m, sigma, cap=CAP)
         assert rep.ok, f"instance {tried}: failures {rep.failures}"
         res = check_flippable_all(f, cap=1 << 30)
         assert res.all_flippable
         done += 1
 
     frozen = Formula.from_ints(2, [[1], [1, 2]])
-    rep = looseness_report(frozen, Marking(frozenset(), 0, 0, True), None, (1, 0))
+    rep = looseness_report(frozen, Marking(frozenset(), 0, 0, True), (1, 0))
     assert [v for v, _ in rep.failures] == [1]
     _verdict(
         10,

@@ -4,6 +4,9 @@ validators in ksat.formula, and a bad one raises UsageError naming the
 smallest offender. Everything in ksat.__all__ returns or raises a KsatError
 on any input, in range or out of it."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -54,8 +57,8 @@ def _entry_points(m):
         "check_chain_uniformity": lambda: check_chain_uniformity(F, m, cfg, 3),
         "find_path_bounded": lambda: find_path_bounded(F, m, sigma, sigma2),
         "find_path_random": lambda: find_path_random(F, cl, m, sigma, sigma2),
-        "certify_loose": lambda: certify_loose(F, m, cl, sigma, 1),
-        "looseness_report": lambda: looseness_report(F, m, cl, sigma),
+        "certify_loose": lambda: certify_loose(F, m, sigma, 1),
+        "looseness_report": lambda: looseness_report(F, m, sigma),
         "verify_marking": lambda: verify_marking(F, m),
     }
 
@@ -334,10 +337,10 @@ CALLS = {
         a(st.integers(0, 3)), a(SEEDS), a(CAPS),
     ),
     "certify_loose": lambda a: ksat.certify_loose(
-        a.f, a.marking(), a.classification(), a.assignment(), a.variable(), a(CAPS)
+        a.f, a.marking(), a.assignment(), a.variable(), a(CAPS)
     ),
     "looseness_report": lambda a: ksat.looseness_report(
-        a.f, a.marking(), a.classification(), a.assignment(), a(CAPS)
+        a.f, a.marking(), a.assignment(), a(CAPS)
     ),
     "solution_graph": lambda a: ksat.solution_graph(a.f, a(st.integers(-1, 4)), a(CAPS)),
     "check_flippable_all": lambda a: ksat.check_flippable_all(a.f, a(CAPS)),
@@ -370,3 +373,21 @@ def test_public_callables_return_or_raise_a_ksat_error(name, f, data):
         CALLS[name](Args(data, f))
     except KsatError:
         pass
+
+
+def test_every_public_function_reads_every_parameter():
+    """A public module-level function of the package reads each of its named
+    parameters somewhere in its body, so no argument is silently ignored."""
+    unread = []
+    for path in sorted(Path(ksat.__file__).parent.glob("*.py")):
+        for fn in ast.parse(path.read_text()).body:
+            if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+                continue
+            args = fn.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+            read = {
+                node.id for stmt in fn.body for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            }
+            unread += [f"{fn.name}.{p}" for p in params if p not in read]
+    assert unread == []

@@ -445,7 +445,7 @@ def test_exact_influence_rejects_values_other_than_0_1():
 
 def _verify_rejects(f, cl, trace, match):
     with pytest.raises(AssertionError, match=match):
-        verify_coupling_trace(f, cl, trace, 1, frozenset())
+        verify_coupling_trace(f, cl, trace)
 
 
 def _isolated_v0_trace(f, cl):
@@ -455,7 +455,7 @@ def _isolated_v0_trace(f, cl):
     trace = run_coupling(f, cl, m, {}, v0=1, k_c=1, seed=5)
     assert trace.v_set == trace.v_failed == frozenset({1})
     assert not trace.e_failed
-    verify_coupling_trace(f, cl, trace, 1, frozenset())
+    verify_coupling_trace(f, cl, trace)
     return trace
 
 
@@ -520,7 +520,7 @@ def test_verify_rejects_primary_failed_clauses_three_apart():
     f = Formula.from_ints(6, [[2, 3], [3, 4], [4, 5], [5, 6]])
     cl = all_good_classification(f)
     trace = _isolated_v0_trace(f, cl)
-    verify_coupling_trace(f, cl, replace(trace, e_failed=frozenset({0, 2})), 1, frozenset())
+    verify_coupling_trace(f, cl, replace(trace, e_failed=frozenset({0, 2})))
     bad = replace(trace, e_failed=frozenset({0, 3}))
     _verify_rejects(f, cl, bad, "not 2-step connected")
 
@@ -578,7 +578,7 @@ def test_reveal_store_is_bounded_and_dies_with_its_formula(monkeypatch):
     rng = make_rng(3)
     for _ in range(2000):
         run_coupling(f, cl, m, {2: 1}, v0=1, k_c=1, seed=rng.getrandbits(63))
-    tree = store(cl, m, ((2, 1),), 1, 1, DEFAULT_CAP)
+    tree = store(cl, m, 0b10, 0b10, 1, 1, DEFAULT_CAP)
     warm = _tree_nodes(tree.root)
     assert warm > 3
     for _ in range(1000):
@@ -599,3 +599,15 @@ def test_reveal_store_is_bounded_and_dies_with_its_formula(monkeypatch):
         assert all(ref() is None for ref in refs)
     finally:
         gc.enable()
+
+
+def test_reveal_trees_are_keyed_on_the_pinning_not_its_key_order():
+    """Two orderings of one pinning give equal traces and share one tree."""
+    f = generate_random_kcnf(8, 9, 4, seed=0)
+    cl = all_good_classification(f)
+    m = find_marking(f, 1, 1, seed=5)
+    a, b, v0 = sorted(m.marked)[:3]
+    first = run_coupling(f, cl, m, {a: 0, b: 1}, v0, 1, seed=3)
+    second = run_coupling(f, cl, m, {b: 1, a: 0}, v0, 1, seed=3)
+    assert first == second
+    assert _reveal_store(f).cache_info().currsize == 1

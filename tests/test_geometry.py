@@ -43,7 +43,7 @@ def trivial_marking(marked=()):
 
 def test_certify_loose_isolated():
     f = Formula.from_ints(3, [[1, 2]])
-    w = certify_loose(f, trivial_marking(), None, (1, 0, 0), 3)
+    w = certify_loose(f, trivial_marking(), (1, 0, 0), 3)
     assert w.distance == 1
     assert w.assignment == (1, 0, 1)
 
@@ -52,7 +52,7 @@ def test_certify_loose_or_clause():
     # M = {x1}, sigma = 10, flip x1: component {x1,x2} re-solves to 01
     f = Formula.from_ints(2, [[1, 2]])
     m = Marking(frozenset({1}), 1, 1, certified=True)
-    w = certify_loose(f, m, None, (1, 0), 1)
+    w = certify_loose(f, m, (1, 0), 1)
     assert w.assignment == (0, 1)
     assert w.distance == 2
 
@@ -60,7 +60,7 @@ def test_certify_loose_or_clause():
 def test_certify_loose_frozen_variable():
     f = Formula.from_ints(2, [[1], [1, 2]])
     m = trivial_marking()
-    assert certify_loose(f, m, None, (1, 0), 1) is None
+    assert certify_loose(f, m, (1, 0), 1) is None
 
 
 def test_witnesses_verified_on_random_suite():
@@ -74,7 +74,7 @@ def test_witnesses_verified_on_random_suite():
         if not m.certified:
             continue
         sigma = sols[0]
-        rep = looseness_report(f, m, None, sigma)
+        rep = looseness_report(f, m, sigma)
         for v, w in rep.witnesses.items():
             assert is_satisfying(f, w)
             assert w[v - 1] != sigma[v - 1]
@@ -95,7 +95,7 @@ def test_looseness_report_reuses_the_chain_schedules(n, m, k, seed):
     assert mk.certified and mk.marked
     sigma, _ = run_block_dynamics(f, mk, SamplerConfig(0.3, 20, seed))
     before = open_store(f).cache_info()
-    rep = looseness_report(f, mk, cl, sigma)
+    rep = looseness_report(f, mk, sigma)
     after = open_store(f).cache_info()
     assert rep.distances
     assert after.misses - before.misses <= len(mk.marked)
@@ -104,14 +104,14 @@ def test_looseness_report_reuses_the_chain_schedules(n, m, k, seed):
 
 def test_looseness_report_empty_formula():
     f = Formula(4, ())
-    rep = looseness_report(f, trivial_marking(), None, (0, 0, 0, 0))
+    rep = looseness_report(f, trivial_marking(), (0, 0, 0, 0))
     assert rep.ok
     assert set(rep.distances.values()) == {1}
 
 
 def test_looseness_report_unique_solution():
     f = Formula.from_ints(2, [[1], [-2]])
-    rep = looseness_report(f, trivial_marking(), None, (1, 0))
+    rep = looseness_report(f, trivial_marking(), (1, 0))
     assert not rep.ok
     assert {v for v, _ in rep.failures} == {1, 2}
 
@@ -121,18 +121,18 @@ def test_looseness_report_records_a_cap_below_a_component():
     its variables a 'cap exceeded' failure; the report raises nothing, and
     at the component's 2^3 evaluations every variable is certified."""
     f = Formula.from_ints(3, [[1, 2, 3]])
-    rep = looseness_report(f, trivial_marking(), None, (1, 0, 0), cap=7)
+    rep = looseness_report(f, trivial_marking(), (1, 0, 0), cap=7)
     assert not rep.distances
     assert [v for v, _ in rep.failures] == [1, 2, 3]
     assert all(reason.startswith("cap exceeded: ") for _, reason in rep.failures)
-    rep = looseness_report(f, trivial_marking(), None, (1, 0, 0), cap=8)
+    rep = looseness_report(f, trivial_marking(), (1, 0, 0), cap=8)
     assert rep.ok and rep.distances == {1: 2, 2: 1, 3: 1}
 
 
 def test_looseness_frozen_construction():
     # (x1) and (x1 v x2): x1 is frozen, x2 flips freely
     f = Formula.from_ints(2, [[1], [1, 2]])
-    rep = looseness_report(f, trivial_marking(), None, (1, 0))
+    rep = looseness_report(f, trivial_marking(), (1, 0))
     assert [v for v, _ in rep.failures] == [1]
     assert rep.distances[2] == 1
 
@@ -396,7 +396,7 @@ def _reference_flood(codes, d):
     return label
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, deadline=None, derandomize=True)
 @given(st.integers(2, 14), st.sampled_from([3, 4]), st.data())
 def test_linkers_match_the_searchsorted_ball_search_and_the_flood(n, k, data):
     """Both linkers give the reference labels, array for array, at every

@@ -284,9 +284,9 @@ def test_run_coupling_golden_all_good(case):
     assert _coupling_outcome(trace) == COUPLING_ALL_GOOD[case]
 
 
-def _looseness_outcome(f, m, cl, sigma):
+def _looseness_outcome(f, m, sigma):
     """Distances, each witness as the variables it flips, and failures."""
-    rep = looseness_report(f, m, cl, sigma)
+    rep = looseness_report(f, m, sigma)
     flips = {
         v: tuple(u for u in range(1, f.n + 1) if w[u - 1] != sigma[u - 1])
         for v, w in rep.witnesses.items()
@@ -338,11 +338,10 @@ def test_looseness_report_golden(instances, case):
     name, i = case
     if name == "crit2":
         f, m = instances["crit2"]
-        cl = None
     else:
-        f, cl, m = _bad_instance()
+        f, _, m = _bad_instance()
     sigma = enumerate_solutions(f)[i]
-    assert _looseness_outcome(f, m, cl, sigma) == LOOSENESS[case]
+    assert _looseness_outcome(f, m, sigma) == LOOSENESS[case]
 
 
 LOOSENESS_CRIT4 = (
@@ -363,9 +362,8 @@ LOOSENESS_CRIT4 = (
 
 def test_looseness_report_golden_crit4(instances):
     f, m = instances["crit4"]
-    cl = _crit4_classified()[1]
     a, _ = run_block_dynamics(f, m, SamplerConfig(1.0, default_t_max(1.0, f.n), seed=7))
-    assert _looseness_outcome(f, m, cl, a) == LOOSENESS_CRIT4
+    assert _looseness_outcome(f, m, a) == LOOSENESS_CRIT4
 
 
 def _sparse_formula():
