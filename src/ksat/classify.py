@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import RegimeError, UsageError
-from .formula import Formula, _ball_union, bit_positions, mask_groups, var_mask
+from .formula import Formula, _ball_union, bit_positions, check_integer, mask_groups, var_mask
 
 
 def default_delta(k: int, alpha: float) -> int:
@@ -72,11 +72,11 @@ def classify(f: Formula, delta: int, zeta: float, k: int) -> Classification:
     """Least fixed point of the contamination process."""
     if not 0 < zeta < 0.5:
         raise UsageError(f"zeta must lie in (0, 1/2), got {zeta}")
-    if k < 1:
+    if check_integer(k, "nominal width k") < 1:
         raise UsageError(f"nominal width k must be >= 1, got {k}")
     thresh = _bad_threshold(zeta, k)
     clause_vars = f._clause_var_masks
-    bad = var_mask(high_degree_vars(f, delta))
+    bad = var_mask(high_degree_vars(f, check_integer(delta, "delta")))
     while True:
         bad_clauses = sum(
             1 << cid for cid, vs in enumerate(clause_vars) if (vs & bad).bit_count() >= thresh

@@ -204,7 +204,7 @@ def generate_random_kcnf(n: int, m: int, k: int, seed) -> Formula:
     Deterministic given the seed; variables within a clause are sorted and
     signs are drawn in sorted-variable order.
     """
-    if m < 0:
+    if check_integer(m, "clause count m") < 0:
         raise UsageError(f"clause count m must be >= 0, got {m}")
     if k > n:
         raise UsageError(f"clause width k={k} exceeds variable count n={n}")
@@ -244,7 +244,7 @@ def clause_graph_components(
     chosen adjacency is <= power; distances are measured in the full base
     graph even when `vertices` restricts the vertex set.
     """
-    if power < 1:
+    if check_integer(power, "power") < 1:
         raise UsageError(f"power must be >= 1, got {power}")
     if adjacency == "shared-any-var":
         base = (1 << f.m) - 1
@@ -308,7 +308,7 @@ def enumerate_solutions(f: Formula, cap: int = DEFAULT_ENUM_CAP) -> list:
     tuple (variable 1 most significant). _enumerate_local covers all 2^n
     candidates, which cap must allow; this is the reference oracle for
     everything else in the package."""
-    codes = _solution_codes(f, cap)
+    codes = _solution_codes(f, check_integer(cap, "cap"))
     shifts = np.arange(f.n - 1, -1, -1, dtype=np.uint64)
     return list(map(tuple, ((codes[:, None] >> shifts) & np.uint64(1)).tolist()))
 

@@ -6,7 +6,12 @@ Each formula enumerates its solutions for the solution graph once and links
 each distance once: its _SolutionGraphs (kept in f.__dict__, dying with f)
 holds the solution codes, the component sizes at each distance linked and
 the least distance found to leave one component, which answers every
-distance above it, since the components at D + 1 are unions of those at D."""
+distance above it, since the components at D + 1 are unions of those at D.
+A distance is linked by one of three paths, chosen by density: a flood of
+the 2^n-point bitmap, which moves every point of a level at once, while
+the solutions fill at least a tenth of the cube, then on what it leaves
+the ball search while the radius-D ball is sparse among the solutions, and
+the all-pairs flood past that."""
 
 from __future__ import annotations
 
@@ -26,6 +31,7 @@ from .formula import (
     bit_positions,
     check_assignment,
     check_clause_ids,
+    check_integer,
     check_variable,
     check_variables,
     clause_graph_components,
@@ -144,8 +150,10 @@ def solution_graph(f: Formula, d: int, cap: int = DEFAULT_ENUM_CAP) -> SolutionG
     d >= n is one component, since two n-bit assignments differ in at most
     n bits. Below that, f's _SolutionGraphs answers a d it has linked from
     the sizes it recorded, and any d at or past the least distance found to
-    leave one component as one component; other d are linked once, by ball
-    search while the ball stays sparse and by the all-pairs flood past it."""
+    leave one component as one component; other d are linked once: by the
+    bitmap flood while the solutions fill at least a tenth of the 2^n
+    points, and then, on the solutions it leaves, by ball search while the
+    ball stays sparse and by the all-pairs flood past it."""
     if d < 0:
         raise UsageError(f"distance threshold must be >= 0, got {d}")
     _check_cap("formula", f.n, cap)
@@ -175,13 +183,7 @@ class _SolutionGraphs:
         if not d:
             return (1,) * self.count
         if d not in self.sizes:
-            ball = sum(math.comb(n, w) for w in range(1, d + 1))
-            if ball * _SPARSE_RATIO <= self.count:
-                label = _link_by_ball_search(n, self.codes, d)
-            else:
-                label = _link_all_pairs(self.codes, d)
-            counts = np.bincount(label)
-            self.sizes[d] = tuple(np.sort(counts[counts > 0])[::-1].tolist())
+            self.sizes[d] = _component_sizes(n, self.codes, d)
             if len(self.sizes[d]) == 1:
                 self.joined = d
             if self.joined is not None and all(w in self.sizes for w in range(1, self.joined)):
@@ -189,10 +191,91 @@ class _SolutionGraphs:
         return self.sizes[d]
 
 
+def _component_sizes(n, codes, d):
+    """The descending component sizes at distance d, 0 < d < n, of the
+    ascending codes: the bitmap flood peels components while the codes are
+    dense, and the rest go to the ball search while the ball is sparse
+    among them, else to the all-pairs flood."""
+    sizes = []
+    if len(codes) >= _DENSE_SHARE * (1 << n):
+        sizes, codes = _flood_dense(n, codes, d)
+    if len(codes):
+        ball = sum(math.comb(n, w) for w in range(1, d + 1))
+        if ball * _SPARSE_RATIO <= len(codes):
+            label = _link_by_ball_search(n, codes, d)
+        else:
+            label = _link_all_pairs(codes, d)
+        counts = np.bincount(label)
+        sizes += counts[counts > 0].tolist()
+    return tuple(sorted(sizes, reverse=True))
+
+
+# the bitmap flood runs while the codes fill at least this share of the 2^n
+# points: over 180 random 3- to 5-CNFs at n = 12-20 and d = 1-3 (2 vCPUs) it
+# took 0.04-1.03 of the crossover's time at shares of 10-15 % (the worst at
+# n = 18-20), at most 0.62 of it past 15 %, and up to 7.7 times it below 5 %,
+# where the ball search splits fragmented sets fastest
+_DENSE_SHARE = 0.1
+
+
+def _flood_dense(n, codes, d):
+    """(sizes, rest): the sizes of the components peeled off the 2^n-point
+    bitmap of the ascending codes, each the component of the lowest code
+    left, found by a breadth-first search whose levels are the radius-d
+    spread of the last level, cut to the codes not yet reached; and the
+    ascending codes left once fewer codes than the bitmap's 64-bit words are
+    left or the last component peeled had fewer, for the crossover to link.
+    One spread step moves every point to its n neighbours at once through
+    the n masks of the points with bit i clear, n x 2^n / 8 bytes in all.
+    The hand-over follows direction-optimizing search, which switches
+    between a sparse and a bit-parallel frontier by cost (Beamer, Asanovic
+    and Patterson, SC 2012)."""
+    words = max(1, (1 << n) >> 6)
+    present = np.zeros(1 << n, dtype=bool)
+    present[codes] = True
+    left = int.from_bytes(np.packbits(present, bitorder="little").tobytes(), "little")
+    steps = [(1 << i, z) for i, z in enumerate(_bit_clear_masks(n))]
+    sizes = []
+    while left.bit_count() >= words:
+        frontier = left & -left
+        left ^= frontier
+        size = 0
+        while frontier:
+            size += frontier.bit_count()
+            for _ in range(d):
+                near = frontier
+                for shift, clear in steps:
+                    near |= (frontier & clear) << shift | (frontier >> shift) & clear
+                frontier = near
+            frontier &= left
+            left ^= frontier
+        sizes.append(size)
+        if size < words:
+            break
+    if not left:
+        return sizes, codes[:0]
+    rest = np.frombuffer(left.to_bytes(max(1, (1 << n) >> 3), "little"), np.uint8)
+    return sizes, np.flatnonzero(np.unpackbits(rest, bitorder="little")).astype(np.uint64)
+
+
+def _bit_clear_masks(n):
+    """For each bit i < n, the mask of the points of [0, 2^n) with bit i
+    clear, a run of 2^i ones every 2^(i+1) bits, doubled up to 2^n bits."""
+    masks = []
+    for i in range(n):
+        mask, period = (1 << (1 << i)) - 1, 2 << i
+        while period < 1 << n:
+            mask |= mask << period
+            period <<= 1
+        masks.append(mask)
+    return masks
+
+
 # the ball search runs while the ball holds at most 1/_SPARSE_RATIO of the S
-# solutions: on 98 random 3- and 4-CNFs at n = 12-18 (2 vCPUs) it beat the
-# flood 1.2-34x wherever S >= 1.25 x ball, and lost by up to 2.5x below that.
-# At n = 18, S = 121,016, d = 6 (3.9 x ball) it took 39 ms to the flood's 17.6 s
+# solutions handed to it: on 98 random 3- and 4-CNFs at n = 12-18 (2 vCPUs)
+# it beat the all-pairs flood 1.2-34x wherever S >= 1.25 x ball, and lost by
+# up to 2.5x below that. At n = 18, S = 121,016, d = 6 (3.9 x ball) it took
+# 39 ms to the all-pairs flood's 17.6 s
 _SPARSE_RATIO = 2
 # candidate codes looked up per chunk of the ball search: 2^16 ran up to 3x
 # faster than 2^18 at n = 16-18, whose 2 MB temporaries page-fault afresh
@@ -295,6 +378,7 @@ def check_flippable_all(f: Formula, cap: int = DEFAULT_ENUM_CAP) -> Flippability
     flippable. Falls back to a per-variable check over all solutions. The
     search and the fallback each have cap evaluations: a (variable, value)
     the search tries counts as one, and the fallback needs 2^n."""
+    cap = check_integer(cap, "cap")
     nae = _nae_search(f, cap)
     if nae is not None:
         comp = tuple(1 - b for b in nae)

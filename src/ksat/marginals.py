@@ -43,7 +43,7 @@ import numpy as np
 from .errors import InfeasiblePinningError, UsageError
 from .formula import (
     Formula, _ball_union, _check_cap, _enumerate_local, bit_positions, check_clause_ids,
-    check_pinning, check_variable, check_variables, mask_groups, open_clauses,
+    check_integer, check_pinning, check_variable, check_variables, mask_groups, open_clauses,
 )
 from .rng import as_rng, rand_below, rand_bit
 
@@ -158,7 +158,7 @@ def exact_marginal(f: Formula, x: Mapping, v: int, cap: int = DEFAULT_CAP) -> Fr
     v = check_variable(f, v)
     if dom >> (v - 1) & 1:
         raise UsageError(f"variable {v} is pinned by the conditioning")
-    return Fraction(*marginal_counts(f, dom, val, v, cap))
+    return Fraction(*marginal_counts(f, dom, val, v, check_integer(cap, "cap")))
 
 
 def marginal_counts(f: Formula, dom: int, val: int, v: int, cap: int = DEFAULT_CAP) -> tuple:
@@ -339,7 +339,7 @@ def sample_conditional(f: Formula, x: Mapping, targets, seed, cap: int = DEFAULT
     targets = check_variables(f, targets, "target variable")
     if pinned := bit_positions(targets & dom):
         raise UsageError(f"target variable {pinned[0] + 1} is pinned by the conditioning")
-    bits = draw_exec(schedule(f, dom, val, targets, cap), rng, 0)
+    bits = draw_exec(schedule(f, dom, val, targets, check_integer(cap, "cap")), rng, 0)
     return {b + 1: (bits >> b) & 1 for b in bit_positions(targets)}
 
 

@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import UsageError
-from .formula import Formula, bit_positions, check_variables, var_mask
+from .formula import Formula, bit_positions, check_integer, check_variables, var_mask
 from .rng import as_rng, rand_float
 
 
@@ -61,9 +61,9 @@ def find_marking(
     markings inside the good variables); ineligible variables count as
     unmarked.
     """
-    if k_m < 0 or k_u < 0:
+    if check_integer(k_m, "k_m") < 0 or check_integer(k_u, "k_u") < 0:
         raise UsageError("quotas must be nonnegative")
-    if max_resamples < 0:
+    if check_integer(max_resamples, "max_resamples") < 0:
         raise UsageError(f"max_resamples must be >= 0, got {max_resamples}")
     if p_mark is None:
         p_mark = k_m / (k_m + k_u) if k_m + k_u else 0.5

@@ -43,8 +43,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, InfeasiblePinningError, UsageError
 from .formula import (
-    Formula, _solution_codes, bit_positions, check_pinning, check_variables, mask_to_assignment,
-    satisfies_mask, var_mask,
+    Formula, _solution_codes, bit_positions, check_integer, check_pinning, check_variables,
+    mask_to_assignment, satisfies_mask, var_mask,
 )
 from .marginals import DEFAULT_CAP, draw_exec, open_store, schedule
 from .marking import Marking
@@ -97,7 +97,7 @@ class _Chain:
     def __init__(self, f: Formula, m: Marking, cfg: SamplerConfig):
         if not 0 < cfg.theta <= 1:
             raise UsageError(f"theta must lie in (0, 1], got {cfg.theta}")
-        if cfg.t_max < 0:
+        if check_integer(cfg.t_max, "t_max") < 0:
             raise UsageError(f"t_max must be >= 0, got {cfg.t_max}")
         # Quota certification refers to the formula the marking was built
         # for (the good CNF, for random formulas); bad clauses of the full
@@ -238,7 +238,7 @@ def estimate_tv(f: Formula, m: Marking, cfg: SamplerConfig, runs: int) -> TvEsti
     give the TvEstimate the scalar chain ``_run_full`` gives run by run, bit
     for bit. A chunk in which some run fails, or ends on no solution, is
     replayed by ``_run_full``, which raises that run's error."""
-    if runs < 1:
+    if check_integer(runs, "runs") < 1:
         raise UsageError("runs must be >= 1")
     codes = _solution_codes(f).astype(np.int64)
     if not len(codes):

@@ -5,6 +5,7 @@ smallest offender. Everything in ksat.__all__ returns or raises a KsatError
 on any input, in range or out of it."""
 
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -164,11 +165,51 @@ def test_run_coupling_checks_an_equal_marking_on_a_warm_tree():
     assert errors == ["marked variable 1.0 is not an integer"] * 2
 
 
+def test_integer_arguments_are_checked():
+    """Each of these integer arguments used to escape as TypeError, or to be
+    accepted as 1.5; now a value that is not an integer is a UsageError
+    naming it, once per call."""
+    m = Marking(frozenset({1, 2}), 1, 1, certified=True)
+    calls = {
+        "cap": [
+            lambda x: enumerate_solutions(F, x),
+            lambda x: ksat.check_flippable_all(F, x),
+            lambda x: exact_marginal(F, {}, 1, x),
+            lambda x: sample_conditional(F, {}, [1], 0, x),
+        ],
+        "clause count m": [lambda x: generate_random_kcnf(3, x, 2, seed=1)],
+        "power": [lambda x: ksat.clause_graph_components(F, "shared-any-var", x)],
+        "runs": [lambda x: estimate_tv(F, m, SamplerConfig(0.5, 2, 1), x)],
+        "t_max": [
+            lambda x: run_block_dynamics(F, m, SamplerConfig(0.5, x, 1)),
+            lambda x: estimate_tv(F, m, SamplerConfig(0.5, x, 1), 3),
+            lambda x: check_chain_uniformity(F, m, SamplerConfig(0.5, x, 1), 3),
+        ],
+        "delta": [lambda x: classify(F, x, 0.3, 3)],
+        "nominal width k": [lambda x: classify(F, 3, 0.3, x)],
+        "k_m": [lambda x: find_marking(F, x, 1)],
+        "k_u": [lambda x: find_marking(F, 1, x)],
+        "max_resamples": [lambda x: find_marking(F, 1, 1, max_resamples=x)],
+    }
+    for what, entries in calls.items():
+        for call in entries:
+            for bad in (1.5, "1", None, [1]):
+                msg = rf"^{what} {re.escape(repr(bad))} is not an integer$"
+                with pytest.raises(UsageError, match=msg):
+                    call(bad)
+
+
 # ----- every public callable, on generated arguments ----------------------
 
 NOT_INTS = st.sampled_from([1.5, "1", None, [1]])  # [1] is unhashable too
 SEEDS = st.one_of(st.integers(0, 2**64 - 1), st.sampled_from([-1, 2**64]))
 CAPS = st.sampled_from([0, 4, 1 << 10, DEFAULT_CAP])
+
+
+def or_not_int(ints):
+    """ints, or a value that is not an integer, for an argument checked
+    with check_integer."""
+    return st.one_of(ints, NOT_INTS)
 
 
 def around(lo, hi):
@@ -226,7 +267,8 @@ class Args:
     def config(self):
         init = st.one_of(st.none(), st.just(self.pinning()))
         return self.draw(st.builds(
-            SamplerConfig, st.sampled_from([-0.1, 0.3, 0.5, 1.0, 1.5]), st.integers(-1, 3), SEEDS,
+            SamplerConfig, st.sampled_from([-0.1, 0.3, 0.5, 1.0, 1.5]),
+            or_not_int(st.integers(-1, 3)), SEEDS,
             CAPS, init,
         ))
 
@@ -265,14 +307,14 @@ CALLS = {
     "Literal": lambda a: Literal(a(st.integers(-3, 3)), a(st.booleans())),
     "clause_graph_components": lambda a: ksat.clause_graph_components(
         a.f, a(st.sampled_from(["shared-any-var", "shared-good-var", "shared-bad-var", "x"])),
-        a(st.integers(0, 3)), a(st.sampled_from([None, a.classification()])),
+        a(or_not_int(st.integers(0, 3))), a(st.sampled_from([None, a.classification()])),
         a(st.sampled_from([None, a.clause_ids()])),
     ),
     "connected_component": lambda a: ksat.connected_component(a.f, a.variable()),
     "emit_dimacs": lambda a: ksat.emit_dimacs(a.f),
-    "enumerate_solutions": lambda a: ksat.enumerate_solutions(a.f, a(CAPS)),
+    "enumerate_solutions": lambda a: ksat.enumerate_solutions(a.f, a(or_not_int(CAPS))),
     "generate_random_kcnf": lambda a: ksat.generate_random_kcnf(
-        a(st.integers(-1, 6)), a(st.integers(-1, 6)), a(st.integers(-1, 4)), a(SEEDS)
+        a(st.integers(-1, 6)), a(or_not_int(st.integers(-1, 6))), a(st.integers(-1, 4)), a(SEEDS)
     ),
     "hamming": lambda a: ksat.hamming(a.assignment(), a.assignment()),
     "is_satisfying": lambda a: ksat.is_satisfying(a.f, a.assignment()),
@@ -283,22 +325,24 @@ CALLS = {
         1, 0.3, 3, a.variables(), a.variables(), a.clause_ids(), a.clause_ids(), ()
     ),
     "classify": lambda a: ksat.classify(
-        a.f, a(st.integers(0, 4)), a(st.sampled_from([0, 0.3, 0.5, float("nan")])),
-        a(st.integers(0, 4)),
+        a.f, a(or_not_int(st.integers(0, 4))), a(st.sampled_from([0, 0.3, 0.5, float("nan")])),
+        a(or_not_int(st.integers(0, 4))),
     ),
     "good_induced_formula": lambda a: ksat.good_induced_formula(
         a.f, a.classification(), a(st.booleans())
     ),
     "Marking": lambda a: Marking(a.variables(), a(st.integers(0, 2)), a(st.integers(0, 2)), True),
     "find_marking": lambda a: ksat.find_marking(
-        a.f, a(st.integers(-1, 2)), a(st.integers(-1, 2)),
-        a(st.sampled_from([None, -0.1, 0.5, 1.5])), a(SEEDS), a(st.integers(-1, 20)),
+        a.f, a(or_not_int(st.integers(-1, 2))), a(or_not_int(st.integers(-1, 2))),
+        a(st.sampled_from([None, -0.1, 0.5, 1.5])), a(SEEDS), a(or_not_int(st.integers(-1, 20))),
         a(st.sampled_from([None, a.variables()])),
     ),
     "verify_marking": lambda a: ksat.verify_marking(a.f, a.marking()),
-    "exact_marginal": lambda a: ksat.exact_marginal(a.f, a.pinning(), a.variable(), a(CAPS)),
+    "exact_marginal": lambda a: ksat.exact_marginal(
+        a.f, a.pinning(), a.variable(), a(or_not_int(CAPS))
+    ),
     "sample_conditional": lambda a: ksat.sample_conditional(
-        a.f, a.pinning(), a.variables(), a(SEEDS), a(CAPS)
+        a.f, a.pinning(), a.variables(), a(SEEDS), a(or_not_int(CAPS))
     ),
     "check_local_uniformity": lambda a: ksat.check_local_uniformity(
         a.f, a.marking(), a(st.sampled_from([-1, 0.5, 4])), a(st.integers(0, 3)), a(SEEDS),
@@ -308,7 +352,7 @@ CALLS = {
     "SamplerConfig": lambda a: a.config(),
     "run_block_dynamics": lambda a: ksat.run_block_dynamics(a.f, a.marking(), a.config()),
     "estimate_tv": lambda a: ksat.estimate_tv(
-        a.f, a.marking(), a.config(), a(st.integers(0, 3))
+        a.f, a.marking(), a.config(), a(or_not_int(st.integers(0, 3)))
     ),
     "check_chain_uniformity": lambda a: ksat.check_chain_uniformity(
         a.f, a.marking(), a.config(), a(st.integers(0, 3)), a(st.integers(0, 3)),
@@ -343,7 +387,7 @@ CALLS = {
         a.f, a.marking(), a.assignment(), a(CAPS)
     ),
     "solution_graph": lambda a: ksat.solution_graph(a.f, a(st.integers(-1, 4)), a(CAPS)),
-    "check_flippable_all": lambda a: ksat.check_flippable_all(a.f, a(CAPS)),
+    "check_flippable_all": lambda a: ksat.check_flippable_all(a.f, a(or_not_int(CAPS))),
     "extract_two_tree": lambda a: ksat.extract_two_tree(
         a.f, a.clause_ids(), a(around(0, a.f.m - 1)), a(st.integers(0, 4))
     ),

@@ -3,6 +3,7 @@ import itertools
 import math
 import re
 import weakref
+from unittest import mock
 
 import networkx as nx
 import numpy as np
@@ -20,6 +21,7 @@ from ksat import (
     is_satisfying,
 )
 from ksat.classify import classify, default_delta, good_induced_formula
+from ksat.geometry import _DENSE_SHARE as DENSE_SHARE
 from ksat.geometry import (
     certify_loose,
     check_flippable_all,
@@ -157,13 +159,13 @@ def test_solution_graph_d0_isolates():
 
 
 def test_solution_graph_dn_single_component(monkeypatch):
-    # at d >= n every pair is joined, so nothing is linked
+    # at d >= n every pair is joined, so nothing is linked or flooded
     from ksat import geometry
 
     def refuse(*args, **kwargs):
         raise AssertionError("d >= n needs no linking")
 
-    for name in ("_link_by_ball_search", "_link_all_pairs"):
+    for name in ("_link_by_ball_search", "_link_all_pairs", "_flood_dense"):
         monkeypatch.setattr(geometry, name, refuse)
     rng = make_rng(17)
     for _ in range(5):
@@ -176,8 +178,9 @@ def test_solution_graph_dn_single_component(monkeypatch):
 
 
 def test_solution_graph_strategies_agree():
-    # the ball-search path (taken by solution_graph at d=1) must produce the
-    # same partition as the all-pairs flood
+    # the bitmap flood (taken by solution_graph at d=1, where the 290
+    # solutions fill 28 % of the 2^10 points) must produce the same
+    # partition as the all-pairs flood
     from ksat.formula import _solution_codes
     from ksat.geometry import _link_all_pairs
 
@@ -195,9 +198,9 @@ def test_solution_graph_scale_clause_free():
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_solution_graph_scale_sparse(d):
-    # 121,016 of 2^18 points, one component at every d: the ball search
-    # stops after its weight-1 pass, where a full search at d = 4 would
-    # look up about 5 x 10^8 candidates
+    # 121,016 of 2^18 points (46 %), one component at every d: the bitmap
+    # flood peels it in about 18 / d + 1 levels, where the all-pairs flood
+    # would compare about 7 x 10^9 pairs
     s = solution_graph(generate_random_kcnf(18, 12, 4, seed=3), d)
     assert s.component_sizes == (121016,)
 
@@ -255,6 +258,58 @@ def test_solution_graph_matches_networkx_components(case):
     for labels in (_link_by_ball_search(f.n, codes, d), _link_all_pairs(codes, d)):
         assert link_partition(labels) == want
         assert all(labels[g[0]] == g[0] for g in want)
+    # the bitmap flood forced on, and on the path the crossover picks
+    for share in (0.0, DENSE_SHARE):
+        sizes = sizes_with_share(f.n, codes, d, share)
+        assert list(sizes) == sorted(map(len, want), reverse=True)
+
+
+def sizes_with_share(n, codes, d, share):
+    """The component sizes the cold link gives at distance d with the bitmap
+    flood's density bound set to share: 0 forces the flood on, inf off."""
+    from ksat import geometry
+
+    with mock.patch.object(geometry, "_DENSE_SHARE", share):
+        return geometry._component_sizes(n, codes, d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 5), st.data())
+def test_flood_density_bound_does_not_change_the_sizes(n, k, data):
+    """The sizes are the same with the bitmap flood forced on (share 0) and
+    forced off (share inf), at every d, on formulas from clause-free to
+    past the satisfiability threshold."""
+    from ksat.formula import _solution_codes
+
+    k = min(k, n)
+    m = data.draw(st.integers(0, 6 * n), "m")
+    codes = _solution_codes(generate_random_kcnf(n, m, k, seed=data.draw(st.integers(0, 2**32))))
+    for d in range(n + 2):
+        assert sizes_with_share(n, codes, d, 0.0) == sizes_with_share(n, codes, d, math.inf)
+
+
+def test_flood_hands_a_fragmented_dense_set_over_after_one_component(monkeypatch):
+    """The even-weight CNF on n = 8: each of its 128 width-8 clauses forbids
+    one odd-weight point, so its 128 solutions fill half the cube yet are
+    isolated at D = 1 and joined at D = 2. At D = 1 the flood peels one
+    single solution, fewer than the bitmap's 4 words, and hands the other
+    127 to the crossover."""
+    from ksat import geometry
+
+    odd = [p for p in range(256) if p.bit_count() % 2]
+    f = Formula.from_ints(8, [[-v if p >> (v - 1) & 1 else v for v in range(1, 9)] for p in odd])
+    calls = []
+    flood = geometry._flood_dense
+
+    def spy(n, codes, d):
+        sizes, rest = flood(n, codes, d)
+        calls.append((d, len(codes), tuple(sizes), len(rest)))
+        return sizes, rest
+
+    monkeypatch.setattr(geometry, "_flood_dense", spy)
+    assert solution_graph(f, 1).component_sizes == (1,) * 128
+    assert solution_graph(f, 2).component_sizes == (128,)
+    assert calls == [(1, 128, (1,), 127), (2, 128, (128,), 0)]
 
 
 @st.composite
@@ -275,7 +330,8 @@ def kcnf_call_orders(draw):
 # D = 1 links by ball search, D = 10 >= n is one component
 @example((9, 20, 3, 2, [10, 2, 0, 1, 3]))
 # 115 solutions in 3 components at D = 1 and 2 at D = 2, asked above before
-# below: D = 1 and 2 link by ball search, D = 3 floods
+# below: they fill 11 % of the cube, so at D = 1-3 the bitmap flood peels the
+# giant and hands the 2, 1 and 0 solutions left to the all-pairs flood
 @example((10, 37, 4, 5, [2, 1, 0, 3]))
 def test_solution_graph_answers_do_not_depend_on_the_call_order(case):
     """One formula asked at distances in any order answers each as networkx
@@ -399,11 +455,12 @@ def _reference_flood(codes, d):
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(st.integers(2, 14), st.sampled_from([3, 4]), st.data())
 def test_linkers_match_the_searchsorted_ball_search_and_the_flood(n, k, data):
-    """Both linkers give the reference labels, array for array, at every
-    d in 0..n+1, on dense formulas (alpha up to 8) with many components at
-    d = 1 and 2. The reference ball search, which never stops early, runs
-    where it looks up at most 2^20 candidates; the reference flood runs
-    everywhere."""
+    """Both linkers give the reference labels, array for array, and the cold
+    link with the bitmap flood forced on and at its default bound gives
+    their sizes, at every d in 0..n+1, on dense formulas (alpha up to 8)
+    with many components at d = 1 and 2. The reference ball search, which
+    never stops early, runs where it looks up at most 2^20 candidates; the
+    reference flood runs everywhere."""
     from ksat.formula import _solution_codes
     from ksat.geometry import _link_all_pairs, _link_by_ball_search
 
@@ -418,6 +475,11 @@ def test_linkers_match_the_searchsorted_ball_search_and_the_flood(n, k, data):
             assert np.array_equal(_reference_ball_search(n, codes, d), want)
         assert np.array_equal(_link_by_ball_search(n, codes, d), want)
         assert np.array_equal(_link_all_pairs(codes, d), want)
+        # the bitmap flood forced on, and on the path the crossover picks
+        counts = np.bincount(want)
+        sizes = tuple(sorted(counts[counts > 0].tolist(), reverse=True))
+        for share in (0.0, DENSE_SHARE):
+            assert sizes_with_share(n, codes, d, share) == sizes
 
 
 def test_flippable_or_clause():
